@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .photonics import (
     ChannelModel,
@@ -258,8 +258,3 @@ def load_config(path: str) -> RunConfig:
         if line and "=" in line:
             lines[line.split("=", 1)[0].strip()] = number
     return config_from_mapping(parse_config_text(text), lines)
-
-
-def with_overrides(config: RunConfig, **changes) -> RunConfig:
-    """Functional update helper for CLI flag overrides."""
-    return replace(config, **changes)

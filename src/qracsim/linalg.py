@@ -1,21 +1,23 @@
 """Exact dense complex linear algebra for small quantum systems.
 
 States, operators and measurements are thin immutable wrappers around
-``numpy`` arrays, validated on construction.  The eigensolver is a cyclic
-Jacobi iteration: slower than LAPACK but bit-deterministic for identical
-input, which keeps optimal encodings reproducible across platforms.
+``numpy`` arrays, validated on construction.  Spectra come from LAPACK
+(``numpy.linalg.eigh`` and ``eigvalsh``).  The one place a vector is picked
+out of a degenerate eigenspace, ``Spectrum.top_eigenvector``, uses a
+convention that depends on the eigenspace alone, so optimal encodings do
+not depend on the basis LAPACK returns: reruns on one build are
+bit-identical, and LAPACK builds differ only by rounding.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .tolerances import TOL
 
-_MAX_JACOBI_SWEEPS = 60
+_SOLVER_NOT_HERMITIAN = "matrix is not Hermitian: max |H - H^dag| = {defect:.3e} exceeds {tol:.1e}"
 
 
 def _as_square_matrix(value, name: str = "matrix") -> np.ndarray:
@@ -27,6 +29,20 @@ def _as_square_matrix(value, name: str = "matrix") -> np.ndarray:
 
 def _hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+
+
+def _checked_hermitian(
+    value, name: str, not_hermitian: str = "{name} is not Hermitian: deviation {defect:.3e}"
+) -> np.ndarray:
+    """Square, Hermitian within ``TOL.hermitian`` and inside the exact-solver
+    cap: the checks shared by everything that takes a spectrum."""
+    m = _as_square_matrix(value, name)
+    defect = _hermiticity_defect(m)
+    if defect > TOL.hermitian:
+        raise ValueError(not_hermitian.format(name=name, defect=defect, tol=TOL.hermitian))
+    if m.shape[0] > TOL.dim_cap:
+        raise ValueError(f"dimension {m.shape[0]} exceeds the exact-solver cap {TOL.dim_cap}")
+    return m
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -78,14 +94,11 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _as_square_matrix(self.matrix, "density matrix")
-        defect = _hermiticity_defect(m)
-        if defect > TOL.hermitian:
-            raise ValueError(f"density matrix is not Hermitian: deviation {defect:.3e}")
+        m = _checked_hermitian(self.matrix, "density matrix")
         trace = complex(np.trace(m))
         if abs(trace - 1.0) > TOL.trace:
             raise ValueError(f"density matrix trace {trace:.12g} is not 1")
-        low = min(hermitian_eig(m).eigenvalues)
+        low = np.linalg.eigvalsh(m)[0]
         if low < -TOL.psd:
             raise ValueError(f"density matrix has negative eigenvalue {low:.3e}")
         object.__setattr__(self, "matrix", _frozen(m.copy()))
@@ -106,11 +119,8 @@ class Effect:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _as_square_matrix(self.matrix, "effect")
-        defect = _hermiticity_defect(m)
-        if defect > TOL.hermitian:
-            raise ValueError(f"effect is not Hermitian: deviation {defect:.3e}")
-        eigs = hermitian_eig(m).eigenvalues
+        m = _checked_hermitian(self.matrix, "effect")
+        eigs = np.linalg.eigvalsh(m)
         if eigs[0] < -TOL.psd or eigs[-1] > 1.0 + TOL.effect_upper:
             raise ValueError(f"effect spectrum [{eigs[0]:.3e}, {eigs[-1]:.12g}] leaves [0, 1]")
         object.__setattr__(self, "matrix", _frozen(m.copy()))
@@ -204,139 +214,51 @@ class Spectrum:
         return float(self.eigenvalues[-1])
 
     def top_eigenvector(self) -> PureState:
-        """First eigenvector (in the deterministic tie-break order) of the
-        maximal-eigenvalue cluster."""
+        """Canonical unit vector of the maximal-eigenvalue eigenspace.
+
+        The eigenspace is spanned by the top cluster (consecutive gaps below
+        ``TOL.cluster_gap``).  Its unit vector with the most leading zeros is
+        unique up to phase; phase-fixed, it is the lexicographically smallest
+        one.  It depends on the eigenspace alone, not on the basis of it that
+        the solver returned.
+        """
         w = self.eigenvalues
         start = w.size - 1
         while start > 0 and w[start] - w[start - 1] < TOL.cluster_gap:
             start -= 1
-        return self.eigenvectors[start]
-
-
-def _tiebreak_key(v: np.ndarray) -> tuple:
-    rounded = np.round(v, TOL.tiebreak_decimals) + 0.0  # normalize -0.0
-    return tuple(float(x) for pair in zip(rounded.real, rounded.imag) for x in pair)
-
-
-def _jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization of a Hermitian matrix.
-
-    Returns unsorted eigenvalues (real diagonal) and the accumulated unitary,
-    converged when the off-diagonal Frobenius norm drops below
-    ``TOL.jacobi_off``.  Scalar arithmetic on nested lists: at these
-    dimensions that is faster than vectorized updates and identical on every
-    platform.
-    """
-    d = matrix.shape[0]
-    a = [[complex(matrix[i, j]) for j in range(d)] for i in range(d)]
-    v = [[1.0 + 0.0j if i == j else 0.0j for j in range(d)] for i in range(d)]
-    if d == 1:
-        return np.array([a[0][0].real]), np.eye(1, dtype=complex)
-    skip = TOL.jacobi_off / (2.0 * d)
-    indices = range(d)
-    for _ in range(_MAX_JACOBI_SWEEPS):
-        off_sq = 0.0
-        for i in indices:
-            row = a[i]
-            for j in indices:
-                if i != j:
-                    x = row[j]
-                    off_sq += x.real * x.real + x.imag * x.imag
-        if math.sqrt(off_sq) < TOL.jacobi_off:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                g = a[p][q]
-                absg = abs(g)
-                if absg <= skip:
-                    continue
-                alpha = a[p][p].real
-                beta = a[q][q].real
-                phase = g / absg
-                tau = (beta - alpha) / (2.0 * absg)
-                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                sp = s * phase
-                spc = sp.conjugate()
-                for i in indices:
-                    row = a[i]
-                    xp = row[p]
-                    xq = row[q]
-                    row[p] = c * xp - spc * xq
-                    row[q] = sp * xp + c * xq
-                row_p = a[p]
-                row_q = a[q]
-                for j in indices:
-                    xp = row_p[j]
-                    xq = row_q[j]
-                    row_p[j] = c * xp - sp * xq
-                    row_q[j] = spc * xp + c * xq
-                row_p[q] = 0.0j
-                row_q[p] = 0.0j
-                row_p[p] = complex(row_p[p].real)
-                row_q[q] = complex(row_q[q].real)
-                for i in indices:
-                    row = v[i]
-                    xp = row[p]
-                    xq = row[q]
-                    row[p] = c * xp - spc * xq
-                    row[q] = sp * xp + c * xq
-    else:
-        raise RuntimeError("Jacobi iteration failed to converge")
-    eigenvalues = np.array([a[i][i].real for i in indices])
-    return eigenvalues, np.array(v, dtype=complex)
+        if start == w.size - 1:
+            return self.eigenvectors[start]
+        basis = np.stack([v.amplitudes for v in self.eigenvectors[start:]], axis=1)
+        for i in range(basis.shape[0]):
+            if basis.shape[1] == 1:
+                break
+            if np.linalg.norm(basis[i]) > TOL.phase_pivot:
+                # keep the orthonormal combinations that vanish on component i
+                basis = basis @ np.linalg.svd(basis[i : i + 1])[2][1:].conj().T
+        return PureState(basis[:, 0])
 
 
 def hermitian_eig(h) -> Spectrum:
-    """Deterministic eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix by LAPACK (``numpy.linalg.eigh``).
 
-    Eigenvalues come out ascending; within a degenerate cluster (consecutive
-    gaps below ``TOL.cluster_gap``) eigenvectors are ordered by lexicographic
-    comparison of their rounded, phase-fixed amplitude tuples.
+    Eigenvalues come out ascending.  Inside a degenerate cluster the basis is
+    whichever one LAPACK returns; ``Spectrum.top_eigenvector`` picks its
+    vector from the eigenspace alone.  Reruns on one build are bit-identical.
     """
-    m = _as_square_matrix(h, "input")
-    d = m.shape[0]
-    if d > TOL.dim_cap:
-        raise ValueError(f"dimension {d} exceeds the exact-solver cap {TOL.dim_cap}")
-    defect = _hermiticity_defect(m)
-    if defect > TOL.hermitian:
-        raise ValueError(
-            f"matrix is not Hermitian: max |H - H^dag| = {defect:.3e} exceeds {TOL.hermitian:.1e}"
-        )
+    m = _checked_hermitian(h, "input", _SOLVER_NOT_HERMITIAN)
     m = (m + m.conj().T) / 2.0
-    w, v = _jacobi_eigh(m)
+    w, v = np.linalg.eigh(m)
     if np.max(np.abs((v * w) @ v.conj().T - m)) > TOL.reconstruction:
         raise RuntimeError("eigendecomposition failed the reconstruction check")
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    states = [PureState(v[:, i]) for i in order]
-
-    sorted_states: list[PureState] = []
-    i = 0
-    while i < d:
-        j = i + 1
-        while j < d and w[j] - w[j - 1] < TOL.cluster_gap:
-            j += 1
-        if j - i == 1:
-            sorted_states.append(states[i])
-        else:
-            cluster = sorted(
-                range(i, j), key=lambda k: _tiebreak_key(states[k].amplitudes)
-            )
-            sorted_states.extend(states[k] for k in cluster)
-            w[i:j] = w[np.array(cluster)]
-        i = j
-    return Spectrum(w, tuple(sorted_states))
+    return Spectrum(w, tuple(PureState(v[:, i]) for i in range(w.size)))
 
 
 def operator_norm(h) -> float:
     """Operator norm of a Hermitian positive semidefinite matrix."""
-    spectrum = hermitian_eig(h)
-    low = float(spectrum.eigenvalues[0])
-    if low < -TOL.psd:
-        raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {low:.3e}")
-    return max(spectrum.max_eigenvalue, 0.0)
+    eigs = np.linalg.eigvalsh(_checked_hermitian(h, "input", _SOLVER_NOT_HERMITIAN))
+    if eigs[0] < -TOL.psd:
+        raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {eigs[0]:.3e}")
+    return max(float(eigs[-1]), 0.0)
 
 
 def tensor(a, b):

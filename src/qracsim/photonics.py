@@ -113,14 +113,12 @@ class DliModel:
 class PulseTrain:
     """Amplitudes and relative phases of one encoded train.
 
-    ``mean_photons`` records the launch intensity the train was prepared
-    with; the click models take their mean photon number from the
-    SourceModel they are given.
+    The click models take the mean photon number from the SourceModel they
+    are given.
     """
 
     bins: tuple
     bin_spacing_ps: float = 800.0
-    mean_photons: float = 0.2
 
     def __post_init__(self):
         bins = tuple((float(a), float(p)) for a, p in self.bins)
@@ -171,7 +169,7 @@ def protocol_messages(protocol: str) -> tuple[Message, ...]:
     raise ValueError(f"unknown protocol {protocol!r}")
 
 
-def build_pulse_train(message: Message, protocol: str, mean_photons: float = 0.2) -> PulseTrain:
+def build_pulse_train(message: Message, protocol: str) -> PulseTrain:
     """Pulse train realizing the optimal encoding of one message.
 
     Amplitudes follow the exact optimal-encoding table; a negative component
@@ -194,7 +192,7 @@ def build_pulse_train(message: Message, protocol: str, mean_photons: float = 0.2
     bins = tuple(
         (abs(float(a.real)), 0.0 if a.real >= 0.0 else math.pi) for a in amplitudes
     )
-    return PulseTrain(bins, mean_photons=mean_photons)
+    return PulseTrain(bins)
 
 
 def raman_rate(power_dbm: float | None, coefficient: float) -> float:
@@ -274,6 +272,17 @@ def _receiver_noise_rate(channel: ChannelModel) -> float:
     return raman_rate(channel.classical_power_dbm, channel.raman_coefficient)
 
 
+def _conditional(probabilities: np.ndarray, arm: str) -> np.ndarray:
+    """Outcome distribution given that the arm clicked at all."""
+    total = probabilities.sum()
+    if total <= 0.0:
+        raise ValueError(
+            f"the {arm} arm can never click (total click probability 0): "
+            "lower channel.loss_db or raise detector.dark_rate_hz"
+        )
+    return probabilities / total
+
+
 @dataclass(frozen=True)
 class ZClickDistribution:
     """Arrival-time outcome distribution for one train, one round."""
@@ -282,8 +291,7 @@ class ZClickDistribution:
     no_click_probability: float
 
     def conditional(self) -> np.ndarray:
-        total = self.bin_probabilities.sum()
-        return self.bin_probabilities / total
+        return _conditional(self.bin_probabilities, "arrival-time")
 
 
 def z_click_distribution(
@@ -314,9 +322,9 @@ def z_click_distribution(
 
 
 # Cell layout of the interferometer output, in time order: the early and
-# late slots carry no phase information, the middle slot interferes.
+# late slots carry no phase information, the middle slot interferes, so
+# cells 2 and 3 (middle slot, ports 0 and 1) are the conclusive ones.
 X_CELLS = 6
-X_CONCLUSIVE_CELLS = (2, 3)   # (middle slot, port 0) and (middle slot, port 1)
 
 
 @dataclass(frozen=True)
@@ -327,12 +335,7 @@ class XClickDistribution:
     no_click_probability: float
 
     def conditional(self) -> np.ndarray:
-        total = self.cell_probabilities.sum()
-        return self.cell_probabilities / total
-
-    @property
-    def conclusive_probability(self) -> float:
-        return float(self.cell_probabilities[list(X_CONCLUSIVE_CELLS)].sum())
+        return _conditional(self.cell_probabilities, "phase")
 
 
 def x_click_distribution(
@@ -482,7 +485,7 @@ def _scaled_weights(train: PulseTrain, scale: tuple | None) -> np.ndarray:
 
 
 def _z_distribution_for(config: SimulationConfig, message: Message) -> ZClickDistribution:
-    train = build_pulse_train(message, config.protocol, config.source.mu)
+    train = build_pulse_train(message, config.protocol)
     if config.bin_intensity_scale is None:
         return z_click_distribution(train, config.source, config.channel, config.detector)
     weights = _jitter_weights(
@@ -535,7 +538,7 @@ def simulate_trial(config: SimulationConfig) -> TrialResult:
     if two_basis:
         x_dists = [
             x_click_distribution(
-                build_pulse_train(m, config.protocol, config.source.mu),
+                build_pulse_train(m, config.protocol),
                 config.dli,
                 config.source,
                 config.channel,
@@ -644,7 +647,7 @@ def expected_p_z(
     total = 0.0
     messages = protocol_messages(protocol)
     for message in messages:
-        train = build_pulse_train(message, protocol, source.mu)
+        train = build_pulse_train(message, protocol)
         cond = z_click_distribution(train, source, channel, detector).conditional()
         total += float(cond[message.digits[0]])
     return total / len(messages)
@@ -661,7 +664,7 @@ def expected_p_x(
     total = 0.0
     messages = protocol_messages("2,2")
     for message in messages:
-        train = build_pulse_train(message, "2,2", source.mu)
+        train = build_pulse_train(message, "2,2")
         cond = x_click_distribution(train, dli, source, channel, detector).conditional()
         conclusive = cond[2] + cond[3]
         total += float(cond[2 + message.digits[1]] / conclusive)

@@ -142,7 +142,9 @@ class AllocationValue:
 
 def optimal_encoding(pair: MeasurementPair, message: Message) -> PureState:
     """Best encoding state for one message: the top eigenvector of
-    M1(x1) + M2(x2) under the deterministic phase and tie-break conventions."""
+    M1(x1) + M2(x2), phase-fixed, and for a degenerate top eigenvalue the
+    eigenspace's unit vector with the most leading zeros
+    (``Spectrum.top_eigenvector``)."""
     x1, x2 = message.digits
     if message.alphabet != pair.dim:
         raise ValueError("message alphabet must match the measurement dimension")

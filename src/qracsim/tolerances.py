@@ -15,9 +15,7 @@ class Tolerances:
     orthonormal: float = 1e-10        # modulus of off-diagonal basis overlaps
     trace: float = 1e-10              # unit-trace deviation
     phase_pivot: float = 1e-12        # smallest component that may fix the global phase
-    jacobi_off: float = 1e-12         # off-diagonal Frobenius norm at convergence
     cluster_gap: float = 1e-9         # eigenvalue gap that delimits a degenerate cluster
-    tiebreak_decimals: int = 8        # rounding used to order degenerate eigenvectors
     reconstruction: float = 1e-9      # eigendecomposition reconstruction error
     mub_defect: float = 1e-9          # accepted unbiasedness defect for a MUB pair
     projective: float = 1e-9          # idempotency tolerance for PVM effects

@@ -177,6 +177,14 @@ class TestSweepCommand:
         assert code == 2
         assert "expected a number" in err
 
+    def test_unclickable_receiver_exits_2(self, tmp_path):
+        cfg = tmp_path / "dark.cfg"
+        cfg.write_text("channel.loss_db = 4000\ndetector.dark_rate_hz = 0\n")
+        code, out, err = run_cli(["reproduce", "table2", "--config", str(cfg), "--rounds", "1000"])
+        assert code == 2
+        assert out == ""
+        assert "channel.loss_db" in err and "detector.dark_rate_hz" in err
+
     def test_missing_config_file_exits_2(self):
         code, _, err = run_cli(["sweep", "--config", "/nonexistent/q.cfg"])
         assert code == 2

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qracsim import (
     Basis,
@@ -9,6 +12,7 @@ from qracsim import (
     Effect,
     Povm,
     PureState,
+    Spectrum,
     born_probability,
     hermitian_eig,
     operator_norm,
@@ -102,15 +106,63 @@ class TestHermitianEig:
         with pytest.raises(ValueError, match=r"not Hermitian.*1\.000e\+00"):
             hermitian_eig(bad)
 
-    def test_dimension_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            hermitian_eig(np.eye(17))
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: hermitian_eig(np.eye(17)),
+            lambda: operator_norm(np.eye(17)),
+            lambda: Effect(0.5 * np.eye(17)),
+            lambda: DensityMatrix(np.eye(17) / 17),
+        ],
+        ids=["hermitian_eig", "operator_norm", "Effect", "DensityMatrix"],
+    )
+    def test_dimension_cap(self, build):
+        with pytest.raises(ValueError, match="exceeds the exact-solver cap 16"):
+            build()
 
     def test_top_eigenvector_of_degenerate_cluster(self):
         # the top cluster {2, 2} is ordered by the amplitude tie-break, so
         # the representative is deterministic
         spectrum = hermitian_eig(np.diag([1.0, 2.0, 2.0]))
         assert np.allclose(spectrum.top_eigenvector().amplitudes, [0.0, 0.0, 1.0])
+
+    def test_top_eigenvector_ignores_cluster_basis(self):
+        # {e1, e2} and {(e1 - e2)/sqrt2, (e1 + e2)/sqrt2} span one eigenspace
+        e0, e1, e2 = (PureState(row) for row in np.eye(3))
+        minus = PureState(np.array([0.0, 1.0, -1.0]) / SQRT2)
+        plus = PureState(np.array([0.0, 1.0, 1.0]) / SQRT2)
+        first = Spectrum(np.array([1.0, 2.0, 2.0]), (e0, e1, e2))
+        second = Spectrum(np.array([1.0, 2.0, 2.0]), (e0, minus, plus))
+        assert np.allclose(first.top_eigenvector().amplitudes, [0.0, 0.0, 1.0], atol=1e-12)
+        assert np.allclose(
+            second.top_eigenvector().amplitudes, first.top_eigenvector().amplitudes, atol=1e-12
+        )
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        d=st.integers(2, 6),
+        multiplicity=st.integers(2, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_top_eigenvector_has_most_leading_zeros(self, d, multiplicity, seed):
+        from conftest import haar_unitary
+
+        multiplicity = min(multiplicity, d)
+        gen = np.random.default_rng(seed)
+        lam = 2.0
+        low = np.sort(gen.uniform(-1.0, 1.0, d - multiplicity))
+        u = haar_unitary(gen, d)
+        h = u @ np.diag(np.concatenate([low, np.full(multiplicity, lam)])) @ u.conj().T
+        h = (h + h.conj().T) / 2
+        top = hermitian_eig(h).top_eigenvector().amplitudes
+        assert np.max(np.abs(h @ top - lam * top)) < 1e-9
+        # a unit vector of the eigenspace vanishing on the first `lead`
+        # components exists iff those rows leave the eigenspace basis rank
+        # deficient; the top vector must have the largest such `lead`
+        space = u[:, d - multiplicity :]
+        lead = int(np.flatnonzero(np.abs(top) > 1e-9)[0])
+        assert np.linalg.matrix_rank(space[:lead], tol=1e-9) < multiplicity
+        assert np.linalg.matrix_rank(space[: lead + 1], tol=1e-9) == multiplicity
 
     def test_near_degenerate_cluster(self, rng):
         # eigenvalues separated by less than the cluster gap still give an
@@ -149,7 +201,7 @@ class TestHermitianEig:
             assert np.max(np.abs(stack @ stack.conj().T - np.eye(d))) < 1e-10
             rebuilt = (stack.T * spectrum.eigenvalues) @ stack.conj()
             assert np.max(np.abs(rebuilt - h)) < 1e-9
-            reference = np.sort(np.linalg.eigvalsh(h))
+            reference = scipy.linalg.eigvalsh(h, driver="ev")
             assert np.max(np.abs(spectrum.eigenvalues - reference)) < 1e-9
 
 

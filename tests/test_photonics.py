@@ -397,3 +397,25 @@ class TestModelValidation:
     def test_config_rounds(self):
         with pytest.raises(ValueError):
             SimulationConfig(rounds=0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("protocol", ["2,2", "2,4"])
+    def test_unclickable_receiver_rejected(self, protocol):
+        # no signal survives 4000 dB and nothing else fires: no estimate exists
+        cfg = SimulationConfig(
+            protocol=protocol,
+            channel=ChannelModel(loss_db=4000),
+            detector=DetectorModel(dark_rate_hz=0),
+            rounds=1_000,
+        )
+        with pytest.raises(ValueError, match=r"channel\.loss_db.*detector\.dark_rate_hz"):
+            simulate_trial(cfg)
+
+    @pytest.mark.filterwarnings("error")
+    def test_unclickable_phase_arm_rejected(self):
+        train = build_pulse_train(Message((0, 0), 2), "2,2")
+        dist = x_click_distribution(
+            train, DliModel(), SOURCE, ChannelModel(loss_db=4000), IDEAL_DETECTOR
+        )
+        with pytest.raises(ValueError, match=r"phase arm.*channel\.loss_db"):
+            dist.conditional()
