@@ -50,7 +50,8 @@ class ChannelModel:
     ``raman_coefficient`` converts classical optical power into a broadband
     noise click rate at the receiver input; it is a calibration constant,
     fixed so the mean time-basis success probability crosses the classical
-    bound at -25 dBm (see ``calibrate_raman_coefficient``).
+    bound at -25 dBm.  The default is the value ``calibrate_raman_coefficient()``
+    returns, stored as a full-precision literal.
     """
 
     loss_db: float = 10.0
@@ -703,4 +704,6 @@ def calibrate_raman_coefficient(
     return math.sqrt(low * high)
 
 
-DEFAULT_RAMAN_COEFFICIENT = calibrate_raman_coefficient()
+# calibrate_raman_coefficient() at its defaults, stored as a literal so that
+# importing the package runs no calibration; a test recomputes it.
+DEFAULT_RAMAN_COEFFICIENT = 325880067373.3531

@@ -1,7 +1,12 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qracsim import PrbsAlignmentError, prbs_align, prbs_generate
+from qracsim.prbs import DEFAULT_TAPS
 
 
 def test_period_length():
@@ -101,3 +106,131 @@ def test_align_validates_symbols():
     bad = np.full(ref.period, 2, dtype=np.int64)
     with pytest.raises(ValueError, match="entries"):
         prbs_align(bad, ref)
+
+
+def test_seed_out_of_range_rejected():
+    message = re.escape("seed must be a nonzero register state in 1..127")
+    for seed in (2**7, 2**7 + 1, -1, -(2**7)):
+        with pytest.raises(ValueError, match=message):
+            prbs_generate(7, seed=seed)
+    assert prbs_generate(7, seed=2**7 - 1).bits.size == 127
+
+
+def test_align_rejects_non_bit_values():
+    ref = prbs_generate(3)
+    # truncating these to integers would give the valid stream 0, 1, 0, ...
+    fractional = np.resize([0.7, 1.2, -0.5], ref.period)
+    with pytest.raises(ValueError, match="entries"):
+        prbs_align(fractional, ref)
+
+
+@pytest.mark.parametrize("min_agreement", [float("nan"), -0.1, 1.5])
+def test_align_rejects_bad_threshold(min_agreement):
+    ref = prbs_generate(7)
+    with pytest.raises(ValueError, match="min_agreement"):
+        prbs_align(ref.bits, ref, min_agreement=min_agreement)
+
+
+# --- oracles -----------------------------------------------------------------
+
+
+def _register_oracle(order, seed):
+    """One period from a bit-list Fibonacci register: element i of ``reg``
+    is the bit the register outputs i steps from now."""
+    reg = [(seed >> (order - 1 - i)) & 1 for i in range(order)]
+    out = []
+    for _ in range(2**order - 1):
+        out.append(reg[0])
+        feedback = 0
+        for t in DEFAULT_TAPS[order]:
+            feedback ^= reg[order - t]
+        reg = reg[1:] + [feedback]
+    return np.array(out, dtype=np.uint8)
+
+
+def _align_oracle(observed, reference):
+    """Brute-force O(P * n) agreements; returns (first best offset, fraction)."""
+    obs = np.asarray(observed, dtype=np.int64)
+    period = reference.period
+    index = (np.arange(period)[:, None] + np.arange(obs.size)[None, :]) % period
+    agreements = ((reference.bits[index] == obs) & (obs >= 0)).sum(axis=1)
+    n_valid = int((obs >= 0).sum())
+    if n_valid == 0:
+        return None, None
+    best = int(np.argmax(agreements))
+    return best, agreements[best] / n_valid
+
+
+@pytest.mark.parametrize("order", range(3, 19))
+def test_generate_matches_register_oracle(order):
+    mask = 2**order - 1
+    for seed in (mask, 1, 5, mask // 3):
+        expected = _register_oracle(order, seed)
+        actual = prbs_generate(order, seed=None if seed == mask else seed).bits
+        assert np.array_equal(actual, expected), f"order {order}, seed {seed}"
+
+
+def _proper_divisors(n):
+    small = [d for d in range(1, int(n**0.5) + 1) if n % d == 0]
+    return sorted({d for s in small for d in (s, n // s)} - {n})
+
+
+@pytest.mark.parametrize("order", range(19, 24))
+def test_long_registers_satisfy_recurrence(order):
+    seq = prbs_generate(order)
+    bits = seq.bits
+    # all-ones seed: the first register state is the first `order` output bits
+    assert np.all(bits[:order] == 1)
+    feedback = np.zeros_like(bits)
+    for t in DEFAULT_TAPS[order]:
+        feedback ^= np.roll(bits, t)  # bits[n - t], cyclically
+    assert np.array_equal(bits, feedback)
+    assert int(bits.sum()) == 2 ** (order - 1)
+    for d in _proper_divisors(seq.period):
+        assert np.any(bits != np.roll(bits, d))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    order=st.integers(3, 8),
+    source=st.sampled_from(["planted", "random", "zeros"]),
+    extra=st.floats(0.0, 4.0, exclude_max=True),
+    flip=st.sampled_from([0.0, 0.05, 0.3]),
+    erase=st.sampled_from([0.0, 0.3, 0.9, 1.0]),
+    min_agreement=st.sampled_from([0.0, 0.5, 0.6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_align_matches_brute_force_oracle(order, source, extra, flip, erase, min_agreement, seed):
+    ref = prbs_generate(order)
+    period = ref.period
+    rng = np.random.default_rng(seed)
+    length = period + int(extra * period)
+    if source == "planted":
+        stream = ref.bits[(np.arange(length) + int(rng.integers(period))) % period].astype(np.int64)
+    elif source == "random":
+        stream = rng.integers(0, 2, size=length)
+    else:
+        stream = np.zeros(length, dtype=np.int64)
+    stream ^= (rng.random(length) < flip).astype(np.int64)
+    stream[rng.random(length) < erase] = -1
+    best, fraction = _align_oracle(stream, ref)
+    if best is None:
+        with pytest.raises(ValueError, match="only erasures"):
+            prbs_align(stream, ref, min_agreement=min_agreement)
+    elif fraction < min_agreement:
+        message = f"best agreement {fraction:.3f} below threshold {min_agreement:.3f}"
+        with pytest.raises(PrbsAlignmentError, match=re.escape(message)):
+            prbs_align(stream, ref, min_agreement=min_agreement)
+    else:
+        assert prbs_align(stream, ref, min_agreement=min_agreement) == best
+
+
+def test_align_long_register():
+    # period 131071 pads the correlation to 2**18 points
+    ref = prbs_generate(17)
+    rng = np.random.default_rng(17)
+    offset = 98_765
+    stream = ref.bits[(np.arange(ref.period + 40_000) + offset) % ref.period].astype(np.int8)
+    stream ^= (rng.random(stream.size) < 0.2).astype(np.int8)
+    stream[rng.random(stream.size) < 0.5] = -1
+    assert prbs_align(stream, ref) == offset
