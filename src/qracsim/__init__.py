@@ -37,6 +37,7 @@ from .photonics import (
     build_pulse_train,
     calibrate_raman_coefficient,
     cross_bin_leak_fraction,
+    expected_estimates,
     expected_p_x,
     expected_p_z,
     raman_rate,

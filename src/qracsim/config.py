@@ -126,7 +126,8 @@ def parse_config_text(text: str) -> dict[str, str]:
     return mapping
 
 
-# key -> (target, attribute, parser kind)
+# key -> (target, attribute, parser kind); a None target parses the value
+# and then drops it.
 _SCHEMA = {
     "run.protocol": ("run", "protocol", "str"),
     "run.rounds": ("run", "rounds", "int"),
@@ -136,7 +137,8 @@ _SCHEMA = {
     "run.out": ("run", "out", "str"),
     "run.format": ("run", "fmt", "str"),
     "source.mu": ("source", "mu", "float"),
-    "source.rep_period_ns": ("source", "rep_period_ns", "float"),
+    # No model reads the repetition period; older JSON mirrors still carry it.
+    "source.rep_period_ns": (None, None, "float"),
     "channel.loss_db": ("channel", "loss_db", "float"),
     "channel.raman_coefficient": ("channel", "raman_coefficient", "float"),
     "channel.classical_power_dbm": ("channel", "classical_power_dbm", "optional_float"),
@@ -179,7 +181,7 @@ def config_from_mapping(mapping: dict[str, str], lines: dict[str, int] | None = 
             parsed = value.strip()
         if target == "run":
             run_kwargs[attr] = parsed
-        else:
+        elif target is not None:
             model_kwargs[target][attr] = parsed
     try:
         return RunConfig(
@@ -210,7 +212,6 @@ def config_to_mapping(config: RunConfig) -> dict[str, str]:
         "run.sweep": ",".join(_format_float(p) for p in config.sweep),
         "run.format": config.fmt,
         "source.mu": _format_float(config.source.mu),
-        "source.rep_period_ns": _format_float(config.source.rep_period_ns),
         "channel.loss_db": _format_float(config.channel.loss_db),
         "channel.raman_coefficient": _format_float(config.channel.raman_coefficient),
         "channel.classical_power_dbm": (

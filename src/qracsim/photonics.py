@@ -36,7 +36,6 @@ class SourceModel:
     """Weak coherent pulse source."""
 
     mu: float = 0.2                 # mean photon number per train
-    rep_period_ns: float = 1.6      # time between successive trains
 
     def __post_init__(self):
         if self.mu <= 0.0:
@@ -142,10 +141,6 @@ class PulseTrain:
     def amplitudes(self) -> np.ndarray:
         return np.array([a for a, _ in self.bins])
 
-    @property
-    def phases(self) -> np.ndarray:
-        return np.array([p for _, p in self.bins])
-
 
 @lru_cache(maxsize=None)
 def _encoding_amplitudes(protocol: str) -> dict:
@@ -235,11 +230,6 @@ def _jitter_weights(intensities: np.ndarray, spacing_ps: float, sigma_ps: float)
     return weights
 
 
-def _noise_probability(rate_hz: float, gate_width_ps: float) -> float:
-    # Poisson window statistics; equals rate * gate to first order.
-    return 1.0 - math.exp(-rate_hz * gate_width_ps * 1e-12)
-
-
 def _first_click_probabilities(
     signal_prob: float, weights: np.ndarray, noise_probs: np.ndarray
 ) -> tuple[np.ndarray, float]:
@@ -263,14 +253,26 @@ def _first_click_probabilities(
     return probs, no_click
 
 
-def _signal_click_probability(source: SourceModel, channel: ChannelModel, detector: DetectorModel) -> float:
+def _arm_click_probabilities(
+    weights: np.ndarray,
+    noise_share: float,
+    source: SourceModel,
+    channel: ChannelModel,
+    detector: DetectorModel,
+) -> tuple[np.ndarray, float]:
+    """First-click distribution of an arm whose cells take the signal by
+    ``weights`` and, each, dark counts plus ``noise_share`` of the channel's
+    scattering noise."""
     # Factor 1/2 from the passive 50:50 basis-choice splitter.
     mean_detected = source.mu * channel.transmission * detector.efficiency * 0.5
-    return 1.0 - math.exp(-mean_detected)
-
-
-def _receiver_noise_rate(channel: ChannelModel) -> float:
-    return raman_rate(channel.classical_power_dbm, channel.raman_coefficient)
+    rate_hz = detector.dark_rate_hz + noise_share * raman_rate(
+        channel.classical_power_dbm, channel.raman_coefficient
+    )
+    # Poisson window statistics; equals rate * gate to first order.
+    noise = 1.0 - math.exp(-rate_hz * detector.gate_width_ps * 1e-12)
+    return _first_click_probabilities(
+        1.0 - math.exp(-mean_detected), weights, np.full(weights.size, noise)
+    )
 
 
 def _conditional(probabilities: np.ndarray, arm: str) -> np.ndarray:
@@ -300,26 +302,25 @@ def z_click_distribution(
     source: SourceModel,
     channel: ChannelModel,
     detector: DetectorModel,
+    bin_intensity_scale: tuple | None = None,
 ) -> ZClickDistribution:
     """Exact per-bin click distribution in the arrival-time arm.
 
     Signal clicks land in a bin proportionally to its intensity, smeared by
     Gaussian jitter leakage across the half-spacing bin edges; every bin
     additionally sees dark counts plus half the channel's scattering noise
-    (the other half goes to the phase arm).
+    (the other half goes to the phase arm).  ``bin_intensity_scale`` models a
+    per-bin preparation imbalance: the bin intensities are multiplied by it
+    and renormalized before the jitter leakage.
     """
-    weights = _jitter_weights(
-        train.amplitudes**2, train.bin_spacing_ps, detector.jitter_sigma_ps
-    )
-    signal = _signal_click_probability(source, channel, detector)
-    noise = _noise_probability(
-        detector.dark_rate_hz + 0.5 * _receiver_noise_rate(channel),
-        detector.gate_width_ps,
-    )
-    probs, no_click = _first_click_probabilities(
-        signal, weights, np.full(train.n_bins, noise)
-    )
-    return ZClickDistribution(probs, no_click)
+    intensities = train.amplitudes**2
+    if bin_intensity_scale is not None:
+        if len(bin_intensity_scale) != train.n_bins:
+            raise ValueError("bin intensity scale length must match the train")
+        intensities = intensities * np.asarray(bin_intensity_scale)
+        intensities /= intensities.sum()
+    weights = _jitter_weights(intensities, train.bin_spacing_ps, detector.jitter_sigma_ps)
+    return ZClickDistribution(*_arm_click_probabilities(weights, 0.5, source, channel, detector))
 
 
 # Cell layout of the interferometer output, in time order: the early and
@@ -356,7 +357,10 @@ def x_click_distribution(
     if train.n_bins != 2:
         raise ValueError("the phase measurement reads two-bin trains only")
     if abs(dli.delay_ps - train.bin_spacing_ps) > 1e-9:
-        raise ValueError("interferometer delay must equal the bin spacing")
+        raise ValueError(
+            f"dli.delay_ps must equal the bin spacing ({train.bin_spacing_ps:g} ps), "
+            f"got {dli.delay_ps:g}"
+        )
     a, b = (train.bins[0][0], train.bins[1][0])
     dphi = train.bins[1][1] - train.bins[0][1]
     fringe = 2.0 * a * b * dli.visibility * math.cos(dphi)
@@ -370,13 +374,7 @@ def x_click_distribution(
             b * b / 4.0,            # late slot, port 1
         ]
     )
-    signal = _signal_click_probability(source, channel, detector)
-    noise = _noise_probability(
-        detector.dark_rate_hz + 0.25 * _receiver_noise_rate(channel),
-        detector.gate_width_ps,
-    )
-    probs, no_click = _first_click_probabilities(signal, weights, np.full(X_CELLS, noise))
-    return XClickDistribution(probs, no_click)
+    return XClickDistribution(*_arm_click_probabilities(weights, 0.25, source, channel, detector))
 
 
 @dataclass(frozen=True)
@@ -390,7 +388,7 @@ class SimulationConfig:
     dli: DliModel = field(default_factory=DliModel)
     rounds: int = 100_000
     seed: int = 1
-    workers: int = 1
+    workers: int = 1        # stream partitions, run one after another
     bin_intensity_scale: tuple | None = None   # optional per-bin preparation imbalance
 
     def __post_init__(self):
@@ -422,7 +420,7 @@ class BasisTally:
         return self.conclusive + self.inconclusive
 
 
-def _estimate(correct: int, conclusive: int) -> tuple[float, float]:
+def _estimate(correct: float, conclusive: float) -> tuple[float, float]:
     if conclusive == 0:
         return float("nan"), float("nan")
     p = correct / conclusive
@@ -435,7 +433,8 @@ class TrialResult:
 
     Every round contributes exactly one event (the tallies sum to
     ``rounds``); the probability that a physical train produces no click at
-    all is reported analytically per arm.
+    all is reported analytically per arm.  Estimates a protocol does not
+    measure are None.
     """
 
     protocol: str
@@ -446,18 +445,18 @@ class TrialResult:
     z_tallies: dict
     x_tallies: dict | None
     z_bin_counts: dict
-    p_z: float
-    p_z_err: float
-    p_x: float | None
-    p_x_err: float | None
-    p_m1: float | None
-    p_m1_err: float | None
-    p_m2: float | None
-    p_m2_err: float | None
-    p_m12: float | None
-    p_m12_err: float | None
     no_click_probability_z: float
     no_click_probability_x: float | None
+    p_z: float
+    p_z_err: float
+    p_x: float | None = None
+    p_x_err: float | None = None
+    p_m1: float | None = None
+    p_m1_err: float | None = None
+    p_m2: float | None = None
+    p_m2_err: float | None = None
+    p_m12: float | None = None
+    p_m12_err: float | None = None
 
     def __post_init__(self):
         total = sum(t.total for t in self.z_tallies.values())
@@ -475,34 +474,86 @@ class TrialResult:
         return _estimate(tally.correct, tally.conclusive)[0]
 
 
-def _scaled_weights(train: PulseTrain, scale: tuple | None) -> np.ndarray:
-    intensities = train.amplitudes**2
-    if scale is None:
-        return intensities
-    if len(scale) != intensities.size:
-        raise ValueError("bin intensity scale length must match the train")
-    scaled = intensities * np.asarray(scale)
-    return scaled / scaled.sum()
+# A round's outcome is a cell of a (message, cell) table.  Each message row
+# holds its train's arrival-time bins, one per symbol of the alphabet, then
+# on 2,2 the X_CELLS interferometer cells.  Only cells that can occur are
+# listed, so the multinomial draw's last cell, which takes any rounding
+# remainder, is a real outcome.
+@lru_cache(maxsize=None)
+def _masks(protocol: str) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Correct-cell and conclusive-cell masks over (message, cell), per estimand.
+
+    Every estimate is its correct mass over its conclusive mass: applied to
+    the count table the masks give the estimators, applied to the cell
+    probabilities the closed forms those estimators converge to.  Restricted
+    to one message row, the p_z and p_x masks give the per-state estimates.
+    """
+    messages = protocol_messages(protocol)
+    n_bins = messages[0].alphabet
+    rows = np.arange(len(messages))
+    first = np.array([m.digits[0] for m in messages])
+    shape = (len(messages), n_bins + (X_CELLS if protocol == "2,2" else 0))
+
+    z_conclusive = np.zeros(shape, dtype=bool)
+    z_conclusive[:, :n_bins] = True
+    z_correct = np.zeros(shape, dtype=bool)
+    z_correct[rows, first] = True
+    masks = {"p_z": (z_correct, z_conclusive)}
+    if protocol == "2,2":
+        second = np.array([m.digits[1] for m in messages])
+        x_conclusive = np.zeros(shape, dtype=bool)
+        x_conclusive[:, n_bins + 2 : n_bins + 4] = True
+        x_correct = np.zeros(shape, dtype=bool)
+        x_correct[rows, n_bins + 2 + second] = True
+        masks["p_x"] = (x_correct, x_conclusive)
+    else:
+        # The first bit names the half of the alphabet; p_m1 and p_m2 score
+        # it on the messages from the lower and the upper half.
+        first_bit = np.zeros(shape, dtype=bool)
+        first_bit[:, :n_bins] = (np.arange(n_bins) // 2)[None, :] == (first // 2)[:, None]
+        lower = (first < 2)[:, None]
+        masks["p_m1"] = (first_bit & lower, z_conclusive & lower)
+        masks["p_m2"] = (first_bit & ~lower, z_conclusive & ~lower)
+        masks["p_m12"] = masks["p_z"]
+    for correct, conclusive in masks.values():
+        correct.flags.writeable = conclusive.flags.writeable = False
+    return masks
 
 
-def _z_distribution_for(config: SimulationConfig, message: Message) -> ZClickDistribution:
-    train = build_pulse_train(message, config.protocol)
-    if config.bin_intensity_scale is None:
-        return z_click_distribution(train, config.source, config.channel, config.detector)
-    weights = _jitter_weights(
-        _scaled_weights(train, config.bin_intensity_scale),
-        train.bin_spacing_ps,
-        config.detector.jitter_sigma_ps,
-    )
-    signal = _signal_click_probability(config.source, config.channel, config.detector)
-    noise = _noise_probability(
-        config.detector.dark_rate_hz + 0.5 * _receiver_noise_rate(config.channel),
-        config.detector.gate_width_ps,
-    )
-    probs, no_click = _first_click_probabilities(
-        signal, weights, np.full(train.n_bins, noise)
-    )
-    return ZClickDistribution(probs, no_click)
+def _row_sums(weights: np.ndarray, protocol: str) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Per-message correct and conclusive sums of a (message, cell) table."""
+    return {
+        name: ((weights * correct).sum(axis=1), (weights * conclusive).sum(axis=1))
+        for name, (correct, conclusive) in _masks(protocol).items()
+    }
+
+
+def _trial_distribution(config: SimulationConfig) -> tuple[np.ndarray, list, list]:
+    """Probability of each (message, cell) outcome of one sifted round.
+
+    ``p[message, cell] = (1/n_msg) * P(arm) * conditional[cell]``: a uniform
+    message, the passive 50:50 arm choice (P(arm) = 1 for the z-only 2,4
+    receiver), then the arm's conditional-on-click distribution.  Also
+    returns the per-message no-click probabilities of each arm.
+    """
+    messages = protocol_messages(config.protocol)
+    n_bins = messages[0].alphabet
+    two_basis = config.protocol == "2,2"
+    arm = 0.5 if two_basis else 1.0
+    p = np.zeros((len(messages), n_bins + (X_CELLS if two_basis else 0)))
+    no_click_z, no_click_x = [], []
+    for row, message in zip(p, messages):
+        train = build_pulse_train(message, config.protocol)
+        z = z_click_distribution(
+            train, config.source, config.channel, config.detector, config.bin_intensity_scale
+        )
+        row[:n_bins] = arm * z.conditional()
+        no_click_z.append(z.no_click_probability)
+        if two_basis:
+            x = x_click_distribution(train, config.dli, config.source, config.channel, config.detector)
+            row[n_bins:] = arm * x.conditional()
+            no_click_x.append(x.no_click_probability)
+    return p / len(messages), no_click_z, no_click_x
 
 
 def _worker_rng(seed: int, worker: int) -> np.random.Generator:
@@ -519,122 +570,78 @@ def _chunk_sizes(rounds: int, workers: int) -> list[int]:
 def simulate_trial(config: SimulationConfig) -> TrialResult:
     """Run one sifted Monte Carlo trial.
 
-    Per round: a uniform message, a passive 50:50 arm choice (two-bin
+    A round is a uniform message, a passive 50:50 arm choice (two-bin
     protocol only; the four-bin receiver records arrival times only), and a
-    detection outcome drawn from the exact conditional-on-click distribution
-    of that arm.  Rounds are partitioned across ``workers`` independent
-    Philox streams keyed by (seed, worker) and merged in worker order, so a
-    rerun with the same seed and worker count is bit-identical.
+    detection outcome from the exact conditional-on-click distribution of
+    that arm, so the rounds' outcomes are one multinomial draw over a
+    (message, cell) table of outcome probabilities.  The rounds are split
+    into ``workers`` stream partitions, run one after another: each draws
+    its share of the counts from its own Philox stream keyed by
+    (seed, worker), so a rerun with the same seed and worker count is
+    bit-identical.  Every estimate is the correct-cell count over the
+    conclusive-cell count of its masks; ``expected_estimates`` applies the
+    same masks to the cell probabilities.
     """
     messages = protocol_messages(config.protocol)
-    n_msg = len(messages)
-    two_basis = config.protocol == "2,2"
-
-    z_dists = [_z_distribution_for(config, m) for m in messages]
-    z_cond = [d.conditional() for d in z_dists]
-    z_cum = [np.cumsum(c) for c in z_cond]
-    for c in z_cum:
-        c[-1] = 1.0
-
-    if two_basis:
-        x_dists = [
-            x_click_distribution(
-                build_pulse_train(m, config.protocol),
-                config.dli,
-                config.source,
-                config.channel,
-                config.detector,
-            )
-            for m in messages
-        ]
-        x_cum = [np.cumsum(d.conditional()) for d in x_dists]
-        for c in x_cum:
-            c[-1] = 1.0
-
-    n_bins = z_cond[0].size
-    z_counts = np.zeros((n_msg, n_bins), dtype=np.int64)
-    x_counts = np.zeros((n_msg, X_CELLS), dtype=np.int64)
-
+    n_bins = messages[0].alphabet
+    p, no_click_z, no_click_x = _trial_distribution(config)
+    cells = p.ravel()
+    counts = np.zeros(cells.size, dtype=np.int64)
     for worker, size in enumerate(_chunk_sizes(config.rounds, config.workers)):
-        if size == 0:
-            continue
-        rng = _worker_rng(config.seed, worker)
-        msg = rng.integers(0, n_msg, size=size)
-        arm_x = rng.random(size) < 0.5 if two_basis else np.zeros(size, dtype=bool)
-        u = rng.random(size)
-        for m in range(n_msg):
-            in_z = (msg == m) & ~arm_x
-            if in_z.any():
-                outcome = np.searchsorted(z_cum[m], u[in_z], side="right")
-                z_counts[m] += np.bincount(outcome, minlength=n_bins)
-            if two_basis:
-                in_x = (msg == m) & arm_x
-                if in_x.any():
-                    cells = np.searchsorted(x_cum[m], u[in_x], side="right")
-                    x_counts[m] += np.bincount(cells, minlength=X_CELLS)
+        counts += _worker_rng(config.seed, worker).multinomial(size, cells)
+    counts = counts.reshape(p.shape)
+
+    sums = _row_sums(counts, config.protocol)
+    estimates = {}
+    for name, (correct, conclusive) in sums.items():
+        estimates[name], estimates[name + "_err"] = _estimate(int(correct.sum()), int(conclusive.sum()))
 
     labels = tuple(m.label for m in messages)
-    z_tallies = {}
-    z_bin_counts = {}
-    for i, message in enumerate(messages):
-        correct = int(z_counts[i, message.digits[0]])
-        z_tallies[labels[i]] = BasisTally(correct, int(z_counts[i].sum()) - correct)
-        z_bin_counts[labels[i]] = tuple(int(c) for c in z_counts[i])
 
-    z_correct = sum(t.correct for t in z_tallies.values())
-    z_total = sum(t.conclusive for t in z_tallies.values())
-    p_z, p_z_err = _estimate(z_correct, z_total)
+    def tallies(name: str, arm: np.ndarray) -> dict:
+        correct, conclusive = sums[name]
+        return {
+            label: BasisTally(int(c), int(k - c), int(a - k))
+            for label, c, k, a in zip(labels, correct, conclusive, arm.sum(axis=1))
+        }
 
-    x_tallies = None
-    p_x = p_x_err = None
-    no_click_x = None
-    p_m1 = p_m1_err = p_m2 = p_m2_err = p_m12 = p_m12_err = None
-
-    if two_basis:
-        x_tallies = {}
-        for i, message in enumerate(messages):
-            port = message.digits[1]
-            correct = int(x_counts[i, 2 + port])
-            wrong = int(x_counts[i, 2 + (1 - port)])
-            inconclusive = int(x_counts[i].sum()) - correct - wrong
-            x_tallies[labels[i]] = BasisTally(correct, wrong, inconclusive)
-        x_correct = sum(t.correct for t in x_tallies.values())
-        x_total = sum(t.conclusive for t in x_tallies.values())
-        p_x, p_x_err = _estimate(x_correct, x_total)
-        no_click_x = float(np.mean([d.no_click_probability for d in x_dists]))
-    else:
-        p_m12, p_m12_err = p_z, p_z_err
-        low = [i for i, m in enumerate(messages) if m.digits[0] < 2]
-        high = [i for i, m in enumerate(messages) if m.digits[0] >= 2]
-        low_correct = int(z_counts[low][:, :2].sum())
-        low_total = int(z_counts[low].sum())
-        high_correct = int(z_counts[high][:, 2:].sum())
-        high_total = int(z_counts[high].sum())
-        p_m1, p_m1_err = _estimate(low_correct, low_total)
-        p_m2, p_m2_err = _estimate(high_correct, high_total)
-
+    two_basis = config.protocol == "2,2"
     return TrialResult(
         protocol=config.protocol,
         rounds=config.rounds,
         seed=config.seed,
         workers=config.workers,
         state_labels=labels,
-        z_tallies=z_tallies,
-        x_tallies=x_tallies,
-        z_bin_counts=z_bin_counts,
-        p_z=p_z,
-        p_z_err=p_z_err,
-        p_x=p_x,
-        p_x_err=p_x_err,
-        p_m1=p_m1,
-        p_m1_err=p_m1_err,
-        p_m2=p_m2,
-        p_m2_err=p_m2_err,
-        p_m12=p_m12,
-        p_m12_err=p_m12_err,
-        no_click_probability_z=float(np.mean([d.no_click_probability for d in z_dists])),
-        no_click_probability_x=no_click_x,
+        z_tallies=tallies("p_z", counts[:, :n_bins]),
+        x_tallies=tallies("p_x", counts[:, n_bins:]) if two_basis else None,
+        z_bin_counts={label: tuple(int(c) for c in row[:n_bins]) for label, row in zip(labels, counts)},
+        no_click_probability_z=float(np.mean(no_click_z)),
+        no_click_probability_x=float(np.mean(no_click_x)) if two_basis else None,
+        **estimates,
     )
+
+
+def expected_estimates(config: SimulationConfig) -> dict:
+    """Closed forms of the estimates ``simulate_trial(config)`` reports.
+
+    Each is the correct-cell over the conclusive-cell probability of the
+    masks the estimator applies to the counts: the value the estimate
+    converges to.  Keys are the measured estimate names (``p_z``, ``p_x``, or
+    ``p_m1``, ``p_m2``, ``p_m12``), plus ``state_p_z`` (and ``state_p_x``)
+    mapping each state label to its per-state closed form.  No conclusive
+    probability reads NaN, as for the estimate.  Rounds, seed and workers
+    are ignored.
+    """
+    p, _, _ = _trial_distribution(config)
+    labels = [m.label for m in protocol_messages(config.protocol)]
+    result: dict = {}
+    for name, (correct, conclusive) in _row_sums(p, config.protocol).items():
+        result[name] = float(_estimate(correct.sum(), conclusive.sum())[0])
+        if name in ("p_z", "p_x"):
+            result["state_" + name] = {
+                label: float(_estimate(c, k)[0]) for label, c, k in zip(labels, correct, conclusive)
+            }
+    return result
 
 
 def expected_p_z(
@@ -643,15 +650,10 @@ def expected_p_z(
     channel: ChannelModel,
     detector: DetectorModel,
 ) -> float:
-    """Closed-form mean time-basis success probability over the protocol's
+    """Closed-form pooled time-basis success probability over the protocol's
     message set, conditioned on a click."""
-    total = 0.0
-    messages = protocol_messages(protocol)
-    for message in messages:
-        train = build_pulse_train(message, protocol)
-        cond = z_click_distribution(train, source, channel, detector).conditional()
-        total += float(cond[message.digits[0]])
-    return total / len(messages)
+    config = SimulationConfig(protocol=protocol, source=source, channel=channel, detector=detector)
+    return expected_estimates(config)["p_z"]
 
 
 def expected_p_x(
@@ -660,16 +662,10 @@ def expected_p_x(
     detector: DetectorModel,
     dli: DliModel,
 ) -> float:
-    """Closed-form mean phase-basis success probability, conditioned on a
+    """Closed-form pooled phase-basis success probability, conditioned on a
     click in the interfering slot."""
-    total = 0.0
-    messages = protocol_messages("2,2")
-    for message in messages:
-        train = build_pulse_train(message, "2,2")
-        cond = x_click_distribution(train, dli, source, channel, detector).conditional()
-        conclusive = cond[2] + cond[3]
-        total += float(cond[2 + message.digits[1]] / conclusive)
-    return total / len(messages)
+    config = SimulationConfig(source=source, channel=channel, detector=detector, dli=dli)
+    return expected_estimates(config)["p_x"]
 
 
 def calibrate_raman_coefficient(

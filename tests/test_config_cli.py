@@ -61,6 +61,16 @@ class TestConfigParsing:
         cfg = config_from_mapping({"channel.classical_power_dbm": "-30.5"})
         assert cfg.channel.classical_power_dbm == -30.5
 
+    def test_mirror_with_repetition_period_loads(self, tmp_path):
+        # mirrors written while SourceModel carried rep_period_ns still load;
+        # the key is parsed, then dropped
+        mapping = config_to_mapping(RunConfig(seed=5))
+        mirror = tmp_path / "old.json"
+        mirror.write_text(json.dumps({"config": {**mapping, "source.rep_period_ns": "1.6"}}))
+        assert config_to_mapping(load_config(str(mirror))) == mapping
+        with pytest.raises(ConfigError, match="source.rep_period_ns"):
+            config_from_mapping({"source.rep_period_ns": "slow"})
+
     def test_load_flat_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("run.rounds = 5000\ndli.visibility = 0.85\n")
@@ -184,6 +194,14 @@ class TestSweepCommand:
         assert code == 2
         assert out == ""
         assert "channel.loss_db" in err and "detector.dark_rate_hz" in err
+
+    def test_delay_mismatch_names_key_and_exits_2(self, tmp_path):
+        cfg = tmp_path / "dli.cfg"
+        cfg.write_text("dli.delay_ps = 700\n")
+        code, out, err = run_cli(["sweep", "--config", str(cfg), "--power", "-30", "--rounds", "1000"])
+        assert code == 2
+        assert out == ""
+        assert "dli.delay_ps must equal the bin spacing (800 ps), got 700" in err
 
     def test_missing_config_file_exits_2(self):
         code, _, err = run_cli(["sweep", "--config", "/nonexistent/q.cfg"])

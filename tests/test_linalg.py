@@ -121,8 +121,8 @@ class TestHermitianEig:
             build()
 
     def test_top_eigenvector_of_degenerate_cluster(self):
-        # the top cluster {2, 2} is ordered by the amplitude tie-break, so
-        # the representative is deterministic
+        # the top cluster {2, 2} spans e1 and e2; the representative is its
+        # unit vector with the most leading zeros, e2, whatever basis LAPACK returns
         spectrum = hermitian_eig(np.diag([1.0, 2.0, 2.0]))
         assert np.allclose(spectrum.top_eigenvector().amplitudes, [0.0, 0.0, 1.0])
 

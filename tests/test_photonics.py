@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qracsim import (
     ChannelModel,
@@ -15,6 +17,7 @@ from qracsim import (
     build_pulse_train,
     calibrate_raman_coefficient,
     cross_bin_leak_fraction,
+    expected_estimates,
     expected_p_x,
     expected_p_z,
     quantum_bound,
@@ -24,6 +27,7 @@ from qracsim import (
     z_click_distribution,
     DEFAULT_RAMAN_COEFFICIENT,
 )
+from qracsim.photonics import protocol_messages
 
 SQRT2 = math.sqrt(2.0)
 A1 = math.sqrt(2 + SQRT2) / 2
@@ -339,6 +343,114 @@ class TestSimulateTrial:
         assert noisy.p_x < 0.75
 
 
+# Two-sided tail mass of a normal beyond 5 sigma: the exact binomial tests
+# below accept what a 5-sigma band would, without its small-count failures.
+FIVE_SIGMA_TAIL = 2.0 * float(scipy.stats.norm.sf(5.0))
+
+
+def assert_binomial(successes, trials, q, what):
+    if trials == 0:
+        return
+    pvalue = scipy.stats.binomtest(successes, trials, q).pvalue
+    assert pvalue >= FIVE_SIGMA_TAIL, f"{what}: {successes}/{trials} against {q!r}"
+
+
+def distribution_oracle(cfg):
+    """Closed forms straight from the per-arm conditionals, without the
+    (message, cell) table or its masks."""
+    messages = protocol_messages(cfg.protocol)
+    trains = [build_pulse_train(m, cfg.protocol) for m in messages]
+    z = [
+        z_click_distribution(t, cfg.source, cfg.channel, cfg.detector, cfg.bin_intensity_scale).conditional()
+        for t in trains
+    ]
+    state_z = {m.label: c[m.digits[0]] for m, c in zip(messages, z)}
+    oracle = {"p_z": np.mean(list(state_z.values())), "state_p_z": state_z}
+    if cfg.protocol == "2,2":
+        x = [x_click_distribution(t, cfg.dli, cfg.source, cfg.channel, cfg.detector).conditional() for t in trains]
+        correct = [c[2 + m.digits[1]] for m, c in zip(messages, x)]
+        conclusive = [c[2] + c[3] for c in x]
+        oracle["p_x"] = sum(correct) / sum(conclusive)
+        oracle["state_p_x"] = {m.label: a / b for m, a, b in zip(messages, correct, conclusive)}
+    else:
+        oracle["p_m12"] = oracle["p_z"]
+        oracle["p_m1"] = np.mean([c[0] + c[1] for m, c in zip(messages, z) if m.digits[0] < 2])
+        oracle["p_m2"] = np.mean([c[2] + c[3] for m, c in zip(messages, z) if m.digits[0] >= 2])
+    return oracle
+
+
+@st.composite
+def trial_configs(draw):
+    protocol = draw(st.sampled_from(["2,2", "2,4"]))
+    scale = None
+    if protocol == "2,4":
+        scale = draw(st.none() | st.tuples(*[st.floats(0.2, 5.0)] * 4))
+    return SimulationConfig(
+        protocol=protocol,
+        source=SourceModel(mu=draw(st.floats(0.01, 5.0))),
+        channel=ChannelModel(
+            loss_db=draw(st.floats(0.0, 30.0)),
+            classical_power_dbm=draw(st.none() | st.floats(-45.0, -10.0)),
+        ),
+        dli=DliModel(visibility=draw(st.floats(0.0, 1.0))),
+        rounds=draw(st.integers(1, 1_000_000)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        workers=draw(st.integers(1, 8)),
+        bin_intensity_scale=scale,
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cfg=trial_configs())
+def test_trial_estimates_match_closed_forms(cfg):
+    """Every estimate sits within 5 sigma of its closed form, the closed forms
+    match the per-arm conditionals, and messages and arms split as drawn."""
+    res = simulate_trial(cfg)
+    expected = expected_estimates(cfg)
+    oracle = distribution_oracle(cfg)
+    assert set(expected) == set(oracle)
+    for name, value in oracle.items():
+        if isinstance(value, dict):
+            for label in value:
+                assert expected[name][label] == pytest.approx(value[label], abs=1e-12)
+        else:
+            assert expected[name] == pytest.approx(value, abs=1e-12)
+
+    two_basis = cfg.protocol == "2,2"
+    labels = res.state_labels
+    z, x = res.z_tallies, res.x_tallies
+    per_message = {label: z[label].total + (x[label].total if two_basis else 0) for label in labels}
+    assert sum(per_message.values()) == cfg.rounds
+    for label in labels:
+        assert_binomial(per_message[label], cfg.rounds, 1 / len(labels), f"rounds of {label}")
+        bins = res.z_bin_counts[label]
+        assert sum(bins) == z[label].total == z[label].conclusive
+        assert bins[int(label[0])] == z[label].correct
+    if two_basis:
+        assert_binomial(sum(z[label].total for label in labels), cfg.rounds, 0.5, "z/x arm split")
+
+    def check(name, correct, conclusive):
+        if conclusive == 0:
+            assert math.isnan(getattr(res, name))
+            return
+        assert getattr(res, name) == correct / conclusive
+        assert_binomial(correct, conclusive, expected[name], name)
+
+    tallies = {"p_z": z, "p_x": x} if two_basis else {"p_z": z, "p_m12": z}
+    for name, by_state in tallies.items():
+        check(name, sum(t.correct for t in by_state.values()), sum(t.conclusive for t in by_state.values()))
+    for name, by_state in ((("p_z", z), ("p_x", x)) if two_basis else (("p_z", z),)):
+        for label, t in by_state.items():
+            assert_binomial(t.correct, t.conclusive, expected["state_" + name][label], f"{name} of {label}")
+    if two_basis:
+        assert res.p_m1 is res.p_m2 is res.p_m12 is None
+    else:
+        assert res.p_x is None
+        for name, half in (("p_m1", 0), ("p_m2", 1)):
+            rows = [res.z_bin_counts[label] for label in labels if int(label[0]) // 2 == half]
+            check(name, sum(sum(r[2 * half : 2 * half + 2]) for r in rows), sum(sum(r) for r in rows))
+
+
 class TestClosedFormCurves:
     def test_calibration_places_crossing(self):
         channel = ChannelModel(classical_power_dbm=-25.0)
@@ -371,6 +483,28 @@ class TestClosedFormCurves:
         ]
         assert all(b <= a + 1e-12 for a, b in zip(values_z, values_z[1:]))
         assert all(b <= a + 1e-12 for a, b in zip(values_x, values_x[1:]))
+
+    @pytest.mark.parametrize("power", [None, *range(-40, -14)])
+    def test_pooled_closed_forms_match_message_averages(self, power):
+        # p_z pools messages of equal conclusive mass, so it is their average;
+        # p_x pools middle-slot masses that differ slightly between messages
+        channel = ChannelModel(classical_power_dbm=power)
+        for protocol in ("2,2", "2,4"):
+            average = np.mean([
+                z_click_distribution(build_pulse_train(m, protocol), SOURCE, channel, DetectorModel())
+                .conditional()[m.digits[0]]
+                for m in protocol_messages(protocol)
+            ])
+            assert expected_p_z(protocol, SOURCE, channel, DetectorModel()) == pytest.approx(average, abs=1e-15)
+        ratios = []
+        for m in protocol_messages("2,2"):
+            cond = x_click_distribution(
+                build_pulse_train(m, "2,2"), DliModel(), SOURCE, channel, DetectorModel()
+            ).conditional()
+            ratios.append(cond[2 + m.digits[1]] / (cond[2] + cond[3]))
+        assert expected_p_x(SOURCE, channel, DetectorModel(), DliModel()) == pytest.approx(
+            np.mean(ratios), abs=1e-8
+        )
 
     def test_calibrator_is_reproducible(self):
         again = calibrate_raman_coefficient()

@@ -103,8 +103,8 @@ class TestOptimalEncoding:
         assert np.allclose(state.amplitudes, [A2, B2, B2, B2], atol=1e-10)
 
     def test_degenerate_sum_uses_tiebreak(self, zz_pair):
-        # M_Z(0) + M_Z(1) is the identity; the tie-break returns the
-        # convention-first vector of the degenerate cluster
+        # M_Z(0) + M_Z(1) is the identity, so the top eigenspace is the whole
+        # space; the convention returns its unit vector with the most leading zeros
         state = optimal_encoding(zz_pair, Message((0, 1), 2))
         assert np.allclose(state.amplitudes, [0.0, 1.0])
 
