@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -32,6 +32,7 @@ from .qrac import (
 )
 
 SWEEP_HEADER = "power_dbm,p_z,p_z_err,p_x,p_x_err,advantage_z,advantage_x,phi"
+SWEEP_COLUMNS = SWEEP_HEADER.split(",")
 
 # Reference measurements of the coexistence experiment, used by the
 # reproduction commands for side-by-side comparison only.
@@ -59,51 +60,6 @@ def _fmt(x) -> str:
     return f"{x:.6g}"
 
 
-@dataclass(frozen=True)
-class ResultRow:
-    """One sweep point; fields map one-to-one onto the CSV columns."""
-
-    power_dbm: float
-    p_z: float
-    p_z_err: float
-    p_x: float | None
-    p_x_err: float | None
-    advantage_z: float
-    advantage_x: float | None
-    phi: float | None
-    extras: dict | None = None
-
-    def csv_line(self) -> str:
-        return ",".join(
-            _fmt(v)
-            for v in (
-                self.power_dbm,
-                self.p_z,
-                self.p_z_err,
-                self.p_x,
-                self.p_x_err,
-                self.advantage_z,
-                self.advantage_x,
-                self.phi,
-            )
-        )
-
-    def as_dict(self) -> dict:
-        row = {
-            "power_dbm": self.power_dbm,
-            "p_z": self.p_z,
-            "p_z_err": self.p_z_err,
-            "p_x": self.p_x,
-            "p_x_err": self.p_x_err,
-            "advantage_z": self.advantage_z,
-            "advantage_x": self.advantage_x,
-            "phi": self.phi,
-        }
-        if self.extras:
-            row.update(self.extras)
-        return row
-
-
 def _simulation_config(config: RunConfig, power_dbm: float | None) -> SimulationConfig:
     channel = replace(config.channel, classical_power_dbm=power_dbm)
     return SimulationConfig(
@@ -118,17 +74,22 @@ def _simulation_config(config: RunConfig, power_dbm: float | None) -> Simulation
     )
 
 
-def _row_from_trial(power_dbm: float, trial: TrialResult) -> ResultRow:
+def _row_from_trial(power_dbm: float | None, trial: TrialResult) -> dict:
+    """One sweep point keyed by the SWEEP_COLUMNS; a 2,4 row also carries
+    the M1/M2 estimates, which only the JSON mirror writes."""
     if trial.protocol == "2,2":
         bound = classical_bound(2)
         adv_z = empirical_advantage(trial.p_z, bound).value
         adv_x = empirical_advantage(trial.p_x, bound).value
-        return ResultRow(power_dbm, trial.p_z, trial.p_z_err, trial.p_x, trial.p_x_err, adv_z, adv_x, None)
+        columns = (power_dbm, trial.p_z, trial.p_z_err, trial.p_x, trial.p_x_err, adv_z, adv_x, None)
+        return dict(zip(SWEEP_COLUMNS, columns, strict=True))
     adv_m12 = empirical_advantage(trial.p_m12, classical_bound(4)).value
     adv_m1 = empirical_advantage(trial.p_m1, 0.75).value
     adv_m2 = empirical_advantage(trial.p_m2, 0.75).value
     phi = allocation_figure(adv_m12, adv_m1, adv_m2).phi
-    extras = {
+    columns = (power_dbm, trial.p_m12, trial.p_m12_err, None, None, adv_m12, None, phi)
+    return {
+        **dict(zip(SWEEP_COLUMNS, columns, strict=True)),
         "p_m1": trial.p_m1,
         "p_m1_err": trial.p_m1_err,
         "p_m2": trial.p_m2,
@@ -136,10 +97,9 @@ def _row_from_trial(power_dbm: float, trial: TrialResult) -> ResultRow:
         "advantage_m1": adv_m1,
         "advantage_m2": adv_m2,
     }
-    return ResultRow(power_dbm, trial.p_m12, trial.p_m12_err, None, None, adv_m12, None, phi, extras)
 
 
-def _run_sweep(config: RunConfig) -> list[ResultRow]:
+def _run_sweep(config: RunConfig) -> list[dict]:
     rows = []
     for power in config.sweep:
         trial = simulate_trial(_simulation_config(config, power))
@@ -147,21 +107,21 @@ def _run_sweep(config: RunConfig) -> list[ResultRow]:
     return rows
 
 
-def _sweep_csv(rows: list[ResultRow]) -> str:
-    lines = [SWEEP_HEADER] + [row.csv_line() for row in rows]
+def _sweep_csv(rows: list[dict]) -> str:
+    lines = [SWEEP_HEADER] + [",".join(_fmt(row[c]) for c in SWEEP_COLUMNS) for row in rows]
     return "\n".join(lines) + "\n"
 
 
-def _sweep_json(config: RunConfig, rows: list[ResultRow]) -> str:
+def _sweep_json(config: RunConfig, rows: list[dict]) -> str:
     payload = {
         "config": config_to_mapping(config),
-        "rows": [row.as_dict() for row in rows],
+        "rows": rows,
         "meta": {"seed": config.seed, "version": __version__},
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(config: RunConfig, rows: list[ResultRow], out_path: str | None, stdout) -> None:
+def _emit(config: RunConfig, rows: list[dict], out_path: str | None, stdout) -> None:
     csv_text = _sweep_csv(rows)
     json_text = _sweep_json(config, rows)
     if out_path:
@@ -252,14 +212,15 @@ def _reproduce_table4(config: RunConfig, stdout, stderr) -> int:
     cfg = _simulation_config(
         replace(config, protocol="2,4"), config.channel.classical_power_dbm
     )
-    trial = simulate_trial(cfg)
-    estimates = {"M1": trial.p_m1, "M2": trial.p_m2, "M12": trial.p_m12}
-    bounds = {"M1": 0.75, "M2": 0.75, "M12": classical_bound(4)}
+    row = _row_from_trial(None, simulate_trial(cfg))
+    # the 2,4 sweep row carries M12 in its z columns
+    columns = {"M1": "m1", "M2": "m2", "M12": "z"}
+    estimates = {name: row[f"p_{column}"] for name, column in columns.items()}
     lines = ["measurement,p,p_ref,p_dev,advantage,advantage_ref"]
-    for name in ("M1", "M2", "M12"):
+    for name, column in columns.items():
         p = estimates[name]
         ref_p, ref_adv = REFERENCE_TABLE4[name]
-        adv = empirical_advantage(p, bounds[name]).value
+        adv = row[f"advantage_{column}"]
         lines.append(
             ",".join([name] + [_fmt(v) for v in (p, ref_p, p - ref_p, adv, ref_adv)])
         )
@@ -274,13 +235,13 @@ def _reproduce_table4(config: RunConfig, stdout, stderr) -> int:
     return 0
 
 
-def _crossing_power(rows: list[ResultRow], threshold: float) -> float | None:
+def _crossing_power(rows: list[dict], threshold: float) -> float | None:
     for first, second in zip(rows, rows[1:]):
-        if first.p_z >= threshold >= second.p_z:
-            if first.p_z == second.p_z:
-                return first.power_dbm
-            t = (first.p_z - threshold) / (first.p_z - second.p_z)
-            return first.power_dbm + t * (second.power_dbm - first.power_dbm)
+        if first["p_z"] >= threshold >= second["p_z"]:
+            if first["p_z"] == second["p_z"]:
+                return first["power_dbm"]
+            t = (first["p_z"] - threshold) / (first["p_z"] - second["p_z"])
+            return first["power_dbm"] + t * (second["power_dbm"] - first["power_dbm"])
     return None
 
 
@@ -323,21 +284,25 @@ def cmd_sweep(args, stdout, stderr) -> int:
     return 0
 
 
+# command-line flag -> the RunConfig field it overrides
+_FLAG_FIELDS = {
+    "protocol": "protocol",
+    "rounds": "rounds",
+    "seed": "seed",
+    "power": "sweep",
+    "out": "out",
+    "format": "fmt",
+}
+
+
 def _load_run_config(args) -> RunConfig:
     config = load_config(args.config) if args.config else RunConfig()
-    changes = {}
-    if getattr(args, "protocol", None):
-        changes["protocol"] = args.protocol
-    if getattr(args, "rounds", None) is not None:
-        changes["rounds"] = args.rounds
-    if getattr(args, "seed", None) is not None:
-        changes["seed"] = args.seed
-    if getattr(args, "power", None):
-        changes["sweep"] = tuple(args.power)
-    if getattr(args, "out", None):
-        changes["out"] = args.out
-    if getattr(args, "format", None):
-        changes["fmt"] = args.format
+    # an absent or empty flag keeps the configured value
+    changes = {
+        field: getattr(args, flag)
+        for flag, field in _FLAG_FIELDS.items()
+        if getattr(args, flag) not in (None, "")
+    }
     return replace(config, **changes) if changes else config
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .photonics import (
@@ -68,10 +70,11 @@ class RunConfig:
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"unknown protocol {self.protocol!r}", key="run.protocol")
-        if self.rounds < 1:
-            raise ConfigError("rounds must be at least 1", key="run.rounds")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1", key="run.workers")
+        for attr, least in (("rounds", 1), ("seed", 0), ("workers", 1)):
+            value = operator.index(getattr(self, attr))
+            if value < least:
+                raise ConfigError(f"{attr} must be at least {least}, got {value}", key=f"run.{attr}")
+            object.__setattr__(self, attr, value)
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.fmt!r}", key="run.format")
         if any(not math.isfinite(p) for p in self.sweep):
@@ -97,6 +100,12 @@ def _parse_int(text: str, key: str, line: int | None = None) -> int:
         raise ConfigError(f"expected an integer, got {text!r}", line=line, key=key) from None
 
 
+def _parse_optional_float(text: str, key: str, line: int | None = None) -> float | None:
+    if text.strip().lower() in ("", "none", "off"):
+        return None
+    return _parse_float(text, key, line)
+
+
 def _parse_sweep(text: str, key: str, line: int | None = None) -> tuple:
     text = text.strip()
     if not text:
@@ -104,8 +113,24 @@ def _parse_sweep(text: str, key: str, line: int | None = None) -> tuple:
     return tuple(_parse_float(part.strip(), key, line) for part in text.split(","))
 
 
+# parser kind -> (parse text, format value); parsing a formatted value gives
+# the value back, so a JSON mirror re-ingests exactly.
+_KINDS = {
+    "str": (lambda text, key, line: text.strip(), str),
+    "int": (_parse_int, str),
+    "float": (_parse_float, _format_float),
+    "optional_float": (_parse_optional_float, lambda x: "none" if x is None else _format_float(x)),
+    "sweep": (_parse_sweep, lambda powers: ",".join(_format_float(p) for p in powers)),
+}
+
+
 def parse_config_text(text: str) -> dict[str, str]:
     """Parse the flat key-value grammar into a mapping, with diagnostics."""
+    return _scan_config_text(text)[0]
+
+
+def _scan_config_text(text: str) -> tuple[dict[str, str], dict[str, int]]:
+    """The mapping of ``parse_config_text`` and the line each key is set on."""
     mapping: dict[str, str] = {}
     seen: dict[str, int] = {}
     for number, raw in enumerate(text.splitlines(), start=1):
@@ -123,7 +148,7 @@ def parse_config_text(text: str) -> dict[str, str]:
             )
         seen[key] = number
         mapping[key] = value
-    return mapping
+    return mapping, seen
 
 
 # key -> (target, attribute, parser kind); a None target parses the value
@@ -161,36 +186,22 @@ _SCHEMA = {
 def config_from_mapping(mapping: dict[str, str], lines: dict[str, int] | None = None) -> RunConfig:
     """Build a RunConfig from a flat mapping, rejecting unknown keys."""
     lines = lines or {}
-    run_kwargs: dict = {}
-    model_kwargs: dict[str, dict] = {"source": {}, "channel": {}, "detector": {}, "dli": {}, "bands": {}}
+    kwargs: dict[str, dict] = defaultdict(dict)
     for key, raw in mapping.items():
         if key not in _SCHEMA:
             raise ConfigError("unknown configuration key", line=lines.get(key), key=key)
         target, attr, kind = _SCHEMA[key]
-        line = lines.get(key)
-        value = str(raw)
-        if kind == "int":
-            parsed = _parse_int(value, key, line)
-        elif kind == "float":
-            parsed = _parse_float(value, key, line)
-        elif kind == "optional_float":
-            parsed = None if value.strip().lower() in ("", "none", "off") else _parse_float(value, key, line)
-        elif kind == "sweep":
-            parsed = _parse_sweep(value, key, line)
-        else:
-            parsed = value.strip()
-        if target == "run":
-            run_kwargs[attr] = parsed
-        elif target is not None:
-            model_kwargs[target][attr] = parsed
+        parsed = _KINDS[kind][0](str(raw), key, lines.get(key))
+        if target is not None:
+            kwargs[target][attr] = parsed
     try:
         return RunConfig(
-            source=SourceModel(**model_kwargs["source"]),
-            channel=ChannelModel(**model_kwargs["channel"]),
-            detector=DetectorModel(**model_kwargs["detector"]),
-            dli=DliModel(**model_kwargs["dli"]),
-            bands=BandConfig(**model_kwargs["bands"]),
-            **run_kwargs,
+            source=SourceModel(**kwargs["source"]),
+            channel=ChannelModel(**kwargs["channel"]),
+            detector=DetectorModel(**kwargs["detector"]),
+            dli=DliModel(**kwargs["dli"]),
+            bands=BandConfig(**kwargs["bands"]),
+            **kwargs["run"],
         )
     except ValueError as exc:
         if isinstance(exc, ConfigError):
@@ -201,38 +212,15 @@ def config_from_mapping(mapping: dict[str, str], lines: dict[str, int] | None = 
 def config_to_mapping(config: RunConfig) -> dict[str, str]:
     """Flat mapping that reproduces this configuration exactly.
 
-    The output path is deliberately not echoed: artifacts stay byte-identical
-    wherever they are written.
+    Every schema key is echoed except the dropped ones and the output path,
+    so artifacts stay byte-identical wherever they are written.
     """
-    mapping = {
-        "run.protocol": config.protocol,
-        "run.rounds": str(config.rounds),
-        "run.seed": str(config.seed),
-        "run.workers": str(config.workers),
-        "run.sweep": ",".join(_format_float(p) for p in config.sweep),
-        "run.format": config.fmt,
-        "source.mu": _format_float(config.source.mu),
-        "channel.loss_db": _format_float(config.channel.loss_db),
-        "channel.raman_coefficient": _format_float(config.channel.raman_coefficient),
-        "channel.classical_power_dbm": (
-            "none"
-            if config.channel.classical_power_dbm is None
-            else _format_float(config.channel.classical_power_dbm)
-        ),
-        "detector.efficiency": _format_float(config.detector.efficiency),
-        "detector.dark_rate_hz": _format_float(config.detector.dark_rate_hz),
-        "detector.jitter_fwhm_ps": _format_float(config.detector.jitter_fwhm_ps),
-        "detector.gate_width_ps": _format_float(config.detector.gate_width_ps),
-        "dli.delay_ps": _format_float(config.dli.delay_ps),
-        "dli.visibility": _format_float(config.dli.visibility),
-        "band.p_z_reference": _format_float(config.bands.p_z_reference),
-        "band.p_z_tolerance": _format_float(config.bands.p_z_tolerance),
-        "band.p_x_low": _format_float(config.bands.p_x_low),
-        "band.p_x_high": _format_float(config.bands.p_x_high),
-        "band.quart_tolerance": _format_float(config.bands.quart_tolerance),
-        "band.crossing_dbm": _format_float(config.bands.crossing_dbm),
-        "band.crossing_tolerance_dbm": _format_float(config.bands.crossing_tolerance_dbm),
-    }
+    mapping = {}
+    for key, (target, attr, kind) in _SCHEMA.items():
+        if target is None or key == "run.out":
+            continue
+        holder = config if target == "run" else getattr(config, target)
+        mapping[key] = _KINDS[kind][1](getattr(holder, attr))
     return mapping
 
 
@@ -252,10 +240,6 @@ def load_config(path: str) -> RunConfig:
         mapping = payload.get("config", payload)
         if not isinstance(mapping, dict):
             raise ConfigError("JSON config must be an object of key-value pairs")
-        return config_from_mapping({str(k): str(v) for k, v in mapping.items()})
-    lines: dict[str, int] = {}
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line and "=" in line:
-            lines[line.split("=", 1)[0].strip()] = number
-    return config_from_mapping(parse_config_text(text), lines)
+        # JSON null is the empty value, as in ``key =`` of a flat file
+        return config_from_mapping({str(k): "" if v is None else str(v) for k, v in mapping.items()})
+    return config_from_mapping(*_scan_config_text(text))

@@ -19,6 +19,7 @@ analytically.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -31,6 +32,12 @@ PROTOCOLS = ("2,2", "2,4")
 _FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
 
+def _require(valid: bool, key: str, domain: str, value) -> None:
+    """Reject a model field outside its domain, naming its config key."""
+    if not valid:
+        raise ValueError(f"{key} must be {domain}, got {value}")
+
+
 @dataclass(frozen=True)
 class SourceModel:
     """Weak coherent pulse source."""
@@ -38,8 +45,7 @@ class SourceModel:
     mu: float = 0.2                 # mean photon number per train
 
     def __post_init__(self):
-        if self.mu <= 0.0:
-            raise ValueError("mean photon number must be positive")
+        _require(0.0 < self.mu < math.inf, "source.mu", "positive and finite", self.mu)
 
 
 @dataclass(frozen=True)
@@ -58,12 +64,18 @@ class ChannelModel:
     classical_power_dbm: float | None = None   # None means the classical laser is off
 
     def __post_init__(self):
-        if self.loss_db < 0.0:
-            raise ValueError("loss must be nonnegative")
         if self.raman_coefficient is None:
             object.__setattr__(self, "raman_coefficient", DEFAULT_RAMAN_COEFFICIENT)
-        if self.raman_coefficient < 0.0:
-            raise ValueError("raman coefficient must be nonnegative")
+        for attr in ("loss_db", "raman_coefficient"):
+            value = getattr(self, attr)
+            _require(0.0 <= value < math.inf, f"channel.{attr}", "nonnegative and finite", value)
+        power = self.classical_power_dbm
+        _require(
+            power is None or -math.inf <= power < math.inf,
+            "channel.classical_power_dbm",
+            "finite, or None or -inf for off",
+            power,
+        )
 
     @property
     def transmission(self) -> float:
@@ -85,10 +97,10 @@ class DetectorModel:
     gate_width_ps: float = 800.0
 
     def __post_init__(self):
-        if not 0.0 < self.efficiency <= 1.0:
-            raise ValueError("efficiency must be in (0, 1]")
-        if min(self.dark_rate_hz, self.jitter_fwhm_ps, self.gate_width_ps) < 0.0:
-            raise ValueError("rates and widths must be nonnegative")
+        _require(0.0 < self.efficiency <= 1.0, "detector.efficiency", "in (0, 1]", self.efficiency)
+        for attr in ("dark_rate_hz", "jitter_fwhm_ps", "gate_width_ps"):
+            value = getattr(self, attr)
+            _require(0.0 <= value < math.inf, f"detector.{attr}", "nonnegative and finite", value)
 
     @property
     def jitter_sigma_ps(self) -> float:
@@ -103,10 +115,8 @@ class DliModel:
     visibility: float = 0.90
 
     def __post_init__(self):
-        if not 0.0 <= self.visibility <= 1.0:
-            raise ValueError("visibility must be in [0, 1]")
-        if self.delay_ps <= 0.0:
-            raise ValueError("delay must be positive")
+        _require(0.0 <= self.visibility <= 1.0, "dli.visibility", "in [0, 1]", self.visibility)
+        _require(0.0 < self.delay_ps < math.inf, "dli.delay_ps", "positive and finite", self.delay_ps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,10 +404,10 @@ class SimulationConfig:
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
-        if self.rounds < 1:
-            raise ValueError("rounds must be at least 1")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
+        for attr, least in (("rounds", 1), ("seed", 0), ("workers", 1)):
+            value = operator.index(getattr(self, attr))
+            _require(value >= least, attr, f"at least {least}", value)
+            object.__setattr__(self, attr, value)
         if self.bin_intensity_scale is not None:
             scale = tuple(float(s) for s in self.bin_intensity_scale)
             if any(s <= 0.0 for s in scale):

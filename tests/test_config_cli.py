@@ -1,10 +1,15 @@
 import io
 import json
+import math
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qracsim.cli import SWEEP_HEADER, main
 from qracsim.config import (
+    BandConfig,
     ConfigError,
     RunConfig,
     config_from_mapping,
@@ -12,6 +17,7 @@ from qracsim.config import (
     load_config,
     parse_config_text,
 )
+from qracsim.photonics import PROTOCOLS, ChannelModel, DetectorModel, DliModel, SourceModel
 
 
 def run_cli(argv):
@@ -283,3 +289,131 @@ class TestReproduceMonteCarlo:
         loud = rows[-1].split(",")
         assert quiet[-1] != ""   # phi defined while all advantages positive
         assert loud[-1] == ""    # deep in the noise every advantage is floored
+
+
+# config_to_mapping(RunConfig()): the JSON mirror's config object at the defaults
+DEFAULT_MAPPING = {
+    "run.protocol": "2,2",
+    "run.rounds": "200000",
+    "run.seed": "1",
+    "run.workers": "1",
+    "run.sweep": "",
+    "run.format": "csv",
+    "source.mu": "0.2",
+    "channel.loss_db": "10.0",
+    "channel.raman_coefficient": "325880067373.3531",
+    "channel.classical_power_dbm": "none",
+    "detector.efficiency": "0.2",
+    "detector.dark_rate_hz": "2500.0",
+    "detector.jitter_fwhm_ps": "200.0",
+    "detector.gate_width_ps": "800.0",
+    "dli.delay_ps": "800.0",
+    "dli.visibility": "0.9",
+    "band.p_z_reference": "0.8536",
+    "band.p_z_tolerance": "0.005",
+    "band.p_x_low": "0.79",
+    "band.p_x_high": "0.86",
+    "band.quart_tolerance": "0.005",
+    "band.crossing_dbm": "-25.0",
+    "band.crossing_tolerance_dbm": "1.0",
+}
+
+
+class TestConfigMirror:
+    def test_default_mapping_is_pinned(self):
+        assert config_to_mapping(RunConfig()) == DEFAULT_MAPPING
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        config=st.builds(
+            RunConfig,
+            protocol=st.sampled_from(PROTOCOLS),
+            rounds=st.integers(1, 2**63),
+            seed=st.integers(0, 2**128),
+            workers=st.integers(1, 64),
+            sweep=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4),
+            fmt=st.sampled_from(("csv", "json")),
+            source=st.builds(SourceModel, mu=st.floats(0.0, exclude_min=True, allow_infinity=False)),
+            channel=st.builds(
+                ChannelModel,
+                loss_db=st.floats(0.0, allow_infinity=False),
+                raman_coefficient=st.floats(0.0, allow_infinity=False),
+                classical_power_dbm=st.none()
+                | st.just(-math.inf)
+                | st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            detector=st.builds(
+                DetectorModel,
+                efficiency=st.floats(0.0, 1.0, exclude_min=True),
+                dark_rate_hz=st.floats(0.0, allow_infinity=False),
+                jitter_fwhm_ps=st.floats(0.0, allow_infinity=False),
+                gate_width_ps=st.floats(0.0, allow_infinity=False),
+            ),
+            dli=st.builds(
+                DliModel,
+                delay_ps=st.floats(0.0, exclude_min=True, allow_infinity=False),
+                visibility=st.floats(0.0, 1.0),
+            ),
+            bands=st.builds(
+                BandConfig,
+                **{f.name: st.floats(allow_nan=False, allow_infinity=False) for f in fields(BandConfig)},
+            ),
+        )
+    )
+    def test_mapping_round_trips_every_field(self, config):
+        mapping = config_to_mapping(config)
+        again = config_from_mapping(mapping)
+        assert again == config
+        assert config_to_mapping(again) == mapping  # also tells -0.0 from 0.0
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("source.mu", "nan"),
+            ("source.mu", "inf"),
+            ("channel.loss_db", "nan"),
+            ("channel.raman_coefficient", "nan"),
+            ("channel.classical_power_dbm", "inf"),
+            ("channel.classical_power_dbm", "nan"),
+            ("detector.efficiency", "0"),
+            ("detector.dark_rate_hz", "nan"),
+            ("detector.jitter_fwhm_ps", "-1"),
+            ("detector.gate_width_ps", "inf"),
+            ("dli.delay_ps", "nan"),
+            ("dli.visibility", "1.5"),
+        ],
+    )
+    def test_model_error_names_key_and_exits_2(self, tmp_path, key, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        code, out, err = run_cli(["sweep", "--config", str(cfg), "--power", "-30", "--rounds", "1000"])
+        assert code == 2
+        assert out == ""
+        assert f"{key} must be" in err and f"got {float(value)}" in err
+
+    def test_negative_seed_names_key_and_exits_2(self):
+        code, out, err = run_cli(["sweep", "--seed", "-1", "--power", "-30", "--rounds", "1000"])
+        assert code == 2
+        assert out == ""
+        assert "run.seed" in err
+
+    @pytest.mark.parametrize("attr", ["rounds", "seed", "workers"])
+    def test_run_integers_are_read_with_index(self, attr):
+        with pytest.raises(TypeError):
+            RunConfig(**{attr: 2.5})
+        assert getattr(config_from_mapping({f"run.{attr}": "7"}), attr) == 7
+
+    def test_json_null_is_the_empty_value(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        mirror = tmp_path / "null.json"
+        mirror.write_text(json.dumps({"config": {"run.out": None, "channel.classical_power_dbm": None}}))
+        code, out, err = run_cli(["sweep", "--config", str(mirror), "--power", "-30", "--rounds", "1000"])
+        assert code == 0, err
+        assert out.splitlines()[0] == SWEEP_HEADER  # run.out empty: stdout
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["null.json"]
+        assert load_config(str(mirror)).channel.classical_power_dbm is None
+        mirror.write_text(json.dumps({"config": {"source.mu": None}}))
+        with pytest.raises(ConfigError, match="expected a number, got ''.*source.mu"):
+            load_config(str(mirror))

@@ -553,3 +553,17 @@ class TestModelValidation:
         )
         with pytest.raises(ValueError, match=r"phase arm.*channel\.loss_db"):
             dist.conditional()
+
+
+@pytest.mark.parametrize(
+    "changes, error, message",
+    [
+        ({"rounds": 10.5}, TypeError, "integer"),
+        ({"workers": 2.0}, TypeError, "integer"),
+        ({"seed": -1}, ValueError, "seed must be at least 0, got -1"),
+        ({"rounds": 0}, ValueError, "rounds must be at least 1, got 0"),
+    ],
+)
+def test_simulation_config_integers(changes, error, message):
+    with pytest.raises(error, match=message):
+        SimulationConfig(**changes)
