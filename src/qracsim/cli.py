@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -74,9 +75,23 @@ def _simulation_config(config: RunConfig, power_dbm: float | None) -> Simulation
     )
 
 
+def _require_conclusive(estimates: dict, rounds: int) -> None:
+    """Refuse, before anything is written, an estimate that is NaN because
+    none of its rounds was conclusive."""
+    empty = [name for name, p in estimates.items() if p is not None and math.isnan(p)]
+    if empty:
+        raise ConfigError(
+            f"{', '.join(empty)} had no conclusive rounds out of {rounds}", key="run.rounds"
+        )
+
+
 def _row_from_trial(power_dbm: float | None, trial: TrialResult) -> dict:
     """One sweep point keyed by the SWEEP_COLUMNS; a 2,4 row also carries
     the M1/M2 estimates, which only the JSON mirror writes."""
+    _require_conclusive(
+        {name: getattr(trial, name) for name in ("p_z", "p_x", "p_m1", "p_m2", "p_m12")},
+        trial.rounds,
+    )
     if trial.protocol == "2,2":
         bound = classical_bound(2)
         adv_z = empirical_advantage(trial.p_z, bound).value
@@ -118,7 +133,7 @@ def _sweep_json(config: RunConfig, rows: list[dict]) -> str:
         "rows": rows,
         "meta": {"seed": config.seed, "version": __version__},
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _emit(config: RunConfig, rows: list[dict], out_path: str | None, stdout) -> None:
@@ -186,6 +201,7 @@ def _reproduce_table2(config: RunConfig, stdout, stderr) -> int:
     for label in trial.state_labels:
         p_z = trial.state_p_z(label)
         p_x = trial.state_p_x(label)
+        _require_conclusive({f"p_z of state {label}": p_z, f"p_x of state {label}": p_x}, trial.rounds)
         ref_z, ref_x = REFERENCE_TABLE2[label]
         lines.append(
             ",".join(

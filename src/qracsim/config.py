@@ -12,7 +12,7 @@ import json
 import math
 import operator
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .photonics import (
     ChannelModel,
@@ -48,6 +48,12 @@ class BandConfig:
     quart_tolerance: float = 0.005
     crossing_dbm: float = -25.0
     crossing_tolerance_dbm: float = 1.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"band.{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)

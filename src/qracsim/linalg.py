@@ -12,6 +12,7 @@ bit-identical, and LAPACK builds differ only by rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -191,23 +192,34 @@ class Basis:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Eigenvalues in ascending order with matching orthonormal eigenvectors."""
+    """Eigenvalues in ascending order with matching orthonormal eigenvectors,
+    given as raw vectors or ``PureState``s and kept once, as the columns of
+    the read-only ``eigenvector_matrix``."""
 
     eigenvalues: np.ndarray
-    eigenvectors: tuple
+    eigenvector_matrix: np.ndarray
 
     def __post_init__(self):
         w = np.array(self.eigenvalues, dtype=float)
-        vecs = tuple(self.eigenvectors)
-        if w.ndim != 1 or len(vecs) != w.size:
+        given = tuple(self.eigenvector_matrix)
+        m = np.array([v.amplitudes if isinstance(v, PureState) else v for v in given], dtype=complex).T
+        if w.ndim != 1 or m.shape != (w.size, w.size):
             raise ValueError("eigenvalue/eigenvector count mismatch")
         if np.any(np.diff(w) < -TOL.cluster_gap):
             raise ValueError("eigenvalues are not ascending")
-        stack = np.stack([v.amplitudes for v in vecs])
-        if np.max(np.abs(stack @ stack.conj().T - np.eye(w.size))) > TOL.orthonormal:
+        if np.max(np.abs(m.conj().T @ m - np.eye(w.size))) > TOL.orthonormal:
             raise ValueError("eigenvectors are not orthonormal")
         object.__setattr__(self, "eigenvalues", _frozen(w))
-        object.__setattr__(self, "eigenvectors", vecs)
+        object.__setattr__(self, "eigenvector_matrix", _frozen(m))
+        if all(isinstance(v, PureState) for v in given):
+            # wrapping is not idempotent to the last bit, so keep the states
+            object.__setattr__(self, "eigenvectors", given)
+
+    @cached_property
+    def eigenvectors(self) -> tuple:
+        """Every column as a phase-fixed ``PureState``, wrapped on first read
+        unless the spectrum was built from states."""
+        return tuple(PureState(v) for v in self.eigenvector_matrix.T)
 
     @property
     def max_eigenvalue(self) -> float:
@@ -226,9 +238,9 @@ class Spectrum:
         start = w.size - 1
         while start > 0 and w[start] - w[start - 1] < TOL.cluster_gap:
             start -= 1
-        if start == w.size - 1:
+        if start == w.size - 1 and "eigenvectors" in vars(self):
             return self.eigenvectors[start]
-        basis = np.stack([v.amplitudes for v in self.eigenvectors[start:]], axis=1)
+        basis = self.eigenvector_matrix[:, start:]
         for i in range(basis.shape[0]):
             if basis.shape[1] == 1:
                 break
@@ -241,16 +253,17 @@ class Spectrum:
 def hermitian_eig(h) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix by LAPACK (``numpy.linalg.eigh``).
 
-    Eigenvalues come out ascending.  Inside a degenerate cluster the basis is
-    whichever one LAPACK returns; ``Spectrum.top_eigenvector`` picks its
-    vector from the eigenspace alone.  Reruns on one build are bit-identical.
+    Eigenvalues come out ascending, and no eigenvector column is wrapped.
+    Inside a degenerate cluster the basis is whichever one LAPACK returns;
+    ``Spectrum.top_eigenvector`` picks its vector from the eigenspace alone.
+    Reruns on one build are bit-identical.
     """
     m = _checked_hermitian(h, "input", _SOLVER_NOT_HERMITIAN)
     m = (m + m.conj().T) / 2.0
     w, v = np.linalg.eigh(m)
     if np.max(np.abs((v * w) @ v.conj().T - m)) > TOL.reconstruction:
         raise RuntimeError("eigendecomposition failed the reconstruction check")
-    return Spectrum(w, tuple(PureState(v[:, i]) for i in range(w.size)))
+    return Spectrum(w, v.T)
 
 
 def operator_norm(h) -> float:

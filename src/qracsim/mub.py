@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import product
 
 import numpy as np
 
@@ -49,25 +51,9 @@ def pauli_mub_pair() -> MubPair:
     return MubPair(Basis((zero, one)), Basis((plus, minus)))
 
 
-def digits_big_endian(index: int, base: int, width: int) -> tuple[int, ...]:
-    """Base-d digits of an index, most significant digit first."""
-    digits = []
-    for _ in range(width):
-        digits.append(index % base)
-        index //= base
-    return tuple(reversed(digits))
-
-
 def _product_basis(base: Basis, n: int) -> Basis:
-    d = base.dim
-    vectors = []
-    for index in range(d**n):
-        digits = digits_big_endian(index, d, n)
-        state = base[digits[0]]
-        for digit in digits[1:]:
-            state = tensor(state, base[digit])
-        vectors.append(state)
-    return Basis(tuple(vectors))
+    # product() runs its last factor fastest, so the order is big-endian
+    return Basis(tuple(reduce(tensor, states) for states in product(base.vectors, repeat=n)))
 
 
 def product_mub_pair(base: MubPair, n: int) -> MubPair:

@@ -212,7 +212,7 @@ def advantage(pair: MeasurementPair) -> AdvantageValue:
 
 def empirical_advantage(p: float, bound: float) -> AdvantageValue:
     """Advantage of a measured success probability over a classical bound."""
-    if p < 0.0 or p > 1.0:
+    if not 0.0 <= p <= 1.0:
         raise ValueError("success probability must lie in [0, 1]")
     excess = p - bound
     return AdvantageValue(max(excess, 0.0), bound, excess)
@@ -300,7 +300,7 @@ def allocation_figure(global_adv, s1_adv, s2_adv) -> AllocationValue:
         float(a.value) if isinstance(a, AdvantageValue) else float(a)
         for a in (global_adv, s1_adv, s2_adv)
     )
-    if any(t < 0.0 for t in terms):
+    if not all(t >= 0.0 for t in terms):
         raise ValueError("advantage terms must be nonnegative")
     if any(t == 0.0 for t in terms):
         return AllocationValue(None, terms)

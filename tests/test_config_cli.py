@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qracsim.cli import SWEEP_HEADER, main
+from qracsim.cli import SWEEP_HEADER, _sweep_json, main
 from qracsim.config import (
     BandConfig,
     ConfigError,
@@ -417,3 +417,55 @@ class TestConfigErrors:
         mirror.write_text(json.dumps({"config": {"source.mu": None}}))
         with pytest.raises(ConfigError, match="expected a number, got ''.*source.mu"):
             load_config(str(mirror))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "band.p_z_reference",
+            "band.p_z_tolerance",
+            "band.p_x_low",
+            "band.p_x_high",
+            "band.quart_tolerance",
+            "band.crossing_dbm",
+            "band.crossing_tolerance_dbm",
+        ],
+    )
+    def test_band_must_be_finite(self, tmp_path, key, value):
+        cfg = tmp_path / "band.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        code, out, err = run_cli(["reproduce", "fig4", "--config", str(cfg), "--power", "-30"])
+        assert code == 2
+        assert out == ""
+        assert f"{key} must be finite, got {float(value)}" in err
+
+
+class TestInconclusiveEstimates:
+    """An estimate with no conclusive rounds is NaN; none may be written."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--protocol", "2,2", "--power", "-30"],
+            ["sweep", "--protocol", "2,4", "--power", "-30"],
+            ["sweep", "--protocol", "2,4", "--power", "-30", "--format", "json"],
+            ["reproduce", "table2"],
+            ["reproduce", "table4"],
+            ["reproduce", "fig4", "--power", "-30"],
+            ["reproduce", "fig5", "--power", "-30"],
+        ],
+        ids=["sweep-2,2", "sweep-2,4", "sweep-json", "table2", "table4", "fig4", "fig5"],
+    )
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+    def test_one_round_exits_2_and_writes_nothing(self, tmp_path, argv, out):
+        # one round is conclusive for one arm and one message at most
+        target = tmp_path / "result.csv"
+        code, stdout, err = run_cli(argv + ["--rounds", "1"] + (["--out", str(target)] if out else []))
+        assert code == 2
+        assert stdout == ""
+        assert "no conclusive rounds" in err and "run.rounds" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_json_mirror_refuses_nan(self):
+        with pytest.raises(ValueError):
+            _sweep_json(RunConfig(), [{"phi": math.nan}])

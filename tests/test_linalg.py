@@ -205,6 +205,98 @@ class TestHermitianEig:
             assert np.max(np.abs(spectrum.eigenvalues - reference)) < 1e-9
 
 
+def _spectrum_with_top_cluster(d: int, multiplicity: int, seed: int):
+    """Eigenvalues and LAPACK eigenvector columns of a random Hermitian
+    matrix whose top eigenvalue 2 has the given multiplicity."""
+    from conftest import haar_unitary
+
+    gen = np.random.default_rng(seed)
+    low = np.sort(gen.uniform(-1.0, 1.0, d - multiplicity))
+    u = haar_unitary(gen, d)
+    h = u @ np.diag(np.concatenate([low, np.full(multiplicity, 2.0)])) @ u.conj().T
+    return np.linalg.eigh((h + h.conj().T) / 2)
+
+
+class TestSpectrum:
+    def test_built_from_raw_vectors(self):
+        spectrum = Spectrum(np.array([-1.0, 1.0]), (np.array([0.0, 1.0j]), np.array([1.0, 0.0])))
+        assert np.array_equal(spectrum.eigenvector_matrix, np.array([[0.0, 1.0], [1.0j, 0.0]]))
+        assert np.array_equal(spectrum.eigenvectors[0].amplitudes, [0.0, 1.0])
+        assert np.array_equal(spectrum.top_eigenvector().amplitudes, [1.0, 0.0])
+        with pytest.raises(ValueError):
+            spectrum.eigenvector_matrix[0, 0] = 5.0
+
+    def test_rejects_non_orthonormal_raw_vectors(self):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            Spectrum(np.array([0.0, 1.0]), (np.array([1.0, 0.0]), np.array([1.0, 1.0]) / SQRT2))
+        with pytest.raises(ValueError, match="not orthonormal"):
+            Spectrum(np.array([0.0, 1.0]), (np.array([1.0, 0.0]), np.array([0.0, 2.0])))
+
+    def test_rejects_count_mismatch(self):
+        with pytest.raises(ValueError, match="count mismatch"):
+            Spectrum(np.array([0.0, 1.0, 2.0]), (KET0, KET1))
+        with pytest.raises(ValueError, match="count mismatch"):
+            Spectrum(np.array([1.0]), (KET0,))
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 16])
+    def test_eigenvectors_match_eager_wrapping(self, d):
+        gen = np.random.default_rng(2000 + d)
+        for _ in range(20):
+            h = random_hermitian(gen, d)
+            _, v = np.linalg.eigh((h + h.conj().T) / 2.0)
+            spectrum = hermitian_eig(h)
+            assert np.array_equal(spectrum.eigenvector_matrix, v)
+            eager = tuple(PureState(v[:, i]) for i in range(d))
+            assert len(spectrum.eigenvectors) == d
+            for lazy, wrapped in zip(spectrum.eigenvectors, eager):
+                assert np.array_equal(lazy.amplitudes, wrapped.amplitudes)
+            assert spectrum.eigenvectors is spectrum.eigenvectors
+
+    def test_states_are_handed_back(self):
+        states = (KET1, KET0)
+        spectrum = Spectrum(np.array([0.0, 1.0]), states)
+        assert spectrum.eigenvectors is states
+        assert spectrum.top_eigenvector() is KET0
+
+    def test_wraps_only_what_is_read(self, monkeypatch):
+        built = []
+        wrap = PureState.__post_init__
+        monkeypatch.setattr(PureState, "__post_init__", lambda self: built.append(wrap(self)))
+        spectrum = hermitian_eig(np.diag([3.0, 1.0, 2.0, 0.0]))
+        assert len(built) == 0
+        spectrum.top_eigenvector()
+        assert len(built) == 1
+        spectrum.eigenvectors
+        spectrum.eigenvectors
+        assert len(built) == 5
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        d=st.integers(1, 6),
+        multiplicity=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_top_eigenvector_same_from_columns_and_states(self, d, multiplicity, seed):
+        multiplicity = min(multiplicity, d)
+        w, v = _spectrum_with_top_cluster(d, multiplicity, seed)
+        from_columns = Spectrum(w, v.T).top_eigenvector().amplitudes
+        from_states = Spectrum(w, tuple(PureState(v[:, i]) for i in range(d))).top_eigenvector().amplitudes
+        if multiplicity == 1:
+            assert np.array_equal(from_columns, from_states)
+        else:
+            assert np.max(np.abs(from_columns - from_states)) < 1e-12
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_every_cluster_multiplicity(self, d):
+        for multiplicity in range(2, d + 1):
+            for seed in range(5):
+                w, v = _spectrum_with_top_cluster(d, multiplicity, 100 * d + 10 * multiplicity + seed)
+                from_columns = Spectrum(w, v.T).top_eigenvector().amplitudes
+                states = tuple(PureState(v[:, i]) for i in range(d))
+                from_states = Spectrum(w, states).top_eigenvector().amplitudes
+                assert np.max(np.abs(from_columns - from_states)) < 1e-12
+
+
 class TestOperatorNorm:
     def test_identity(self):
         assert operator_norm(np.eye(3)) == pytest.approx(1.0, abs=1e-12)

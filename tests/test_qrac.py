@@ -268,6 +268,11 @@ class TestAdvantage:
         with pytest.raises(ValueError):
             empirical_advantage(1.2, 0.75)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_empirical_rejects_non_finite_probability(self, p):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            empirical_advantage(p, 0.75)
+
 
 class TestCoarseGrain:
     def test_first_bit_grouping(self, ququart_pair):
@@ -394,6 +399,13 @@ class TestAllocation:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             allocation_figure(0.1, -0.1, 0.1)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_nan_rejected(self, position):
+        terms = [0.1, 0.1, 0.1]
+        terms[position] = math.nan
+        with pytest.raises(ValueError, match="nonnegative"):
+            allocation_figure(*terms)
 
 
 class TestDepolarize:
