@@ -29,7 +29,8 @@ def _as_square_matrix(value, name: str = "matrix") -> np.ndarray:
 
 
 def _hermiticity_defect(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    with np.errstate(invalid="ignore"):  # inf - inf gives NaN, which callers reject
+        return float(np.abs(m - m.conj().T).max()) if m.size else 0.0
 
 
 def _checked_hermitian(
@@ -39,7 +40,7 @@ def _checked_hermitian(
     cap: the checks shared by everything that takes a spectrum."""
     m = _as_square_matrix(value, name)
     defect = _hermiticity_defect(m)
-    if defect > TOL.hermitian:
+    if not defect <= TOL.hermitian:  # NaN and inf fail too
         raise ValueError(not_hermitian.format(name=name, defect=defect, tol=TOL.hermitian))
     if m.shape[0] > TOL.dim_cap:
         raise ValueError(f"dimension {m.shape[0]} exceeds the exact-solver cap {TOL.dim_cap}")
@@ -67,7 +68,7 @@ class PureState:
         if v.ndim != 1 or v.size == 0:
             raise ValueError("amplitudes must be a nonempty 1-d vector")
         norm_sq = float(np.sum(np.abs(v) ** 2))
-        if abs(norm_sq - 1.0) > TOL.norm:
+        if not abs(norm_sq - 1.0) <= TOL.norm:  # NaN and inf fail too
             raise ValueError(f"state is not normalized: |norm^2 - 1| = {abs(norm_sq - 1.0):.3e}")
         v = v / np.sqrt(norm_sq)
         pivots = np.flatnonzero(np.abs(v) > TOL.phase_pivot)
@@ -261,7 +262,7 @@ def hermitian_eig(h) -> Spectrum:
     m = _checked_hermitian(h, "input", _SOLVER_NOT_HERMITIAN)
     m = (m + m.conj().T) / 2.0
     w, v = np.linalg.eigh(m)
-    if np.max(np.abs((v * w) @ v.conj().T - m)) > TOL.reconstruction:
+    if not np.max(np.abs((v * w) @ v.conj().T - m)) <= TOL.reconstruction:
         raise RuntimeError("eigendecomposition failed the reconstruction check")
     return Spectrum(w, v.T)
 

@@ -162,6 +162,7 @@ def _encoding_amplitudes(protocol: str) -> dict:
     return {m.digits: table[m].amplitudes for m in table.table}
 
 
+@lru_cache(maxsize=None)
 def protocol_messages(protocol: str) -> tuple[Message, ...]:
     """Messages exercised by a protocol run.
 
@@ -224,8 +225,19 @@ def cross_bin_leak_fraction(sigma_ps: float, spacing_ps: float) -> float:
     return 0.5 * math.erfc((spacing_ps / 2.0) / (sigma_ps * math.sqrt(2.0)))
 
 
+@lru_cache(maxsize=None)
+def _protocol_trains(protocol: str) -> tuple[np.ndarray, np.ndarray, float]:
+    """Read-only (message, bin) amplitudes and relative phases of the
+    protocol's trains, built once through ``build_pulse_train``, and their
+    bin spacing."""
+    trains = [build_pulse_train(m, protocol) for m in protocol_messages(protocol)]
+    bins = np.array([t.bins for t in trains])
+    bins.flags.writeable = False
+    return bins[..., 0], bins[..., 1], trains[0].bin_spacing_ps
+
+
 def _jitter_weights(intensities: np.ndarray, spacing_ps: float, sigma_ps: float) -> np.ndarray:
-    """Redistribute bin intensities by cross-bin leakage.
+    """Redistribute bin intensities (last axis) by cross-bin leakage.
 
     Leakage only reaches adjacent bins (further tails are negligible at
     these spacings); mass leaked past the outer edges leaves the analysis
@@ -235,32 +247,31 @@ def _jitter_weights(intensities: np.ndarray, spacing_ps: float, sigma_ps: float)
     if leak == 0.0:
         return intensities.copy()
     weights = intensities * (1.0 - 2.0 * leak)
-    weights[1:] += intensities[:-1] * leak
-    weights[:-1] += intensities[1:] * leak
+    weights[..., 1:] += intensities[..., :-1] * leak
+    weights[..., :-1] += intensities[..., 1:] * leak
     return weights
 
 
 def _first_click_probabilities(
     signal_prob: float, weights: np.ndarray, noise_probs: np.ndarray
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact distribution of the earliest click over time-ordered cells.
 
     One signal photon lands in cell k with probability signal_prob *
-    weights[k] (weights may sum below 1 when some mass leaves the gate);
-    each cell independently fires on noise with its own probability.  The
-    earliest firing cell wins.  Returns per-cell probabilities and the
-    no-click probability; together they sum to 1 exactly.
+    weights[..., k] (weights may sum below 1 when some mass leaves the
+    gate); cell k independently fires on noise with probability
+    noise_probs[k].  The earliest firing cell wins.  Returns per-cell
+    probabilities and the no-click probability of every row of ``weights``;
+    together they sum to 1 exactly.
     """
-    cumulative = np.concatenate(([0.0], np.cumsum(weights)))
-    probs = np.empty(weights.size)
-    prefix = 1.0
-    for k in range(weights.size):
-        before = 1.0 - signal_prob * cumulative[k]
-        through = 1.0 - signal_prob * cumulative[k + 1]
-        probs[k] = prefix * (before - (1.0 - noise_probs[k]) * through)
-        prefix *= 1.0 - noise_probs[k]
-    no_click = prefix * (1.0 - signal_prob * cumulative[-1])
-    return probs, no_click
+    # P(no signal photon in cells 0..k), and the same before cell k.
+    through = 1.0 - signal_prob * np.cumsum(weights, axis=-1)
+    before = np.concatenate((np.ones_like(through[..., :1]), through[..., :-1]), axis=-1)
+    # P(no noise click before cell k), as a running product.
+    keep = 1.0 - noise_probs
+    prefix = np.concatenate(([1.0], np.cumprod(keep)))
+    probs = prefix[:-1] * (before - keep * through)
+    return probs, prefix[-1] * through[..., -1]
 
 
 def _arm_click_probabilities(
@@ -269,10 +280,10 @@ def _arm_click_probabilities(
     source: SourceModel,
     channel: ChannelModel,
     detector: DetectorModel,
-) -> tuple[np.ndarray, float]:
-    """First-click distribution of an arm whose cells take the signal by
-    ``weights`` and, each, dark counts plus ``noise_share`` of the channel's
-    scattering noise."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """First-click distributions of an arm whose cells take the signal by
+    ``weights`` (last axis) and, each, dark counts plus ``noise_share`` of
+    the channel's scattering noise."""
     # Factor 1/2 from the passive 50:50 basis-choice splitter.
     mean_detected = source.mu * channel.transmission * detector.efficiency * 0.5
     rate_hz = detector.dark_rate_hz + noise_share * raman_rate(
@@ -281,19 +292,39 @@ def _arm_click_probabilities(
     # Poisson window statistics; equals rate * gate to first order.
     noise = 1.0 - math.exp(-rate_hz * detector.gate_width_ps * 1e-12)
     return _first_click_probabilities(
-        1.0 - math.exp(-mean_detected), weights, np.full(weights.size, noise)
+        1.0 - math.exp(-mean_detected), weights, np.full(weights.shape[-1], noise)
     )
 
 
 def _conditional(probabilities: np.ndarray, arm: str) -> np.ndarray:
-    """Outcome distribution given that the arm clicked at all."""
-    total = probabilities.sum()
-    if total <= 0.0:
+    """Outcome distribution given that the arm clicked at all, per row."""
+    total = probabilities.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0.0):
         raise ValueError(
             f"the {arm} arm can never click (total click probability 0): "
             "lower channel.loss_db or raise detector.dark_rate_hz"
         )
     return probabilities / total
+
+
+def _z_arm(
+    amplitudes: np.ndarray,
+    spacing_ps: float,
+    source: SourceModel,
+    channel: ChannelModel,
+    detector: DetectorModel,
+    bin_intensity_scale: tuple | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Arrival-time arm click distributions of trains given by their bin
+    amplitudes (last axis)."""
+    intensities = amplitudes**2
+    if bin_intensity_scale is not None:
+        if len(bin_intensity_scale) != amplitudes.shape[-1]:
+            raise ValueError("bin intensity scale length must match the train")
+        intensities = intensities * np.asarray(bin_intensity_scale)
+        intensities /= intensities.sum(axis=-1, keepdims=True)
+    weights = _jitter_weights(intensities, spacing_ps, detector.jitter_sigma_ps)
+    return _arm_click_probabilities(weights, 0.5, source, channel, detector)
 
 
 @dataclass(frozen=True)
@@ -323,20 +354,46 @@ def z_click_distribution(
     per-bin preparation imbalance: the bin intensities are multiplied by it
     and renormalized before the jitter leakage.
     """
-    intensities = train.amplitudes**2
-    if bin_intensity_scale is not None:
-        if len(bin_intensity_scale) != train.n_bins:
-            raise ValueError("bin intensity scale length must match the train")
-        intensities = intensities * np.asarray(bin_intensity_scale)
-        intensities /= intensities.sum()
-    weights = _jitter_weights(intensities, train.bin_spacing_ps, detector.jitter_sigma_ps)
-    return ZClickDistribution(*_arm_click_probabilities(weights, 0.5, source, channel, detector))
+    return ZClickDistribution(
+        *_z_arm(train.amplitudes, train.bin_spacing_ps, source, channel, detector, bin_intensity_scale)
+    )
 
 
 # Cell layout of the interferometer output, in time order: the early and
 # late slots carry no phase information, the middle slot interferes, so
 # cells 2 and 3 (middle slot, ports 0 and 1) are the conclusive ones.
 X_CELLS = 6
+
+
+def _x_arm(
+    amplitudes: np.ndarray,
+    phases: np.ndarray,
+    spacing_ps: float,
+    dli: DliModel,
+    source: SourceModel,
+    channel: ChannelModel,
+    detector: DetectorModel,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Phase arm click distributions of two-bin trains given by their bin
+    amplitudes and relative phases (last axis)."""
+    if abs(dli.delay_ps - spacing_ps) > 1e-9:
+        raise ValueError(
+            f"dli.delay_ps must equal the bin spacing ({spacing_ps:g} ps), got {dli.delay_ps:g}"
+        )
+    a, b = amplitudes[..., 0], amplitudes[..., 1]
+    fringe = 2.0 * a * b * dli.visibility * np.cos(phases[..., 1] - phases[..., 0])
+    weights = np.stack(
+        [
+            a * a / 4.0,            # early slot, port 0
+            a * a / 4.0,            # early slot, port 1
+            (1.0 + fringe) / 4.0,   # middle slot, port 0 (constructive for dphi = 0)
+            (1.0 - fringe) / 4.0,   # middle slot, port 1
+            b * b / 4.0,            # late slot, port 0
+            b * b / 4.0,            # late slot, port 1
+        ],
+        axis=-1,
+    )
+    return _arm_click_probabilities(weights, 0.25, source, channel, detector)
 
 
 @dataclass(frozen=True)
@@ -366,25 +423,10 @@ def x_click_distribution(
     """
     if train.n_bins != 2:
         raise ValueError("the phase measurement reads two-bin trains only")
-    if abs(dli.delay_ps - train.bin_spacing_ps) > 1e-9:
-        raise ValueError(
-            f"dli.delay_ps must equal the bin spacing ({train.bin_spacing_ps:g} ps), "
-            f"got {dli.delay_ps:g}"
-        )
-    a, b = (train.bins[0][0], train.bins[1][0])
-    dphi = train.bins[1][1] - train.bins[0][1]
-    fringe = 2.0 * a * b * dli.visibility * math.cos(dphi)
-    weights = np.array(
-        [
-            a * a / 4.0,            # early slot, port 0
-            a * a / 4.0,            # early slot, port 1
-            (1.0 + fringe) / 4.0,   # middle slot, port 0 (constructive for dphi = 0)
-            (1.0 - fringe) / 4.0,   # middle slot, port 1
-            b * b / 4.0,            # late slot, port 0
-            b * b / 4.0,            # late slot, port 1
-        ]
+    amplitudes, phases = np.array(train.bins).T
+    return XClickDistribution(
+        *_x_arm(amplitudes, phases, train.bin_spacing_ps, dli, source, channel, detector)
     )
-    return XClickDistribution(*_arm_click_probabilities(weights, 0.25, source, channel, detector))
 
 
 @dataclass(frozen=True)
@@ -410,8 +452,13 @@ class SimulationConfig:
             object.__setattr__(self, attr, value)
         if self.bin_intensity_scale is not None:
             scale = tuple(float(s) for s in self.bin_intensity_scale)
-            if any(s <= 0.0 for s in scale):
-                raise ValueError("bin intensity scales must be positive")
+            n_bins = protocol_messages(self.protocol)[0].alphabet
+            _require(
+                len(scale) == n_bins and all(0.0 < s < math.inf for s in scale),
+                "bin_intensity_scale",
+                f"{n_bins} finite positive entries",
+                scale,
+            )
             object.__setattr__(self, "bin_intensity_scale", scale)
 
 
@@ -538,32 +585,26 @@ def _row_sums(weights: np.ndarray, protocol: str) -> dict[str, tuple[np.ndarray,
     }
 
 
-def _trial_distribution(config: SimulationConfig) -> tuple[np.ndarray, list, list]:
+def _trial_distribution(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Probability of each (message, cell) outcome of one sifted round.
 
     ``p[message, cell] = (1/n_msg) * P(arm) * conditional[cell]``: a uniform
     message, the passive 50:50 arm choice (P(arm) = 1 for the z-only 2,4
-    receiver), then the arm's conditional-on-click distribution.  Also
-    returns the per-message no-click probabilities of each arm.
+    receiver), then the arm's conditional-on-click distribution.  Every
+    message row is built at once, one pass per arm.  Also returns the
+    per-message no-click probabilities of each arm (none for the absent x
+    arm of 2,4).
     """
-    messages = protocol_messages(config.protocol)
-    n_bins = messages[0].alphabet
-    two_basis = config.protocol == "2,2"
-    arm = 0.5 if two_basis else 1.0
-    p = np.zeros((len(messages), n_bins + (X_CELLS if two_basis else 0)))
-    no_click_z, no_click_x = [], []
-    for row, message in zip(p, messages):
-        train = build_pulse_train(message, config.protocol)
-        z = z_click_distribution(
-            train, config.source, config.channel, config.detector, config.bin_intensity_scale
-        )
-        row[:n_bins] = arm * z.conditional()
-        no_click_z.append(z.no_click_probability)
-        if two_basis:
-            x = x_click_distribution(train, config.dli, config.source, config.channel, config.detector)
-            row[n_bins:] = arm * x.conditional()
-            no_click_x.append(x.no_click_probability)
-    return p / len(messages), no_click_z, no_click_x
+    amplitudes, phases, spacing_ps = _protocol_trains(config.protocol)
+    models = (config.source, config.channel, config.detector)
+    z, no_click_z = _z_arm(amplitudes, spacing_ps, *models, config.bin_intensity_scale)
+    arms = [_conditional(z, "arrival-time")]
+    no_click_x = np.empty(0)
+    if config.protocol == "2,2":
+        x, no_click_x = _x_arm(amplitudes, phases, spacing_ps, config.dli, *models)
+        arms.append(_conditional(x, "phase"))
+    p = (1.0 / len(arms)) * np.concatenate(arms, axis=-1)
+    return p / amplitudes.shape[0], no_click_z, no_click_x
 
 
 def _worker_rng(seed: int, worker: int) -> np.random.Generator:

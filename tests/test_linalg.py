@@ -405,3 +405,21 @@ class TestWrapperValidation:
     def test_basis_to_povm(self):
         povm = Basis((KET0, KET1)).to_povm()
         assert np.allclose(povm[0].matrix, KET0.projector())
+
+
+class TestNonFiniteInput:
+    """NaN and +-inf fail every check instead of slipping past a ``>``."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    @pytest.mark.parametrize("build", [Effect, DensityMatrix, hermitian_eig, operator_norm])
+    def test_matrix_rejected(self, build, entry, bad):
+        matrix = np.diag([0.0, 1.0]).astype(complex)
+        matrix[entry] = matrix[entry[::-1]] = bad
+        with pytest.raises(ValueError, match="not Hermitian.*nan"):
+            build(matrix)
+
+    @pytest.mark.parametrize("amplitudes", [[math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf]])
+    def test_state_rejected(self, amplitudes):
+        with pytest.raises(ValueError, match="not normalized"):
+            PureState(np.array(amplitudes))

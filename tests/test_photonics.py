@@ -567,3 +567,138 @@ class TestModelValidation:
 def test_simulation_config_integers(changes, error, message):
     with pytest.raises(error, match=message):
         SimulationConfig(**changes)
+
+
+@pytest.mark.parametrize(
+    "protocol, scale",
+    [
+        ("2,2", (math.nan, 1.0)),
+        ("2,2", (math.inf, 1.0)),
+        ("2,2", (1.0, -math.inf)),
+        ("2,2", (0.0, 1.0)),
+        ("2,2", (1.0,)),
+        ("2,2", (1.0, 1.0, 1.0, 1.0)),
+        ("2,4", (1.0, 1.0)),
+        ("2,4", (1.0, 1.0, 1.0, math.nan)),
+    ],
+)
+def test_bin_intensity_scale_checked_up_front(protocol, scale):
+    n_bins = 2 if protocol == "2,2" else 4
+    with pytest.raises(ValueError, match=rf"bin_intensity_scale must be {n_bins} finite positive entries, got \("):
+        SimulationConfig(protocol=protocol, bin_intensity_scale=scale)
+
+
+# The per-message loop that built the trial table before it was batched,
+# kept as an oracle: one train per message, its jitter weights, then the
+# scalar first-click loop of each arm.
+def _looped_first_click(signal_prob, weights, noise):
+    cumulative = np.concatenate(([0.0], np.cumsum(weights)))
+    probs = np.empty(weights.size)
+    prefix = 1.0
+    for k in range(weights.size):
+        before = 1.0 - signal_prob * cumulative[k]
+        through = 1.0 - signal_prob * cumulative[k + 1]
+        probs[k] = prefix * (before - (1.0 - noise) * through)
+        prefix *= 1.0 - noise
+    return probs, prefix * (1.0 - signal_prob * cumulative[-1])
+
+
+def _looped_arm(weights, noise_share, cfg):
+    mean_detected = cfg.source.mu * cfg.channel.transmission * cfg.detector.efficiency * 0.5
+    rate_hz = cfg.detector.dark_rate_hz + noise_share * raman_rate(
+        cfg.channel.classical_power_dbm, cfg.channel.raman_coefficient
+    )
+    noise = 1.0 - math.exp(-rate_hz * cfg.detector.gate_width_ps * 1e-12)
+    probs, no_click = _looped_first_click(1.0 - math.exp(-mean_detected), weights, noise)
+    return probs / probs.sum(), no_click
+
+
+def looped_trial_distribution(cfg):
+    messages = protocol_messages(cfg.protocol)
+    two_basis = cfg.protocol == "2,2"
+    arm = 0.5 if two_basis else 1.0
+    rows, no_click_z, no_click_x = [], [], []
+    for message in messages:
+        train = build_pulse_train(message, cfg.protocol)
+        intensities = train.amplitudes**2
+        if cfg.bin_intensity_scale is not None:
+            intensities = intensities * np.asarray(cfg.bin_intensity_scale)
+            intensities /= intensities.sum()
+        leak = cross_bin_leak_fraction(cfg.detector.jitter_sigma_ps, train.bin_spacing_ps)
+        weights = intensities.copy()
+        if leak != 0.0:
+            weights = intensities * (1.0 - 2.0 * leak)
+            weights[1:] += intensities[:-1] * leak
+            weights[:-1] += intensities[1:] * leak
+        z, no_click = _looped_arm(weights, 0.5, cfg)
+        rows.append(arm * z)
+        no_click_z.append(no_click)
+        if two_basis:
+            (a, phase_a), (b, phase_b) = train.bins
+            fringe = 2.0 * a * b * cfg.dli.visibility * math.cos(phase_b - phase_a)
+            weights = np.array(
+                [a * a / 4.0, a * a / 4.0, (1.0 + fringe) / 4.0, (1.0 - fringe) / 4.0, b * b / 4.0, b * b / 4.0]
+            )
+            x, no_click = _looped_arm(weights, 0.25, cfg)
+            rows[-1] = np.concatenate((rows[-1], arm * x))
+            no_click_x.append(no_click)
+    return np.array(rows) / len(messages), no_click_z, no_click_x
+
+
+@st.composite
+def table_configs(draw):
+    protocol = draw(st.sampled_from(["2,2", "2,4"]))
+    n_bins = 2 if protocol == "2,2" else 4
+    return SimulationConfig(
+        protocol=protocol,
+        source=SourceModel(mu=draw(st.floats(0.0, 50.0, exclude_min=True))),
+        channel=ChannelModel(
+            loss_db=draw(st.floats(0.0, 30.0)),
+            classical_power_dbm=draw(st.none() | st.just(-math.inf) | st.floats(-80.0, 10.0)),
+        ),
+        detector=DetectorModel(
+            efficiency=draw(st.floats(0.0, 1.0, exclude_min=True)),
+            jitter_fwhm_ps=draw(st.floats(0.0, 1000.0)),
+        ),
+        dli=DliModel(visibility=draw(st.floats(0.0, 1.0))),
+        bin_intensity_scale=draw(st.none() | st.tuples(*[st.floats(0.05, 20.0)] * n_bins)),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cfg=table_configs())
+def test_trial_table_matches_per_message_loop(cfg):
+    """The batched (message, cell) table and no-click probabilities are bit
+    for bit those of the per-message loop, and each row is bit for bit what
+    the public one-train functions give."""
+    from qracsim.photonics import _trial_distribution
+
+    p, no_click_z, no_click_x = _trial_distribution(cfg)
+    looped, looped_z, looped_x = looped_trial_distribution(cfg)
+    assert np.array_equal(p, looped)
+    assert np.array_equal(no_click_z, looped_z)
+    assert np.array_equal(no_click_x, looped_x)
+
+    two_basis = cfg.protocol == "2,2"
+    arm = 0.5 if two_basis else 1.0
+    n_msg, n_bins = len(p), (2 if two_basis else 4)
+    for row, message in zip(p, protocol_messages(cfg.protocol)):
+        train = build_pulse_train(message, cfg.protocol)
+        z = z_click_distribution(train, cfg.source, cfg.channel, cfg.detector, cfg.bin_intensity_scale)
+        assert np.array_equal(row[:n_bins], arm * z.conditional() / n_msg)
+        if two_basis:
+            x = x_click_distribution(train, cfg.dli, cfg.source, cfg.channel, cfg.detector)
+            assert np.array_equal(row[n_bins:], arm * x.conditional() / n_msg)
+
+
+@pytest.mark.parametrize("protocol", ["2,2", "2,4"])
+def test_trains_built_once_per_protocol(protocol, monkeypatch):
+    simulate_trial(SimulationConfig(protocol=protocol, rounds=10))
+    built = []
+    original = PulseTrain.__post_init__
+    monkeypatch.setattr(PulseTrain, "__post_init__", lambda self: built.append(original(self)))
+    for power in (None, -30.0, -20.0):
+        cfg = SimulationConfig(protocol=protocol, channel=ChannelModel(classical_power_dbm=power), rounds=10)
+        simulate_trial(cfg)
+        expected_estimates(cfg)
+    assert built == []
