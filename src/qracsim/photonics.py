@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -176,6 +176,11 @@ def protocol_messages(protocol: str) -> tuple[Message, ...]:
     raise ValueError(f"unknown protocol {protocol!r}")
 
 
+@lru_cache(maxsize=None)
+def _state_labels(protocol: str) -> tuple[str, ...]:
+    return tuple(m.label for m in protocol_messages(protocol))
+
+
 def build_pulse_train(message: Message, protocol: str) -> PulseTrain:
     """Pulse train realizing the optimal encoding of one message.
 
@@ -253,20 +258,23 @@ def _jitter_weights(intensities: np.ndarray, spacing_ps: float, sigma_ps: float)
 
 
 def _first_click_probabilities(
-    signal_prob: float, weights: np.ndarray, noise_probs: np.ndarray
+    signal_prob: float, cumulative: np.ndarray, noise_probs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact distribution of the earliest click over time-ordered cells.
 
     One signal photon lands in cell k with probability signal_prob *
-    weights[..., k] (weights may sum below 1 when some mass leaves the
+    weights[..., k], given as the running sum ``cumulative`` of the weights
+    along the last axis (they may sum below 1 when some mass leaves the
     gate); cell k independently fires on noise with probability
     noise_probs[k].  The earliest firing cell wins.  Returns per-cell
-    probabilities and the no-click probability of every row of ``weights``;
+    probabilities and the no-click probability of every row of weights;
     together they sum to 1 exactly.
     """
     # P(no signal photon in cells 0..k), and the same before cell k.
-    through = 1.0 - signal_prob * np.cumsum(weights, axis=-1)
-    before = np.concatenate((np.ones_like(through[..., :1]), through[..., :-1]), axis=-1)
+    through = 1.0 - signal_prob * cumulative
+    before = np.empty_like(through)
+    before[..., 0] = 1.0
+    before[..., 1:] = through[..., :-1]
     # P(no noise click before cell k), as a running product.
     keep = 1.0 - noise_probs
     prefix = np.concatenate(([1.0], np.cumprod(keep)))
@@ -275,15 +283,15 @@ def _first_click_probabilities(
 
 
 def _arm_click_probabilities(
-    weights: np.ndarray,
+    cumulative: np.ndarray,
     noise_share: float,
     source: SourceModel,
     channel: ChannelModel,
     detector: DetectorModel,
 ) -> tuple[np.ndarray, np.ndarray]:
     """First-click distributions of an arm whose cells take the signal by
-    ``weights`` (last axis) and, each, dark counts plus ``noise_share`` of
-    the channel's scattering noise."""
+    weights with running sum ``cumulative`` (last axis) and, each, dark
+    counts plus ``noise_share`` of the channel's scattering noise."""
     # Factor 1/2 from the passive 50:50 basis-choice splitter.
     mean_detected = source.mu * channel.transmission * detector.efficiency * 0.5
     rate_hz = detector.dark_rate_hz + noise_share * raman_rate(
@@ -292,14 +300,14 @@ def _arm_click_probabilities(
     # Poisson window statistics; equals rate * gate to first order.
     noise = 1.0 - math.exp(-rate_hz * detector.gate_width_ps * 1e-12)
     return _first_click_probabilities(
-        1.0 - math.exp(-mean_detected), weights, np.full(weights.shape[-1], noise)
+        1.0 - math.exp(-mean_detected), cumulative, np.full(cumulative.shape[-1], noise)
     )
 
 
 def _conditional(probabilities: np.ndarray, arm: str) -> np.ndarray:
     """Outcome distribution given that the arm clicked at all, per row."""
     total = probabilities.sum(axis=-1, keepdims=True)
-    if np.any(total <= 0.0):
+    if (total <= 0.0).any():
         raise ValueError(
             f"the {arm} arm can never click (total click probability 0): "
             "lower channel.loss_db or raise detector.dark_rate_hz"
@@ -307,24 +315,21 @@ def _conditional(probabilities: np.ndarray, arm: str) -> np.ndarray:
     return probabilities / total
 
 
-def _z_arm(
+def _z_cumulative(
     amplitudes: np.ndarray,
     spacing_ps: float,
-    source: SourceModel,
-    channel: ChannelModel,
-    detector: DetectorModel,
+    sigma_ps: float,
     bin_intensity_scale: tuple | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Arrival-time arm click distributions of trains given by their bin
-    amplitudes (last axis)."""
+) -> np.ndarray:
+    """Running sums of the arrival-time arm's signal weights for trains
+    given by their bin amplitudes (last axis)."""
     intensities = amplitudes**2
     if bin_intensity_scale is not None:
         if len(bin_intensity_scale) != amplitudes.shape[-1]:
             raise ValueError("bin intensity scale length must match the train")
         intensities = intensities * np.asarray(bin_intensity_scale)
         intensities /= intensities.sum(axis=-1, keepdims=True)
-    weights = _jitter_weights(intensities, spacing_ps, detector.jitter_sigma_ps)
-    return _arm_click_probabilities(weights, 0.5, source, channel, detector)
+    return np.cumsum(_jitter_weights(intensities, spacing_ps, sigma_ps), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -354,9 +359,10 @@ def z_click_distribution(
     per-bin preparation imbalance: the bin intensities are multiplied by it
     and renormalized before the jitter leakage.
     """
-    return ZClickDistribution(
-        *_z_arm(train.amplitudes, train.bin_spacing_ps, source, channel, detector, bin_intensity_scale)
+    cumulative = _z_cumulative(
+        train.amplitudes, train.bin_spacing_ps, detector.jitter_sigma_ps, bin_intensity_scale
     )
+    return ZClickDistribution(*_arm_click_probabilities(cumulative, 0.5, source, channel, detector))
 
 
 # Cell layout of the interferometer output, in time order: the early and
@@ -365,17 +371,11 @@ def z_click_distribution(
 X_CELLS = 6
 
 
-def _x_arm(
-    amplitudes: np.ndarray,
-    phases: np.ndarray,
-    spacing_ps: float,
-    dli: DliModel,
-    source: SourceModel,
-    channel: ChannelModel,
-    detector: DetectorModel,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Phase arm click distributions of two-bin trains given by their bin
-    amplitudes and relative phases (last axis)."""
+def _x_cumulative(
+    amplitudes: np.ndarray, phases: np.ndarray, spacing_ps: float, dli: DliModel
+) -> np.ndarray:
+    """Running sums of the phase arm's signal weights for two-bin trains
+    given by their bin amplitudes and relative phases (last axis)."""
     if abs(dli.delay_ps - spacing_ps) > 1e-9:
         raise ValueError(
             f"dli.delay_ps must equal the bin spacing ({spacing_ps:g} ps), got {dli.delay_ps:g}"
@@ -393,7 +393,7 @@ def _x_arm(
         ],
         axis=-1,
     )
-    return _arm_click_probabilities(weights, 0.25, source, channel, detector)
+    return np.cumsum(weights, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -424,9 +424,8 @@ def x_click_distribution(
     if train.n_bins != 2:
         raise ValueError("the phase measurement reads two-bin trains only")
     amplitudes, phases = np.array(train.bins).T
-    return XClickDistribution(
-        *_x_arm(amplitudes, phases, train.bin_spacing_ps, dli, source, channel, detector)
-    )
+    cumulative = _x_cumulative(amplitudes, phases, train.bin_spacing_ps, dli)
+    return XClickDistribution(*_arm_click_probabilities(cumulative, 0.25, source, channel, detector))
 
 
 @dataclass(frozen=True)
@@ -488,10 +487,14 @@ def _estimate(correct: float, conclusive: float) -> tuple[float, float]:
 class TrialResult:
     """Counts and sifted success-probability estimates of one trial.
 
-    Every round contributes exactly one event (the tallies sum to
-    ``rounds``); the probability that a physical train produces no click at
-    all is reported analytically per arm.  Estimates a protocol does not
-    measure are None.
+    ``counts`` is the one stored record of the draw: the (message, cell)
+    count table, one int tuple per entry of ``state_labels`` holding the
+    arrival-time bins and then, on 2,2, the interferometer cells.  Every
+    round contributes exactly one event, so the table sums to ``rounds``.
+    The per-state ``z_tallies``, ``x_tallies`` and ``z_bin_counts`` are
+    derived from it on first read.  The probability that a physical train
+    produces no click at all is reported analytically per arm.  Estimates a
+    protocol does not measure are None.
     """
 
     protocol: str
@@ -499,9 +502,7 @@ class TrialResult:
     seed: int
     workers: int
     state_labels: tuple
-    z_tallies: dict
-    x_tallies: dict | None
-    z_bin_counts: dict
+    counts: tuple
     no_click_probability_z: float
     no_click_probability_x: float | None
     p_z: float
@@ -516,17 +517,45 @@ class TrialResult:
     p_m12_err: float | None = None
 
     def __post_init__(self):
-        total = sum(t.total for t in self.z_tallies.values())
-        if self.x_tallies is not None:
-            total += sum(t.total for t in self.x_tallies.values())
-        if total != self.rounds:
-            raise ValueError("tallies do not sum to the number of rounds")
+        if sum(map(sum, self.counts)) != self.rounds:
+            raise ValueError("counts do not sum to the number of rounds")
+
+    @property
+    def _n_bins(self) -> int:
+        return protocol_messages(self.protocol)[0].alphabet
+
+    def _tallies(self, name: str, arm: slice) -> dict:
+        table = np.array(self.counts)
+        correct, conclusive = _row_sums(table, self.protocol)[name]
+        return {
+            label: BasisTally(int(c), int(k - c), int(a - k))
+            for label, c, k, a in zip(self.state_labels, correct, conclusive, table[:, arm].sum(axis=1))
+        }
+
+    @cached_property
+    def z_tallies(self) -> dict:
+        """Arrival-time tally of each state."""
+        return self._tallies("p_z", slice(None, self._n_bins))
+
+    @cached_property
+    def x_tallies(self) -> dict | None:
+        """Phase-arm tally of each state; None for the z-only 2,4 receiver."""
+        if self.protocol != "2,2":
+            return None
+        return self._tallies("p_x", slice(self._n_bins, None))
+
+    @cached_property
+    def z_bin_counts(self) -> dict:
+        """Counts of each arrival-time bin, per state."""
+        return {label: row[: self._n_bins] for label, row in zip(self.state_labels, self.counts)}
 
     def state_p_z(self, label: str) -> float:
         tally = self.z_tallies[label]
         return _estimate(tally.correct, tally.conclusive)[0]
 
     def state_p_x(self, label: str) -> float:
+        if self.x_tallies is None:
+            raise ValueError(f"the {self.protocol} receiver has no phase arm, so no state has a p_x")
         tally = self.x_tallies[label]
         return _estimate(tally.correct, tally.conclusive)[0]
 
@@ -585,32 +614,73 @@ def _row_sums(weights: np.ndarray, protocol: str) -> dict[str, tuple[np.ndarray,
     }
 
 
+@lru_cache(maxsize=None)
+def _mask_matrix(protocol: str) -> tuple[dict[str, int], np.ndarray]:
+    """The correct and conclusive masks of every distinct estimand, flattened
+    into rows 2i and 2i + 1 of one read-only integer matrix, and the first
+    row of each estimand.  Estimands that share masks (p_m12 and p_z on
+    2,4) share rows, so the matrix times the flat count table sums each
+    mask once."""
+    masks = _masks(protocol)
+    distinct = {id(pair): pair for pair in masks.values()}
+    first_row = {key: 2 * i for i, key in enumerate(distinct)}
+    matrix = np.array([mask.ravel() for pair in distinct.values() for mask in pair], dtype=np.int64)
+    matrix.flags.writeable = False
+    return {name: first_row[id(pair)] for name, pair in masks.items()}, matrix
+
+
+@lru_cache(maxsize=64)
+def _trial_z_cumulative(protocol: str, sigma_ps: float, bin_intensity_scale: tuple | None) -> np.ndarray:
+    """Read-only running sums of the arrival-time weights of every message
+    of the protocol: the part of a trial's z arm that neither the source
+    nor the channel enters, so a sweep over classical power builds it once."""
+    amplitudes, _, spacing_ps = _protocol_trains(protocol)
+    cumulative = _z_cumulative(amplitudes, spacing_ps, sigma_ps, bin_intensity_scale)
+    cumulative.flags.writeable = False
+    return cumulative
+
+
+@lru_cache(maxsize=64)
+def _trial_x_cumulative(dli: DliModel) -> np.ndarray:
+    """Read-only running sums of the phase-arm weights of every 2,2 message,
+    which depend on the interferometer alone."""
+    amplitudes, phases, spacing_ps = _protocol_trains("2,2")
+    cumulative = _x_cumulative(amplitudes, phases, spacing_ps, dli)
+    cumulative.flags.writeable = False
+    return cumulative
+
+
 def _trial_distribution(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Probability of each (message, cell) outcome of one sifted round.
 
     ``p[message, cell] = (1/n_msg) * P(arm) * conditional[cell]``: a uniform
     message, the passive 50:50 arm choice (P(arm) = 1 for the z-only 2,4
     receiver), then the arm's conditional-on-click distribution.  Every
-    message row is built at once, one pass per arm.  Also returns the
-    per-message no-click probabilities of each arm (none for the absent x
-    arm of 2,4).
+    message row is built at once, one pass per arm, from the cached running
+    weights of that arm.  Also returns the per-message no-click
+    probabilities of each arm (none for the absent x arm of 2,4).
     """
-    amplitudes, phases, spacing_ps = _protocol_trains(config.protocol)
     models = (config.source, config.channel, config.detector)
-    z, no_click_z = _z_arm(amplitudes, spacing_ps, *models, config.bin_intensity_scale)
+    z_cumulative = _trial_z_cumulative(
+        config.protocol, config.detector.jitter_sigma_ps, config.bin_intensity_scale
+    )
+    z, no_click_z = _arm_click_probabilities(z_cumulative, 0.5, *models)
     arms = [_conditional(z, "arrival-time")]
     no_click_x = np.empty(0)
     if config.protocol == "2,2":
-        x, no_click_x = _x_arm(amplitudes, phases, spacing_ps, config.dli, *models)
+        x, no_click_x = _arm_click_probabilities(_trial_x_cumulative(config.dli), 0.25, *models)
         arms.append(_conditional(x, "phase"))
     p = (1.0 / len(arms)) * np.concatenate(arms, axis=-1)
-    return p / amplitudes.shape[0], no_click_z, no_click_x
+    return p / len(z), no_click_z, no_click_x
 
 
-def _worker_rng(seed: int, worker: int) -> np.random.Generator:
-    # Counter-based Philox stream, derived per worker from (seed, worker).
-    sequence = np.random.SeedSequence(entropy=seed, spawn_key=(worker,))
-    return np.random.Generator(np.random.Philox(sequence))
+@lru_cache(maxsize=256)
+def _stream_key(seed: int, worker: int) -> np.ndarray:
+    """Read-only Philox key of a partition's stream: the key that
+    ``Philox(SeedSequence(entropy=seed, spawn_key=(worker,)))`` takes."""
+    key = np.random.SeedSequence(entropy=seed, spawn_key=(worker,)).generate_state(2, np.uint64)
+    key.flags.writeable = False
+    return key
 
 
 def _chunk_sizes(rounds: int, workers: int) -> list[int]:
@@ -629,45 +699,37 @@ def simulate_trial(config: SimulationConfig) -> TrialResult:
     into ``workers`` stream partitions, run one after another: each draws
     its share of the counts from its own Philox stream keyed by
     (seed, worker), so a rerun with the same seed and worker count is
-    bit-identical.  Every estimate is the correct-cell count over the
+    bit-identical.  The partitions share one Philox, re-keyed and reset to
+    counter 0 for each.  Every estimate is the correct-cell count over the
     conclusive-cell count of its masks; ``expected_estimates`` applies the
     same masks to the cell probabilities.
     """
-    messages = protocol_messages(config.protocol)
-    n_bins = messages[0].alphabet
     p, no_click_z, no_click_x = _trial_distribution(config)
     cells = p.ravel()
-    counts = np.zeros(cells.size, dtype=np.int64)
-    for worker, size in enumerate(_chunk_sizes(config.rounds, config.workers)):
-        counts += _worker_rng(config.seed, worker).multinomial(size, cells)
-    counts = counts.reshape(p.shape)
-
-    sums = _row_sums(counts, config.protocol)
+    sizes = _chunk_sizes(config.rounds, config.workers)
+    bit_generator = np.random.Philox(key=_stream_key(config.seed, 0))
+    fresh = bit_generator.state   # counter 0 and an empty buffer, re-keyed below
+    generator = np.random.Generator(bit_generator)
+    counts = generator.multinomial(sizes[0], cells)
+    for worker in range(1, config.workers):
+        fresh["state"]["key"] = _stream_key(config.seed, worker)
+        bit_generator.state = fresh
+        counts += generator.multinomial(sizes[worker], cells)
+    rows, matrix = _mask_matrix(config.protocol)
+    totals = (matrix @ counts).tolist()
     estimates = {}
-    for name, (correct, conclusive) in sums.items():
-        estimates[name], estimates[name + "_err"] = _estimate(int(correct.sum()), int(conclusive.sum()))
-
-    labels = tuple(m.label for m in messages)
-
-    def tallies(name: str, arm: np.ndarray) -> dict:
-        correct, conclusive = sums[name]
-        return {
-            label: BasisTally(int(c), int(k - c), int(a - k))
-            for label, c, k, a in zip(labels, correct, conclusive, arm.sum(axis=1))
-        }
-
+    for name, row in rows.items():
+        estimates[name], estimates[name + "_err"] = _estimate(totals[row], totals[row + 1])
     two_basis = config.protocol == "2,2"
     return TrialResult(
         protocol=config.protocol,
         rounds=config.rounds,
         seed=config.seed,
         workers=config.workers,
-        state_labels=labels,
-        z_tallies=tallies("p_z", counts[:, :n_bins]),
-        x_tallies=tallies("p_x", counts[:, n_bins:]) if two_basis else None,
-        z_bin_counts={label: tuple(int(c) for c in row[:n_bins]) for label, row in zip(labels, counts)},
-        no_click_probability_z=float(np.mean(no_click_z)),
-        no_click_probability_x=float(np.mean(no_click_x)) if two_basis else None,
+        state_labels=_state_labels(config.protocol),
+        counts=tuple(map(tuple, counts.reshape(p.shape).tolist())),
+        no_click_probability_z=float(no_click_z.sum()) / no_click_z.size,
+        no_click_probability_x=float(no_click_x.sum()) / no_click_x.size if two_basis else None,
         **estimates,
     )
 
@@ -684,13 +746,12 @@ def expected_estimates(config: SimulationConfig) -> dict:
     are ignored.
     """
     p, _, _ = _trial_distribution(config)
-    labels = [m.label for m in protocol_messages(config.protocol)]
     result: dict = {}
     for name, (correct, conclusive) in _row_sums(p, config.protocol).items():
         result[name] = float(_estimate(correct.sum(), conclusive.sum())[0])
         if name in ("p_z", "p_x"):
             result["state_" + name] = {
-                label: float(_estimate(c, k)[0]) for label, c, k in zip(labels, correct, conclusive)
+                label: float(_estimate(c, k)[0]) for label, c, k in zip(_state_labels(config.protocol), correct, conclusive)
             }
     return result
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +69,19 @@ class PrbsSequence:
     @property
     def period(self) -> int:
         return 2**self.order - 1
+
+    @property
+    def _correlation_size(self) -> int:
+        # a power of two of at least two periods, so the correlation never wraps
+        return 1 << (2 * self.period - 1).bit_length()
+
+    @cached_property
+    def _tiled_spectrum(self) -> np.ndarray:
+        """Read-only rfft of two tiled periods at the correlation size,
+        computed on the first alignment against this sequence."""
+        spectrum = np.fft.rfft(np.tile(self.bits, 2), self._correlation_size)
+        spectrum.flags.writeable = False
+        return spectrum
 
 
 def prbs_generate(order: int, seed: int | None = None) -> PrbsSequence:
@@ -137,7 +151,9 @@ def prbs_align(observed, reference: PrbsSequence, min_agreement: float = 0.6) ->
     ref[(p + o) % period]``, one circular cross-correlation.  It runs as an
     FFT over a power-of-two length of at least two periods against two
     tiled reference periods, which never wraps, and is rounded back to the
-    exact integer agreements, in O(P log P) for period P.
+    exact integer agreements, in O(P log P) for period P.  The reference's
+    spectrum is computed once per ``PrbsSequence`` and reused by every
+    later alignment against it.
     """
     if not 0.0 <= min_agreement <= 1.0:
         raise ValueError(f"min_agreement must lie in [0, 1], got {min_agreement}")
@@ -158,9 +174,9 @@ def prbs_align(observed, reference: PrbsSequence, min_agreement: float = 0.6) ->
     n_valid = int(ones.sum() + zeros.sum())
     if n_valid == 0:
         raise ValueError("observed stream contains only erasures")
-    size = 1 << (2 * period - 1).bit_length()
+    size = reference._correlation_size
     spectrum = np.conj(np.fft.rfft(ones - zeros, size))
-    spectrum *= np.fft.rfft(np.tile(reference.bits, 2), size)
+    spectrum *= reference._tiled_spectrum
     correlation = np.fft.irfft(spectrum, size)[:period]
     agreements = int(zeros.sum()) + np.rint(correlation).astype(np.int64)
     best = int(np.argmax(agreements))

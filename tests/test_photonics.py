@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -216,7 +217,7 @@ class TestFirstClickModel:
         weights = np.asarray(weights, dtype=float)
         noise = np.asarray(noise, dtype=float)
         cells = weights.size
-        closed, closed_no_click = _first_click_probabilities(signal_p, weights, noise)
+        closed, closed_no_click = _first_click_probabilities(signal_p, np.cumsum(weights), noise)
 
         rng = np.random.default_rng(2718)
         n = 400_000
@@ -702,3 +703,72 @@ def test_trains_built_once_per_protocol(protocol, monkeypatch):
         simulate_trial(cfg)
         expected_estimates(cfg)
     assert built == []
+
+
+def test_state_p_x_of_ququart_trial_names_missing_arm():
+    res = simulate_trial(SimulationConfig(protocol="2,4", rounds=100))
+    with pytest.raises(ValueError, match="2,4 receiver has no phase arm"):
+        res.state_p_x("00")
+
+
+@pytest.mark.parametrize("workers", range(1, 9))
+def test_counts_follow_stream_contract(workers):
+    """Partition w draws its divmod share of the rounds from
+    Generator(Philox(SeedSequence(entropy=seed, spawn_key=(w,)))), and the
+    count table is the sum of the partitions' draws."""
+    from qracsim.photonics import _trial_distribution
+
+    for seed in (0, 1, 7, 2**32 - 1, 12345678901):
+        for protocol, rounds in (("2,2", 100_003), ("2,4", 250_001), ("2,2", 5), ("2,4", 3)):
+            cfg = SimulationConfig(
+                protocol=protocol,
+                channel=ChannelModel(classical_power_dbm=-25.0),
+                rounds=rounds,
+                seed=seed,
+                workers=workers,
+            )
+            p = _trial_distribution(cfg)[0]
+            base, extra = divmod(rounds, workers)
+            expected = sum(
+                np.random.Generator(
+                    np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(w,)))
+                ).multinomial(base + (w < extra), p.ravel())
+                for w in range(workers)
+            )
+            assert simulate_trial(cfg).counts == tuple(map(tuple, expected.reshape(p.shape).tolist()))
+
+
+def test_cached_weights_follow_every_weight_field():
+    """A trial's table after other configs have filled the weight caches is
+    bit for bit the table built cold, for configs one weight field apart."""
+    from qracsim.photonics import _trial_distribution, _trial_x_cumulative, _trial_z_cumulative
+
+    def cold(cfg):
+        _trial_z_cumulative.cache_clear()
+        _trial_x_cumulative.cache_clear()
+        return _trial_distribution(cfg)
+
+    base = SimulationConfig(channel=ChannelModel(classical_power_dbm=-25.0))
+    variants = [
+        base,
+        replace(base, detector=DetectorModel(jitter_fwhm_ps=1000.0)),
+        replace(base, dli=DliModel(visibility=0.5)),
+        replace(base, bin_intensity_scale=(1.3, 0.7)),
+        replace(base, protocol="2,4"),
+        replace(base, protocol="2,4", bin_intensity_scale=(1.0, 0.4, 0.9, 1.7)),
+        replace(base, protocol="2,4", detector=DetectorModel(jitter_fwhm_ps=0.0)),
+        base,
+    ]
+    cold_tables = [cold(cfg) for cfg in variants]
+    for cfg in variants:
+        _trial_distribution(cfg)
+    for cfg, expected in zip(variants, cold_tables):
+        for warm, built in zip(_trial_distribution(cfg), expected):
+            assert np.array_equal(warm, built)
+    distinct = {cold_tables[i][0].tobytes() for i in range(len(variants) - 1)}
+    assert len(distinct) == len(variants) - 1
+
+    mismatched = replace(base, dli=DliModel(delay_ps=700.0))
+    for _ in range(3):
+        with pytest.raises(ValueError, match=r"dli\.delay_ps must equal the bin spacing"):
+            simulate_trial(mismatched)

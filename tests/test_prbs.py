@@ -234,3 +234,30 @@ def test_align_long_register():
     stream ^= (rng.random(stream.size) < 0.2).astype(np.int8)
     stream[rng.random(stream.size) < 0.5] = -1
     assert prbs_align(stream, ref) == offset
+
+
+def test_repeated_aligns_against_one_reference(monkeypatch):
+    # the reference's spectrum is transformed on the first align only, and
+    # every later align, of any stream length, still matches the oracle
+    ref = prbs_generate(7)
+    period = ref.period
+    rng = np.random.default_rng(99)
+    transforms = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda *args: transforms.append(args) or rfft(*args))
+    for i in range(24):
+        length = period + int(rng.integers(0, 3 * period))
+        if i % 3 == 2:
+            stream = rng.integers(0, 2, size=length)
+        else:
+            stream = ref.bits[(np.arange(length) + int(rng.integers(period))) % period].astype(np.int64)
+        stream ^= (rng.random(length) < 0.15).astype(np.int64)
+        stream[rng.random(length) < 0.3] = -1
+        best, fraction = _align_oracle(stream, ref)
+        if fraction < 0.6:
+            message = f"best agreement {fraction:.3f} below threshold 0.600"
+            with pytest.raises(PrbsAlignmentError, match=re.escape(message)):
+                prbs_align(stream, ref)
+        else:
+            assert prbs_align(stream, ref) == best
+    assert len(transforms) == 24 + 1
