@@ -152,59 +152,109 @@ class PulseTrain:
         return np.array([a for a, _ in self.bins])
 
 
-@lru_cache(maxsize=None)
-def _encoding_amplitudes(protocol: str) -> dict:
-    if protocol == "2,2":
-        pair = measurement_pair_from_mub(pauli_mub_pair())
-    else:
-        pair = measurement_pair_from_mub(product_mub_pair(pauli_mub_pair(), 2))
-    table = encoding_table(pair)
-    return {m.digits: table[m].amplitudes for m in table.table}
-
-
-@lru_cache(maxsize=None)
-def protocol_messages(protocol: str) -> tuple[Message, ...]:
-    """Messages exercised by a protocol run.
-
-    The four-dimensional protocol encodes the zero-relative-phase subset,
-    i.e. second digit fixed to 0.
+# A round's outcome is a cell of a (message, cell) table.  Each message row
+# holds its train's arrival-time bins, one per symbol of the alphabet, then,
+# when the receiver has a phase arm, the X_CELLS interferometer cells.  Only
+# cells that can occur are listed, so the multinomial draw's last cell,
+# which takes any rounding remainder, is a real outcome.
+@dataclass(frozen=True, eq=False)
+class _Protocol:
+    """Everything a protocol fixes, built once by ``_protocol``; its arrays
+    are read-only.  Every estimate is its correct mass over its conclusive
+    mass: ``masks`` applied to the count table give the estimators, applied
+    to the cell probabilities the closed forms they converge to, and
+    restricted to one message row the per-state estimates.
     """
-    if protocol == "2,2":
-        return tuple(Message((x1, x2), 2) for x1 in range(2) for x2 in range(2))
-    if protocol == "2,4":
-        return tuple(Message((q, 0), 4) for q in range(4))
-    raise ValueError(f"unknown protocol {protocol!r}")
+
+    messages: tuple[Message, ...]
+    labels: tuple[str, ...]
+    trains: tuple[PulseTrain, ...]
+    amplitudes: np.ndarray   # (message, bin)
+    phases: np.ndarray       # (message, bin)
+    estimands: tuple[str, ...]
+    masks: np.ndarray        # (estimand, correct|conclusive, message, cell)
+
+    @property
+    def n_bins(self) -> int:
+        return self.amplitudes.shape[1]
+
+    @property
+    def phase_arm(self) -> bool:   # interferometer cells follow the bins
+        return self.masks.shape[-1] > self.n_bins
 
 
 @lru_cache(maxsize=None)
-def _state_labels(protocol: str) -> tuple[str, ...]:
-    return tuple(m.label for m in protocol_messages(protocol))
+def _protocol(name: str) -> _Protocol:
+    """The messages a protocol run exercises, their pulse trains realizing
+    the exact optimal encoding, and the estimands' masks.
+
+    A negative encoding component becomes a pi relative phase on that bin.
+    The four-dimensional protocol encodes the zero-relative-phase subset,
+    i.e. second digit fixed to 0 (all other encodings need nonzero relative
+    phases between every pulse); its receiver records arrival times only.
+    """
+    if name == "2,2":
+        pair = pauli_mub_pair()
+        messages = tuple(Message((x1, x2), 2) for x1 in range(2) for x2 in range(2))
+    elif name == "2,4":
+        pair = product_mub_pair(pauli_mub_pair(), 2)
+        messages = tuple(Message((q, 0), 4) for q in range(4))
+    else:
+        raise ValueError(f"unknown protocol {name!r}")
+    table = encoding_table(measurement_pair_from_mub(pair))
+    encoded = np.array([table[m].amplitudes for m in messages])
+    if np.max(np.abs(encoded.imag)) > 1e-12:
+        raise ValueError("optimal encoding is not realizable with 0/pi phases")
+    trains = tuple(
+        PulseTrain(tuple((abs(float(a.real)), 0.0 if a.real >= 0.0 else math.pi) for a in row))
+        for row in encoded
+    )
+    bins = np.array([t.bins for t in trains])
+    bins.flags.writeable = False
+
+    n_bins = bins.shape[1]
+    phase_arm = n_bins == 2   # the interferometer reads two-bin trains only
+    cells = np.arange(n_bins + X_CELLS * phase_arm)
+    first = np.array([m.digits[0] for m in messages])[:, None]
+    z_conclusive = np.broadcast_to(cells < n_bins, (len(messages), len(cells)))
+    masks = {"p_z": (cells == first, z_conclusive)}
+    if phase_arm:
+        second = np.array([m.digits[1] for m in messages])[:, None]
+        x_conclusive = (cells >= n_bins + 2) & (cells < n_bins + 4)
+        masks["p_x"] = (cells == n_bins + 2 + second, np.broadcast_to(x_conclusive, z_conclusive.shape))
+    else:
+        # The first bit names the half of the alphabet; p_m1 and p_m2 score
+        # it on the messages from the lower and the upper half.
+        half = n_bins // 2
+        first_bit = z_conclusive & (cells // half == first // half)
+        lower = first < half
+        masks["p_m1"] = (first_bit & lower, z_conclusive & lower)
+        masks["p_m2"] = (first_bit & ~lower, z_conclusive & ~lower)
+        masks["p_m12"] = masks["p_z"]
+    stacked = np.array(list(masks.values()), dtype=np.int64)
+    stacked.flags.writeable = False
+    return _Protocol(
+        messages, tuple(m.label for m in messages), trains, bins[..., 0], bins[..., 1], tuple(masks), stacked
+    )
+
+
+def protocol_messages(protocol: str) -> tuple[Message, ...]:
+    """Messages exercised by a protocol run."""
+    return _protocol(protocol).messages
 
 
 def build_pulse_train(message: Message, protocol: str) -> PulseTrain:
     """Pulse train realizing the optimal encoding of one message.
 
-    Amplitudes follow the exact optimal-encoding table; a negative component
-    becomes a pi relative phase on that bin.  For the four-dimensional
-    protocol only messages with second digit 0 are implementable (all other
-    encodings need nonzero relative phases between every pulse).
+    For the four-dimensional protocol only messages with second digit 0 are
+    implementable.
     """
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"unknown protocol {protocol!r}")
-    expected_alphabet = 2 if protocol == "2,2" else 4
-    if message.alphabet != expected_alphabet:
+    record = _protocol(protocol)
+    if message.alphabet != record.n_bins:
         raise ValueError("message alphabet does not match the protocol")
-    if protocol == "2,4" and message.digits[1] != 0:
-        raise ValueError(
-            "the four-dimensional transmitter only prepares messages with second digit 0"
-        )
-    amplitudes = _encoding_amplitudes(protocol)[message.digits]
-    if np.max(np.abs(amplitudes.imag)) > 1e-12:
-        raise ValueError("optimal encoding is not realizable with 0/pi phases")
-    bins = tuple(
-        (abs(float(a.real)), 0.0 if a.real >= 0.0 else math.pi) for a in amplitudes
-    )
-    return PulseTrain(bins)
+    if message not in record.messages:
+        raise ValueError("the four-dimensional transmitter only prepares messages with second digit 0")
+    return record.trains[record.messages.index(message)]
 
 
 def raman_rate(power_dbm: float | None, coefficient: float) -> float:
@@ -228,17 +278,6 @@ def cross_bin_leak_fraction(sigma_ps: float, spacing_ps: float) -> float:
     if sigma_ps == 0.0:
         return 0.0
     return 0.5 * math.erfc((spacing_ps / 2.0) / (sigma_ps * math.sqrt(2.0)))
-
-
-@lru_cache(maxsize=None)
-def _protocol_trains(protocol: str) -> tuple[np.ndarray, np.ndarray, float]:
-    """Read-only (message, bin) amplitudes and relative phases of the
-    protocol's trains, built once through ``build_pulse_train``, and their
-    bin spacing."""
-    trains = [build_pulse_train(m, protocol) for m in protocol_messages(protocol)]
-    bins = np.array([t.bins for t in trains])
-    bins.flags.writeable = False
-    return bins[..., 0], bins[..., 1], trains[0].bin_spacing_ps
 
 
 def _jitter_weights(intensities: np.ndarray, spacing_ps: float, sigma_ps: float) -> np.ndarray:
@@ -451,7 +490,7 @@ class SimulationConfig:
             object.__setattr__(self, attr, value)
         if self.bin_intensity_scale is not None:
             scale = tuple(float(s) for s in self.bin_intensity_scale)
-            n_bins = protocol_messages(self.protocol)[0].alphabet
+            n_bins = _protocol(self.protocol).n_bins
             _require(
                 len(scale) == n_bins and all(0.0 < s < math.inf for s in scale),
                 "bin_intensity_scale",
@@ -522,11 +561,12 @@ class TrialResult:
 
     @property
     def _n_bins(self) -> int:
-        return protocol_messages(self.protocol)[0].alphabet
+        return _protocol(self.protocol).n_bins
 
     def _tallies(self, name: str, arm: slice) -> dict:
+        record = _protocol(self.protocol)
         table = np.array(self.counts)
-        correct, conclusive = _row_sums(table, self.protocol)[name]
+        correct, conclusive = (table * record.masks[record.estimands.index(name)]).sum(axis=-1)
         return {
             label: BasisTally(int(c), int(k - c), int(a - k))
             for label, c, k, a in zip(self.state_labels, correct, conclusive, table[:, arm].sum(axis=1))
@@ -540,7 +580,7 @@ class TrialResult:
     @cached_property
     def x_tallies(self) -> dict | None:
         """Phase-arm tally of each state; None for the z-only 2,4 receiver."""
-        if self.protocol != "2,2":
+        if not _protocol(self.protocol).phase_arm:
             return None
         return self._tallies("p_x", slice(self._n_bins, None))
 
@@ -549,84 +589,18 @@ class TrialResult:
         """Counts of each arrival-time bin, per state."""
         return {label: row[: self._n_bins] for label, row in zip(self.state_labels, self.counts)}
 
+    def _state_estimate(self, tallies: dict, label: str) -> float:
+        if label not in tallies:
+            raise ValueError(f"unknown state {label!r}: the {self.protocol} states are {', '.join(tallies)}")
+        return _estimate(tallies[label].correct, tallies[label].conclusive)[0]
+
     def state_p_z(self, label: str) -> float:
-        tally = self.z_tallies[label]
-        return _estimate(tally.correct, tally.conclusive)[0]
+        return self._state_estimate(self.z_tallies, label)
 
     def state_p_x(self, label: str) -> float:
         if self.x_tallies is None:
             raise ValueError(f"the {self.protocol} receiver has no phase arm, so no state has a p_x")
-        tally = self.x_tallies[label]
-        return _estimate(tally.correct, tally.conclusive)[0]
-
-
-# A round's outcome is a cell of a (message, cell) table.  Each message row
-# holds its train's arrival-time bins, one per symbol of the alphabet, then
-# on 2,2 the X_CELLS interferometer cells.  Only cells that can occur are
-# listed, so the multinomial draw's last cell, which takes any rounding
-# remainder, is a real outcome.
-@lru_cache(maxsize=None)
-def _masks(protocol: str) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Correct-cell and conclusive-cell masks over (message, cell), per estimand.
-
-    Every estimate is its correct mass over its conclusive mass: applied to
-    the count table the masks give the estimators, applied to the cell
-    probabilities the closed forms those estimators converge to.  Restricted
-    to one message row, the p_z and p_x masks give the per-state estimates.
-    """
-    messages = protocol_messages(protocol)
-    n_bins = messages[0].alphabet
-    rows = np.arange(len(messages))
-    first = np.array([m.digits[0] for m in messages])
-    shape = (len(messages), n_bins + (X_CELLS if protocol == "2,2" else 0))
-
-    z_conclusive = np.zeros(shape, dtype=bool)
-    z_conclusive[:, :n_bins] = True
-    z_correct = np.zeros(shape, dtype=bool)
-    z_correct[rows, first] = True
-    masks = {"p_z": (z_correct, z_conclusive)}
-    if protocol == "2,2":
-        second = np.array([m.digits[1] for m in messages])
-        x_conclusive = np.zeros(shape, dtype=bool)
-        x_conclusive[:, n_bins + 2 : n_bins + 4] = True
-        x_correct = np.zeros(shape, dtype=bool)
-        x_correct[rows, n_bins + 2 + second] = True
-        masks["p_x"] = (x_correct, x_conclusive)
-    else:
-        # The first bit names the half of the alphabet; p_m1 and p_m2 score
-        # it on the messages from the lower and the upper half.
-        first_bit = np.zeros(shape, dtype=bool)
-        first_bit[:, :n_bins] = (np.arange(n_bins) // 2)[None, :] == (first // 2)[:, None]
-        lower = (first < 2)[:, None]
-        masks["p_m1"] = (first_bit & lower, z_conclusive & lower)
-        masks["p_m2"] = (first_bit & ~lower, z_conclusive & ~lower)
-        masks["p_m12"] = masks["p_z"]
-    for correct, conclusive in masks.values():
-        correct.flags.writeable = conclusive.flags.writeable = False
-    return masks
-
-
-def _row_sums(weights: np.ndarray, protocol: str) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Per-message correct and conclusive sums of a (message, cell) table."""
-    return {
-        name: ((weights * correct).sum(axis=1), (weights * conclusive).sum(axis=1))
-        for name, (correct, conclusive) in _masks(protocol).items()
-    }
-
-
-@lru_cache(maxsize=None)
-def _mask_matrix(protocol: str) -> tuple[dict[str, int], np.ndarray]:
-    """The correct and conclusive masks of every distinct estimand, flattened
-    into rows 2i and 2i + 1 of one read-only integer matrix, and the first
-    row of each estimand.  Estimands that share masks (p_m12 and p_z on
-    2,4) share rows, so the matrix times the flat count table sums each
-    mask once."""
-    masks = _masks(protocol)
-    distinct = {id(pair): pair for pair in masks.values()}
-    first_row = {key: 2 * i for i, key in enumerate(distinct)}
-    matrix = np.array([mask.ravel() for pair in distinct.values() for mask in pair], dtype=np.int64)
-    matrix.flags.writeable = False
-    return {name: first_row[id(pair)] for name, pair in masks.items()}, matrix
+        return self._state_estimate(self.x_tallies, label)
 
 
 @lru_cache(maxsize=64)
@@ -634,8 +608,8 @@ def _trial_z_cumulative(protocol: str, sigma_ps: float, bin_intensity_scale: tup
     """Read-only running sums of the arrival-time weights of every message
     of the protocol: the part of a trial's z arm that neither the source
     nor the channel enters, so a sweep over classical power builds it once."""
-    amplitudes, _, spacing_ps = _protocol_trains(protocol)
-    cumulative = _z_cumulative(amplitudes, spacing_ps, sigma_ps, bin_intensity_scale)
+    record = _protocol(protocol)
+    cumulative = _z_cumulative(record.amplitudes, record.trains[0].bin_spacing_ps, sigma_ps, bin_intensity_scale)
     cumulative.flags.writeable = False
     return cumulative
 
@@ -644,8 +618,8 @@ def _trial_z_cumulative(protocol: str, sigma_ps: float, bin_intensity_scale: tup
 def _trial_x_cumulative(dli: DliModel) -> np.ndarray:
     """Read-only running sums of the phase-arm weights of every 2,2 message,
     which depend on the interferometer alone."""
-    amplitudes, phases, spacing_ps = _protocol_trains("2,2")
-    cumulative = _x_cumulative(amplitudes, phases, spacing_ps, dli)
+    record = _protocol("2,2")
+    cumulative = _x_cumulative(record.amplitudes, record.phases, record.trains[0].bin_spacing_ps, dli)
     cumulative.flags.writeable = False
     return cumulative
 
@@ -667,25 +641,32 @@ def _trial_distribution(config: SimulationConfig) -> tuple[np.ndarray, np.ndarra
     z, no_click_z = _arm_click_probabilities(z_cumulative, 0.5, *models)
     arms = [_conditional(z, "arrival-time")]
     no_click_x = np.empty(0)
-    if config.protocol == "2,2":
+    if _protocol(config.protocol).phase_arm:
         x, no_click_x = _arm_click_probabilities(_trial_x_cumulative(config.dli), 0.25, *models)
         arms.append(_conditional(x, "phase"))
     p = (1.0 / len(arms)) * np.concatenate(arms, axis=-1)
     return p / len(z), no_click_z, no_click_x
 
 
+class _StreamKey:
+    """The Philox key of a partition's stream, handed to ``Philox`` as a seed
+    sequence that returns it: ``Philox(key=...)`` would also build a
+    ``SeedSequence()`` from OS entropy that it never uses.  It is registered
+    as an ``ISeedSequence`` on first use, not subclassed, so that importing
+    the package leaves numpy.random unloaded."""
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.key
+
+
 @lru_cache(maxsize=256)
-def _stream_key(seed: int, worker: int) -> np.ndarray:
-    """Read-only Philox key of a partition's stream: the key that
-    ``Philox(SeedSequence(entropy=seed, spawn_key=(worker,)))`` takes."""
-    key = np.random.SeedSequence(entropy=seed, spawn_key=(worker,)).generate_state(2, np.uint64)
-    key.flags.writeable = False
-    return key
-
-
-def _chunk_sizes(rounds: int, workers: int) -> list[int]:
-    base, extra = divmod(rounds, workers)
-    return [base + (1 if w < extra else 0) for w in range(workers)]
+def _stream_key(seed: int, worker: int) -> _StreamKey:
+    """The key that ``Philox(SeedSequence(entropy=seed, spawn_key=(worker,)))`` takes."""
+    np.random.bit_generator.ISeedSequence.register(_StreamKey)
+    return _StreamKey(np.random.SeedSequence(entropy=seed, spawn_key=(worker,)).generate_state(2, np.uint64))
 
 
 def simulate_trial(config: SimulationConfig) -> TrialResult:
@@ -699,37 +680,32 @@ def simulate_trial(config: SimulationConfig) -> TrialResult:
     into ``workers`` stream partitions, run one after another: each draws
     its share of the counts from its own Philox stream keyed by
     (seed, worker), so a rerun with the same seed and worker count is
-    bit-identical.  The partitions share one Philox, re-keyed and reset to
-    counter 0 for each.  Every estimate is the correct-cell count over the
-    conclusive-cell count of its masks; ``expected_estimates`` applies the
+    bit-identical.  Every estimate is the correct-cell count over the
+    conclusive-cell count of its masks, all taken in one product of the
+    flattened masks with the counts; ``expected_estimates`` applies the
     same masks to the cell probabilities.
     """
+    record = _protocol(config.protocol)
     p, no_click_z, no_click_x = _trial_distribution(config)
     cells = p.ravel()
-    sizes = _chunk_sizes(config.rounds, config.workers)
-    bit_generator = np.random.Philox(key=_stream_key(config.seed, 0))
-    fresh = bit_generator.state   # counter 0 and an empty buffer, re-keyed below
-    generator = np.random.Generator(bit_generator)
-    counts = generator.multinomial(sizes[0], cells)
-    for worker in range(1, config.workers):
-        fresh["state"]["key"] = _stream_key(config.seed, worker)
-        bit_generator.state = fresh
-        counts += generator.multinomial(sizes[worker], cells)
-    rows, matrix = _mask_matrix(config.protocol)
-    totals = (matrix @ counts).tolist()
+    base, extra = divmod(config.rounds, config.workers)
+    counts = sum(
+        np.random.Generator(np.random.Philox(_stream_key(config.seed, w))).multinomial(base + (w < extra), cells)
+        for w in range(config.workers)
+    )
+    totals = record.masks.reshape(-1, cells.size) @ counts
     estimates = {}
-    for name, row in rows.items():
-        estimates[name], estimates[name + "_err"] = _estimate(totals[row], totals[row + 1])
-    two_basis = config.protocol == "2,2"
+    for name, (correct, conclusive) in zip(record.estimands, totals.reshape(-1, 2).tolist()):
+        estimates[name], estimates[name + "_err"] = _estimate(correct, conclusive)
     return TrialResult(
         protocol=config.protocol,
         rounds=config.rounds,
         seed=config.seed,
         workers=config.workers,
-        state_labels=_state_labels(config.protocol),
+        state_labels=record.labels,
         counts=tuple(map(tuple, counts.reshape(p.shape).tolist())),
         no_click_probability_z=float(no_click_z.sum()) / no_click_z.size,
-        no_click_probability_x=float(no_click_x.sum()) / no_click_x.size if two_basis else None,
+        no_click_probability_x=float(no_click_x.sum()) / no_click_x.size if record.phase_arm else None,
         **estimates,
     )
 
@@ -745,13 +721,14 @@ def expected_estimates(config: SimulationConfig) -> dict:
     probability reads NaN, as for the estimate.  Rounds, seed and workers
     are ignored.
     """
+    record = _protocol(config.protocol)
     p, _, _ = _trial_distribution(config)
     result: dict = {}
-    for name, (correct, conclusive) in _row_sums(p, config.protocol).items():
+    for name, (correct, conclusive) in zip(record.estimands, (p * record.masks).sum(axis=-1)):
         result[name] = float(_estimate(correct.sum(), conclusive.sum())[0])
         if name in ("p_z", "p_x"):
             result["state_" + name] = {
-                label: float(_estimate(c, k)[0]) for label, c, k in zip(_state_labels(config.protocol), correct, conclusive)
+                label: float(_estimate(c, k)[0]) for label, c, k in zip(record.labels, correct, conclusive)
             }
     return result
 

@@ -21,6 +21,10 @@ from qracsim import (
     expected_estimates,
     expected_p_x,
     expected_p_z,
+    measurement_pair_from_mub,
+    one_bit_success_probabilities,
+    pauli_mub_pair,
+    product_mub_pair,
     quantum_bound,
     raman_rate,
     simulate_trial,
@@ -311,6 +315,24 @@ class TestSimulateTrial:
         assert res.p_m12 == pytest.approx(0.75, abs=4 * res.p_m12_err)
         assert res.p_m1 == pytest.approx(5 / 6, abs=4 * res.p_m1_err)
         assert res.p_m2 == pytest.approx(5 / 6, abs=4 * res.p_m2_err)
+
+    @pytest.mark.parametrize("protocol", ["2,2", "2,4"])
+    def test_ideal_closed_forms_meet_exact_engine(self, protocol):
+        """Without noise, jitter or fringe loss the closed forms are the exact
+        engine's optimal success probabilities, not only within sampling error."""
+        cfg = SimulationConfig(
+            protocol=protocol, channel=QUIET, detector=IDEAL_DETECTOR, dli=DliModel(visibility=1.0)
+        )
+        closed = expected_estimates(cfg)
+        if protocol == "2,2":
+            exact = {"p_z": quantum_bound(2), "p_x": quantum_bound(2)}
+        else:
+            ideal = one_bit_success_probabilities(
+                measurement_pair_from_mub(product_mub_pair(pauli_mub_pair(), 2))
+            )
+            exact = {"p_m12": ideal["two_bit"], "p_m1": ideal["first_half"], "p_m2": ideal["second_half"]}
+        for name, value in exact.items():
+            assert abs(closed[name] - value) < 1e-12, name
 
     def test_ququart_bin_counts_recorded(self):
         res = simulate_trial(SimulationConfig(protocol="2,4", rounds=10_000, seed=3))
@@ -709,6 +731,17 @@ def test_state_p_x_of_ququart_trial_names_missing_arm():
     res = simulate_trial(SimulationConfig(protocol="2,4", rounds=100))
     with pytest.raises(ValueError, match="2,4 receiver has no phase arm"):
         res.state_p_x("00")
+
+
+@pytest.mark.parametrize("protocol", ["2,2", "2,4"])
+def test_unknown_state_label_names_valid_labels(protocol):
+    res = simulate_trial(SimulationConfig(protocol=protocol, rounds=100))
+    valid = ", ".join(m.label for m in protocol_messages(protocol))
+    with pytest.raises(ValueError, match=f"unknown state '99': the {protocol} states are {valid}$"):
+        res.state_p_z("99")
+    if protocol == "2,2":
+        with pytest.raises(ValueError, match=f"unknown state '99': the {protocol} states are {valid}$"):
+            res.state_p_x("99")
 
 
 @pytest.mark.parametrize("workers", range(1, 9))
