@@ -22,7 +22,7 @@ from .config import (
     load_config,
 )
 from .mub import pauli_mub_pair, product_mub_pair
-from .photonics import SimulationConfig, TrialResult, simulate_trial
+from .photonics import PROTOCOLS, TrialResult, protocol_messages, simulate_trial
 from .qrac import (
     allocation_figure,
     classical_bound,
@@ -59,20 +59,6 @@ def _fmt(x) -> str:
     if x is None:
         return ""
     return f"{x:.6g}"
-
-
-def _simulation_config(config: RunConfig, power_dbm: float | None) -> SimulationConfig:
-    channel = replace(config.channel, classical_power_dbm=power_dbm)
-    return SimulationConfig(
-        protocol=config.protocol,
-        source=config.source,
-        channel=channel,
-        detector=config.detector,
-        dli=config.dli,
-        rounds=config.rounds,
-        seed=config.seed,
-        workers=config.workers,
-    )
 
 
 def _require_conclusive(estimates: dict, rounds: int) -> None:
@@ -117,7 +103,7 @@ def _row_from_trial(power_dbm: float | None, trial: TrialResult) -> dict:
 def _run_sweep(config: RunConfig) -> list[dict]:
     rows = []
     for power in config.sweep:
-        trial = simulate_trial(_simulation_config(config, power))
+        trial = simulate_trial(replace(config, channel=replace(config.channel, classical_power_dbm=power)))
         rows.append(_row_from_trial(power, trial))
     return rows
 
@@ -162,18 +148,6 @@ def cmd_bounds(args, stdout, stderr) -> int:
     return 0
 
 
-def _encoding_rows(protocol: str) -> list[tuple[str, tuple]]:
-    if protocol == "2,2":
-        table = encoding_table(measurement_pair_from_mub(pauli_mub_pair()))
-        return [
-            (f"{x1}{x2}", tuple(table[(x1, x2)].amplitudes.real))
-            for x1 in range(2)
-            for x2 in range(2)
-        ]
-    table = encoding_table(measurement_pair_from_mub(product_mub_pair(pauli_mub_pair(), 2)))
-    return [(f"{q}0", tuple(table[(q, 0)].amplitudes.real)) for q in range(4)]
-
-
 def _write_table(path: str | None, text: str, stdout) -> None:
     if path:
         Path(path).write_text(text, encoding="utf-8", newline="\n")
@@ -184,19 +158,18 @@ def _write_table(path: str | None, text: str, stdout) -> None:
 
 def _reproduce_encodings(target: str, config: RunConfig, stdout) -> int:
     protocol = "2,2" if target == "table1" else "2,4"
-    rows = _encoding_rows(protocol)
-    width = len(rows[0][1])
-    header = "message," + ",".join(f"component_{i}" for i in range(width))
-    lines = [header]
-    for label, comps in rows:
-        lines.append(label + "," + ",".join(f"{c:.6f}" for c in comps))
+    pair = pauli_mub_pair() if protocol == "2,2" else product_mub_pair(pauli_mub_pair(), 2)
+    table = encoding_table(measurement_pair_from_mub(pair))
+    messages = protocol_messages(protocol)
+    lines = ["message," + ",".join(f"component_{i}" for i in range(messages[0].alphabet))]
+    for m in messages:
+        lines.append(m.label + "," + ",".join(f"{c:.6f}" for c in table[m].amplitudes.real))
     _write_table(config.out, "\n".join(lines) + "\n", stdout)
     return 0
 
 
 def _reproduce_table2(config: RunConfig, stdout, stderr) -> int:
-    cfg = replace(config, protocol="2,2")
-    trial = simulate_trial(_simulation_config(cfg, config.channel.classical_power_dbm))
+    trial = simulate_trial(replace(config, protocol="2,2"))
     lines = ["state,p_z,p_z_ref,p_z_dev,p_x,p_x_ref,p_x_dev"]
     for label in trial.state_labels:
         p_z = trial.state_p_z(label)
@@ -225,10 +198,7 @@ def _reproduce_table2(config: RunConfig, stdout, stderr) -> int:
 
 
 def _reproduce_table4(config: RunConfig, stdout, stderr) -> int:
-    cfg = _simulation_config(
-        replace(config, protocol="2,4"), config.channel.classical_power_dbm
-    )
-    row = _row_from_trial(None, simulate_trial(cfg))
+    row = _row_from_trial(None, simulate_trial(replace(config, protocol="2,4")))
     # the 2,4 sweep row carries M12 in its z columns
     columns = {"M1": "m1", "M2": "m2", "M12": "z"}
     estimates = {name: row[f"p_{column}"] for name, column in columns.items()}
@@ -252,11 +222,12 @@ def _reproduce_table4(config: RunConfig, stdout, stderr) -> int:
 
 
 def _crossing_power(rows: list[dict], threshold: float) -> float | None:
+    """Power at which p_z first falls to the threshold, linear between
+    rows; a flat segment at the threshold gives its left power."""
     for first, second in zip(rows, rows[1:]):
-        if first["p_z"] >= threshold >= second["p_z"]:
-            if first["p_z"] == second["p_z"]:
-                return first["power_dbm"]
-            t = (first["p_z"] - threshold) / (first["p_z"] - second["p_z"])
+        a, b = first["p_z"], second["p_z"]
+        if a >= threshold >= b:
+            t = (a - threshold) / (a - b) if a > b else 0.0
             return first["power_dbm"] + t * (second["power_dbm"] - first["power_dbm"])
     return None
 
@@ -333,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("--d", type=int, required=True, help="alphabet size (2..16)")
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--protocol", choices=("2,2", "2,4"))
+    common.add_argument("--protocol", choices=PROTOCOLS)
     common.add_argument("--rounds", type=int)
     common.add_argument("--seed", type=int)
     common.add_argument("--power", type=float, action="append", metavar="DBM",

@@ -10,17 +10,10 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 
-from .photonics import (
-    ChannelModel,
-    DetectorModel,
-    DliModel,
-    PROTOCOLS,
-    SourceModel,
-)
+from .photonics import ChannelModel, DetectorModel, DliModel, SimulationConfig, SourceModel
 
 
 class ConfigError(ValueError):
@@ -57,30 +50,21 @@ class BandConfig:
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Complete description of a CLI run."""
+class RunConfig(SimulationConfig):
+    """Complete description of a CLI run: the settings of its trials, which
+    ``SimulationConfig`` declares and checks, plus the power sweep, the
+    output path and format, and the acceptance bands.  A run prepares no
+    bin imbalance, so ``bin_intensity_scale`` is fixed at None."""
 
-    protocol: str = "2,2"
     rounds: int = 200_000
-    seed: int = 1
-    workers: int = 1
+    bin_intensity_scale: tuple | None = field(default=None, init=False)
     sweep: tuple = ()
     out: str | None = None
     fmt: str = "csv"
-    source: SourceModel = field(default_factory=SourceModel)
-    channel: ChannelModel = field(default_factory=ChannelModel)
-    detector: DetectorModel = field(default_factory=DetectorModel)
-    dli: DliModel = field(default_factory=DliModel)
     bands: BandConfig = field(default_factory=BandConfig)
 
     def __post_init__(self):
-        if self.protocol not in PROTOCOLS:
-            raise ConfigError(f"unknown protocol {self.protocol!r}", key="run.protocol")
-        for attr, least in (("rounds", 1), ("seed", 0), ("workers", 1)):
-            value = operator.index(getattr(self, attr))
-            if value < least:
-                raise ConfigError(f"{attr} must be at least {least}, got {value}", key=f"run.{attr}")
-            object.__setattr__(self, attr, value)
+        super().__post_init__()
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.fmt!r}", key="run.format")
         if any(not math.isfinite(p) for p in self.sweep):

@@ -33,7 +33,7 @@ _FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
 
 def _require(valid: bool, key: str, domain: str, value) -> None:
-    """Reject a model field outside its domain, naming its config key."""
+    """Reject a value outside its domain, naming its config key or argument."""
     if not valid:
         raise ValueError(f"{key} must be {domain}, got {value}")
 
@@ -134,10 +134,9 @@ class PulseTrain:
         bins = tuple((float(a), float(p)) for a, p in self.bins)
         if len(bins) not in (2, 4):
             raise ValueError("a train carries two or four bins")
-        if any(a < 0.0 for a, _ in bins):
-            raise ValueError("amplitudes must be nonnegative")
-        if any(min(abs(p), abs(p - math.pi)) > 1e-9 for _, p in bins):
-            raise ValueError("relative phases must be 0 or pi")
+        for a, p in bins:
+            _require(0.0 <= a < math.inf, "bins amplitude", "nonnegative and finite", a)
+            _require(min(abs(p), abs(p - math.pi)) <= 1e-9, "bins relative phase", "0 or pi", p)
         total = sum(a * a for a, _ in bins)
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"bin intensities must sum to 1, got {total:.12g}")
@@ -263,8 +262,13 @@ def raman_rate(power_dbm: float | None, coefficient: float) -> float:
     Linear in optical power: ``coefficient * 10**((power_dbm - 30) / 10)``
     clicks per second.  ``None`` or -inf power means the channel is off.
     """
-    if coefficient < 0.0:
-        raise ValueError("coefficient must be nonnegative")
+    _require(0.0 <= coefficient < math.inf, "coefficient", "nonnegative and finite", coefficient)
+    _require(
+        power_dbm is None or -math.inf <= power_dbm < math.inf,
+        "power_dbm",
+        "finite, or None or -inf for off",
+        power_dbm,
+    )
     if power_dbm is None or power_dbm == -math.inf:
         return 0.0
     return coefficient * 10.0 ** ((power_dbm - 30.0) / 10.0)
@@ -273,8 +277,8 @@ def raman_rate(power_dbm: float | None, coefficient: float) -> float:
 def cross_bin_leak_fraction(sigma_ps: float, spacing_ps: float) -> float:
     """Probability of Gaussian timing noise carrying a click past the
     half-spacing edge of its bin (per side)."""
-    if sigma_ps < 0.0 or spacing_ps <= 0.0:
-        raise ValueError("sigma must be nonnegative and spacing positive")
+    _require(0.0 <= sigma_ps < math.inf, "sigma_ps", "nonnegative and finite", sigma_ps)
+    _require(0.0 < spacing_ps < math.inf, "spacing_ps", "positive and finite", spacing_ps)
     if sigma_ps == 0.0:
         return 0.0
     return 0.5 * math.erfc((spacing_ps / 2.0) / (sigma_ps * math.sqrt(2.0)))
@@ -469,7 +473,11 @@ def x_click_distribution(
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Everything one trial needs: protocol, device models, rounds, seed."""
+    """Everything one trial needs: protocol, device models, rounds, seed.
+
+    The checks of ``protocol``, ``rounds``, ``seed`` and ``workers`` name the
+    ``run.*`` configuration key that sets each of them.
+    """
 
     protocol: str = "2,2"
     source: SourceModel = field(default_factory=SourceModel)
@@ -482,11 +490,10 @@ class SimulationConfig:
     bin_intensity_scale: tuple | None = None   # optional per-bin preparation imbalance
 
     def __post_init__(self):
-        if self.protocol not in PROTOCOLS:
-            raise ValueError(f"unknown protocol {self.protocol!r}")
+        _require(self.protocol in PROTOCOLS, "run.protocol", " or ".join(PROTOCOLS), repr(self.protocol))
         for attr, least in (("rounds", 1), ("seed", 0), ("workers", 1)):
             value = operator.index(getattr(self, attr))
-            _require(value >= least, attr, f"at least {least}", value)
+            _require(value >= least, f"run.{attr}", f"at least {least}", value)
             object.__setattr__(self, attr, value)
         if self.bin_intensity_scale is not None:
             scale = tuple(float(s) for s in self.bin_intensity_scale)

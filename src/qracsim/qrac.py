@@ -213,7 +213,9 @@ def advantage(pair: MeasurementPair) -> AdvantageValue:
 def empirical_advantage(p: float, bound: float) -> AdvantageValue:
     """Advantage of a measured success probability over a classical bound."""
     if not 0.0 <= p <= 1.0:
-        raise ValueError("success probability must lie in [0, 1]")
+        raise ValueError(f"success probability must lie in [0, 1], got {p}")
+    if not 0.0 <= bound <= 1.0:
+        raise ValueError(f"bound must lie in [0, 1], got {bound}")
     excess = p - bound
     return AdvantageValue(max(excess, 0.0), bound, excess)
 
@@ -309,8 +311,8 @@ def allocation_figure(global_adv, s1_adv, s2_adv) -> AllocationValue:
 
 def depolarize(rho: DensityMatrix, visibility: float) -> DensityMatrix:
     """Mix a state with the maximally mixed state: v*rho + (1-v)*I/d."""
-    if visibility < 0.0 or visibility > 1.0:
-        raise ValueError("visibility must lie in [0, 1]")
+    if not 0.0 <= visibility <= 1.0:
+        raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
     d = rho.dim
     mixed = visibility * rho.matrix + (1.0 - visibility) * np.eye(d) / d
     return DensityMatrix(mixed)

@@ -1,13 +1,18 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qracsim.cli import SWEEP_HEADER, _sweep_json, main
+import qracsim
+from qracsim.cli import SWEEP_HEADER, _crossing_power, _sweep_json, main
 from qracsim.config import (
     BandConfig,
     ConfigError,
@@ -17,7 +22,15 @@ from qracsim.config import (
     load_config,
     parse_config_text,
 )
-from qracsim.photonics import PROTOCOLS, ChannelModel, DetectorModel, DliModel, SourceModel
+from qracsim.photonics import (
+    PROTOCOLS,
+    ChannelModel,
+    DetectorModel,
+    DliModel,
+    SimulationConfig,
+    SourceModel,
+    simulate_trial,
+)
 
 
 def run_cli(argv):
@@ -469,3 +482,73 @@ class TestInconclusiveEstimates:
     def test_json_mirror_refuses_nan(self):
         with pytest.raises(ValueError):
             _sweep_json(RunConfig(), [{"phi": math.nan}])
+
+
+@pytest.mark.parametrize(
+    "p_z, expected",
+    [
+        ((0.75, 0.75, 0.7), -40.0),
+        ((0.9, 0.85, 0.8, 0.7), -37.5),
+        ((0.7, 0.72, 0.76, 0.8), None),
+        ((0.8,), None),
+        ((), None),
+    ],
+    ids=["flat-at-threshold", "last-segment", "upward-only", "one-row", "no-rows"],
+)
+def test_crossing_power(p_z, expected):
+    rows = [{"power_dbm": -40.0 + i, "p_z": p} for i, p in enumerate(p_z)]
+    crossing = _crossing_power(rows, 0.75)
+    assert crossing == (None if expected is None else pytest.approx(expected, abs=1e-12))
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("power", [None, -25.0], ids=["laser-off", "-25dBm"])
+def test_run_config_is_a_trial_config(protocol, power):
+    settings_ = dict(
+        protocol=protocol, channel=ChannelModel(classical_power_dbm=power), rounds=20_000, seed=3, workers=2
+    )
+    assert simulate_trial(RunConfig(**settings_)) == simulate_trial(SimulationConfig(**settings_))
+
+
+def test_run_config_prepares_no_bin_imbalance():
+    assert RunConfig().bin_intensity_scale is None
+    with pytest.raises(TypeError):
+        RunConfig(bin_intensity_scale=(1.0, 2.0))
+
+
+def _run_python(*args):
+    src = str(Path(qracsim.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+
+
+class TestProcessEntryPoint:
+    def test_reproduce_table1_matches_main(self):
+        proc = _run_python("-m", "qracsim.cli", "reproduce", "table1")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == run_cli(["reproduce", "table1"])[1]
+
+    def test_bad_rounds_exits_2_naming_key(self):
+        proc = _run_python("-m", "qracsim.cli", "sweep", "--rounds", "0", "--power", "-30")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "run.rounds" in proc.stderr
+
+    def test_import_loads_no_numpy_random(self):
+        # numpy 1.24 loads numpy.random on `import numpy`; only what the
+        # package adds on top counts
+        code = (
+            "import sys, numpy\n"
+            "before = set(sys.modules)\n"
+            "import qracsim.cli\n"
+            "print(sorted(m for m in set(sys.modules) - before if m.startswith('numpy.random')))\n"
+        )
+        proc = _run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qracsim import (
     ChannelModel,
+    DensityMatrix,
     DetectorModel,
     DliModel,
     Message,
@@ -18,6 +19,8 @@ from qracsim import (
     build_pulse_train,
     calibrate_raman_coefficient,
     cross_bin_leak_fraction,
+    depolarize,
+    empirical_advantage,
     expected_estimates,
     expected_p_x,
     expected_p_z,
@@ -118,6 +121,31 @@ class TestLeakFraction:
     def test_default_detector_leak_negligible(self):
         det = DetectorModel()
         assert cross_bin_leak_fraction(det.jitter_sigma_ps, 800.0) < 1e-5
+
+
+@pytest.mark.parametrize(
+    "call, argument",
+    [
+        (lambda: PulseTrain(((math.nan, 0.0), (1.0, 0.0))), "bins amplitude"),
+        (lambda: PulseTrain(((A1, 0.0), (B1, math.nan))), "bins relative phase"),
+        (lambda: raman_rate(math.nan, 1e11), "power_dbm"),
+        (lambda: raman_rate(math.inf, 1e11), "power_dbm"),
+        (lambda: raman_rate(-25.0, math.nan), "coefficient"),
+        (lambda: cross_bin_leak_fraction(math.nan, 800.0), "sigma_ps"),
+        (lambda: cross_bin_leak_fraction(200.0, math.nan), "spacing_ps"),
+        (lambda: empirical_advantage(0.8, math.nan), "bound"),
+        (lambda: depolarize(DensityMatrix(np.eye(2) / 2), math.nan), "visibility"),
+    ],
+    ids=[
+        "train-amplitude", "train-phase", "raman-power-nan", "raman-power-inf", "raman-coefficient",
+        "leak-sigma", "leak-spacing", "advantage-bound", "depolarize-visibility",
+    ],
+)
+def test_public_helpers_reject_nan(call, argument):
+    """Each of these returned NaN or inf, or failed later, instead of naming
+    the argument at fault."""
+    with pytest.raises(ValueError, match=f"^{argument} must"):
+        call()
 
 
 class TestZClickDistribution:
