@@ -66,9 +66,10 @@ class RunConfig(SimulationConfig):
     def __post_init__(self):
         super().__post_init__()
         if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"unknown format {self.fmt!r}", key="run.format")
-        if any(not math.isfinite(p) for p in self.sweep):
-            raise ConfigError("sweep powers must be finite", key="run.sweep")
+            raise ConfigError(f"run.format must be csv or json, got {self.fmt!r}")
+        for power in self.sweep:
+            if not math.isfinite(power):
+                raise ConfigError(f"run.sweep must be finite powers, got {power}")
         object.__setattr__(self, "sweep", tuple(float(p) for p in self.sweep))
 
 

@@ -2,11 +2,13 @@
 
 States, operators and measurements are thin immutable wrappers around
 ``numpy`` arrays, validated on construction.  Spectra come from LAPACK
-(``numpy.linalg.eigh`` and ``eigvalsh``).  The one place a vector is picked
-out of a degenerate eigenspace, ``Spectrum.top_eigenvector``, uses a
-convention that depends on the eigenspace alone, so optimal encodings do
-not depend on the basis LAPACK returns: reruns on one build are
-bit-identical, and LAPACK builds differ only by rounding.
+(``numpy.linalg.eigh`` and ``eigvalsh``), one call per matrix or per
+(..., d, d) stack, with the same checks either way.  The one rule that picks
+a vector out of a degenerate eigenspace, shared by
+``Spectrum.top_eigenvector`` and the stacked ``top_eigenvectors``, depends on
+the eigenspace alone, so optimal encodings do not depend on the basis LAPACK
+returns: reruns on one build are bit-identical, and LAPACK builds differ only
+by rounding.
 """
 
 from __future__ import annotations
@@ -21,29 +23,37 @@ from .tolerances import TOL
 _SOLVER_NOT_HERMITIAN = "matrix is not Hermitian: max |H - H^dag| = {defect:.3e} exceeds {tol:.1e}"
 
 
-def _as_square_matrix(value, name: str = "matrix") -> np.ndarray:
+def _as_square_matrix(value, name: str = "matrix", stack: bool = False) -> np.ndarray:
     m = np.asarray(value, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
     return m
 
 
-def _hermiticity_defect(m: np.ndarray) -> float:
-    with np.errstate(invalid="ignore"):  # inf - inf gives NaN, which callers reject
-        return float(np.abs(m - m.conj().T).max()) if m.size else 0.0
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
 
 
 def _checked_hermitian(
-    value, name: str, not_hermitian: str = "{name} is not Hermitian: deviation {defect:.3e}"
+    value,
+    name: str,
+    not_hermitian: str = "{name} is not Hermitian: deviation {defect:.3e}",
+    stack: bool = False,
 ) -> np.ndarray:
     """Square, Hermitian within ``TOL.hermitian`` and inside the exact-solver
-    cap: the checks shared by everything that takes a spectrum."""
-    m = _as_square_matrix(value, name)
-    defect = _hermiticity_defect(m)
-    if not defect <= TOL.hermitian:  # NaN and inf fail too
-        raise ValueError(not_hermitian.format(name=name, defect=defect, tol=TOL.hermitian))
-    if m.shape[0] > TOL.dim_cap:
-        raise ValueError(f"dimension {m.shape[0]} exceeds the exact-solver cap {TOL.dim_cap}")
+    cap: the checks shared by everything that takes a spectrum.  With
+    ``stack`` the value may be a (..., d, d) stack, checked matrix by matrix
+    in C order; the first failing matrix names the defect."""
+    m = _as_square_matrix(value, name, stack)
+    if m.size:
+        with np.errstate(invalid="ignore"):  # inf - inf gives NaN, which is rejected
+            defects = np.abs(m - _adjoint(m)).max(axis=(-2, -1)).ravel()
+        failing = np.flatnonzero(~(defects <= TOL.hermitian))  # NaN and inf fail too
+        if failing.size:
+            defect = float(defects[failing[0]])
+            raise ValueError(not_hermitian.format(name=name, defect=defect, tol=TOL.hermitian))
+    if m.shape[-1] > TOL.dim_cap:
+        raise ValueError(f"dimension {m.shape[-1]} exceeds the exact-solver cap {TOL.dim_cap}")
     return m
 
 
@@ -227,28 +237,53 @@ class Spectrum:
         return float(self.eigenvalues[-1])
 
     def top_eigenvector(self) -> PureState:
-        """Canonical unit vector of the maximal-eigenvalue eigenspace.
-
-        The eigenspace is spanned by the top cluster (consecutive gaps below
-        ``TOL.cluster_gap``).  Its unit vector with the most leading zeros is
-        unique up to phase; phase-fixed, it is the lexicographically smallest
-        one.  It depends on the eigenspace alone, not on the basis of it that
-        the solver returned.
-        """
+        """Canonical unit vector of the maximal-eigenvalue eigenspace
+        (``_canonical_tops``), handed back as the stored state when the
+        spectrum was built from states and the top eigenvalue is simple."""
         w = self.eigenvalues
-        start = w.size - 1
-        while start > 0 and w[start] - w[start - 1] < TOL.cluster_gap:
-            start -= 1
-        if start == w.size - 1 and "eigenvectors" in vars(self):
-            return self.eigenvectors[start]
-        basis = self.eigenvector_matrix[:, start:]
-        for i in range(basis.shape[0]):
+        if "eigenvectors" in vars(self) and (w.size == 1 or not w[-1] - w[-2] < TOL.cluster_gap):
+            return self.eigenvectors[-1]
+        return _canonical_tops(w[None], self.eigenvector_matrix[None])[0]
+
+
+def _canonical_tops(w: np.ndarray, v: np.ndarray) -> list:
+    """Canonical unit vector of each maximal-eigenvalue eigenspace, for rows
+    of ascending eigenvalues ``w`` (n, d) with eigenvector columns ``v``
+    (n, d, d).
+
+    An eigenspace is spanned by its row's top cluster (consecutive gaps below
+    ``TOL.cluster_gap``).  Its unit vector with the most leading zeros is
+    unique up to phase; phase-fixed, it is the lexicographically smallest
+    one.  It depends on the eigenspace alone, not on the basis of it that
+    the solver returned.  A simple top eigenvalue's column is wrapped as it
+    is; only a degenerate cluster is narrowed, one SVD per component.
+    """
+    d = w.shape[-1]
+    close = np.diff(w, axis=-1) < TOL.cluster_gap
+    starts = d - 1 - np.cumprod(close[:, ::-1], axis=-1).sum(axis=-1)
+    states = []
+    for vectors, start in zip(v, starts.tolist()):
+        # Fortran order, as Spectrum keeps its columns: the SVD rule's
+        # products round differently in C order
+        basis = np.asfortranarray(vectors[:, start:])
+        for i in range(d):
             if basis.shape[1] == 1:
                 break
             if np.linalg.norm(basis[i]) > TOL.phase_pivot:
                 # keep the orthonormal combinations that vanish on component i
                 basis = basis @ np.linalg.svd(basis[i : i + 1])[2][1:].conj().T
-        return PureState(basis[:, 0])
+        states.append(PureState(basis[:, 0]))
+    return states
+
+
+def _checked_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK ``eigh`` of a checked Hermitian (..., d, d) stack, symmetrised
+    first, with every matrix held to the reconstruction check."""
+    m = (m + _adjoint(m)) / 2.0
+    w, v = np.linalg.eigh(m)
+    if not np.max(np.abs((v * w[..., None, :]) @ _adjoint(v) - m), initial=0.0) <= TOL.reconstruction:
+        raise RuntimeError("eigendecomposition failed the reconstruction check")
+    return w, v
 
 
 def hermitian_eig(h) -> Spectrum:
@@ -259,20 +294,38 @@ def hermitian_eig(h) -> Spectrum:
     ``Spectrum.top_eigenvector`` picks its vector from the eigenspace alone.
     Reruns on one build are bit-identical.
     """
-    m = _checked_hermitian(h, "input", _SOLVER_NOT_HERMITIAN)
-    m = (m + m.conj().T) / 2.0
-    w, v = np.linalg.eigh(m)
-    if not np.max(np.abs((v * w) @ v.conj().T - m)) <= TOL.reconstruction:
-        raise RuntimeError("eigendecomposition failed the reconstruction check")
+    w, v = _checked_eigh(_checked_hermitian(h, "input", _SOLVER_NOT_HERMITIAN))
     return Spectrum(w, v.T)
 
 
-def operator_norm(h) -> float:
-    """Operator norm of a Hermitian positive semidefinite matrix."""
-    eigs = np.linalg.eigvalsh(_checked_hermitian(h, "input", _SOLVER_NOT_HERMITIAN))
-    if eigs[0] < -TOL.psd:
-        raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {eigs[0]:.3e}")
-    return max(float(eigs[-1]), 0.0)
+def top_eigenvectors(h) -> list:
+    """``hermitian_eig(m).top_eigenvector()`` for every matrix ``m`` of a
+    Hermitian (..., d, d) stack, in C order, by one batched ``eigh`` call.
+
+    The checks and their messages are ``hermitian_eig``'s and ``Spectrum``'s,
+    applied to the whole stack; a failing stack names its first failing
+    matrix.  The states are bit-identical to the one-matrix path's.
+    """
+    m = _checked_hermitian(h, "input", _SOLVER_NOT_HERMITIAN, stack=True)
+    d = m.shape[-1]
+    w, v = _checked_eigh(m)
+    # the check a Spectrum makes on construction
+    if np.max(np.abs(_adjoint(v) @ v - np.eye(d)), initial=0.0) > TOL.orthonormal:
+        raise ValueError("eigenvectors are not orthonormal")
+    return _canonical_tops(w.reshape(-1, d), v.reshape(-1, d, d))
+
+
+def operator_norm(h):
+    """Operator norm of a Hermitian positive semidefinite matrix, or an
+    array of them for a (..., d, d) stack, by one ``eigvalsh`` call.  A
+    stack that fails a check names its first failing matrix in C order."""
+    eigs = np.linalg.eigvalsh(_checked_hermitian(h, "input", _SOLVER_NOT_HERMITIAN, stack=True))
+    low = eigs[..., 0].ravel()
+    negative = np.flatnonzero(low < -TOL.psd)
+    if negative.size:
+        raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {low[negative[0]]:.3e}")
+    norms = np.maximum(eigs[..., -1], 0.0)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def tensor(a, b):
@@ -309,6 +362,16 @@ def partial_trace(operator, dims: tuple[int, int], keep: int) -> np.ndarray:
     return np.trace(t, axis1=0, axis2=2)
 
 
+def _clipped_probabilities(values):
+    """Born values clipped into [0, 1], once none strays outside it by more
+    than ``TOL.probability_slack``; the first stray one, in C order, is named."""
+    outside = np.flatnonzero((values < -TOL.probability_slack) | (values > 1.0 + TOL.probability_slack))
+    if outside.size:
+        value = np.ravel(values)[outside[0]]
+        raise ValueError(f"Born probability {value:.12g} is outside [0, 1] beyond tolerance")
+    return np.clip(values, 0.0, 1.0)
+
+
 def born_probability(state, effect) -> float:
     """Born-rule probability of one effect on a pure state or density matrix."""
     e = effect.matrix if isinstance(effect, Effect) else _as_square_matrix(effect, "effect")
@@ -322,6 +385,14 @@ def born_probability(state, effect) -> float:
         value = float(np.real(np.trace(state.matrix @ e)))
     else:
         raise TypeError("state must be a PureState or DensityMatrix")
-    if value < -TOL.probability_slack or value > 1.0 + TOL.probability_slack:
-        raise ValueError(f"Born probability {value:.12g} is outside [0, 1] beyond tolerance")
-    return min(max(value, 0.0), 1.0)
+    return float(_clipped_probabilities(value))
+
+
+def born_probabilities(amplitudes: np.ndarray, effects: np.ndarray) -> np.ndarray:
+    """Born-rule probabilities of pure-state amplitude rows (..., d) against
+    effect matrices (..., d, d), broadcast over the leading axes, with
+    ``born_probability``'s range check applied to the whole array."""
+    if amplitudes.shape[-1] != effects.shape[-1]:
+        raise ValueError("state and effect dimensions differ")
+    values = np.real(np.sum(amplitudes.conj() * (effects @ amplitudes[..., None])[..., 0], axis=-1))
+    return _clipped_probabilities(values)

@@ -30,6 +30,7 @@ from .qrac import Message, encoding_table, measurement_pair_from_mub
 
 PROTOCOLS = ("2,2", "2,4")
 _FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
+_MAX_ROUNDS = 2**63 - 1
 
 
 def _require(valid: bool, key: str, domain: str, value) -> None:
@@ -495,6 +496,8 @@ class SimulationConfig:
             value = operator.index(getattr(self, attr))
             _require(value >= least, f"run.{attr}", f"at least {least}", value)
             object.__setattr__(self, attr, value)
+        # the counts are drawn by Generator.multinomial, which takes a C long
+        _require(self.rounds <= _MAX_ROUNDS, "run.rounds", f"at most {_MAX_ROUNDS}", self.rounds)
         if self.bin_intensity_scale is not None:
             scale = tuple(float(s) for s in self.bin_intensity_scale)
             n_bins = _protocol(self.protocol).n_bins

@@ -9,20 +9,23 @@ subsystems, and depolarizing noise.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
+from .linalg import (  # hermitian_eig stays a name here for tracers that patch it
     DensityMatrix,
     Effect,
     Povm,
     PureState,
+    born_probabilities,
     born_probability,
     hermitian_eig,
     operator_norm,
     partial_trace,
+    top_eigenvectors,
 )
 from .mub import MubPair
 from .tolerances import TOL
@@ -95,11 +98,9 @@ class EncodingMap:
     def __post_init__(self):
         if not self.table:
             raise ValueError("encoding table is empty")
-        some = next(iter(self.table))
-        d = some.alphabet
-        expected = {m.digits for m in all_messages(d)}
-        got = {m.digits for m in self.table}
-        if got != expected:
+        d = next(iter(self.table)).alphabet
+        digits = {m.digits for m in self.table}
+        if len(self.table) != d * d or digits != set(itertools.product(range(d), repeat=2)):
             raise ValueError("encoding table must cover all d^2 messages")
         if any(not isinstance(s, PureState) for s in self.table.values()):
             raise ValueError("encoding table values must be pure states")
@@ -140,23 +141,33 @@ class AllocationValue:
     terms: tuple[float, float, float]
 
 
+def _effect_stack(povm: Povm) -> np.ndarray:
+    return np.stack([e.matrix for e in povm.effects])
+
+
 def optimal_encoding(pair: MeasurementPair, message: Message) -> PureState:
     """Best encoding state for one message: the top eigenvector of
     M1(x1) + M2(x2), phase-fixed, and for a degenerate top eigenvalue the
     eigenspace's unit vector with the most leading zeros
-    (``Spectrum.top_eigenvector``)."""
+    (``Spectrum.top_eigenvector``); ``encoding_table``'s path for a stack of
+    one."""
     x1, x2 = message.digits
     if message.alphabet != pair.dim:
         raise ValueError("message alphabet must match the measurement dimension")
-    total = pair.m1[x1].matrix + pair.m2[x2].matrix
-    return hermitian_eig(total).top_eigenvector()
+    return top_eigenvectors(pair.m1[x1].matrix + pair.m2[x2].matrix)[0]
 
 
 def encoding_table(pair: MeasurementPair) -> EncodingMap:
-    """Optimal encoding states for all d^2 messages."""
-    return EncodingMap(
-        {m: optimal_encoding(pair, m) for m in all_messages(pair.dim)}
-    )
+    """Optimal encoding states for all d^2 messages.
+
+    For each first digit x1 the d sums M1(x1) + M2(x2) form one (d, d, d)
+    stack with one batched ``eigh`` call (``linalg.top_eigenvectors``); each
+    state is bit-identical to ``optimal_encoding``'s.  A stack per x1, not one
+    of all d^2 sums, keeps the working set small at d = 16.
+    """
+    second = _effect_stack(pair.m2)
+    states = [s for first in pair.m1.effects for s in top_eigenvectors(first.matrix + second)]
+    return EncodingMap(dict(zip(all_messages(pair.dim), states)))
 
 
 def average_success_probability(encoding: EncodingMap, pair: MeasurementPair) -> float:
@@ -165,22 +176,21 @@ def average_success_probability(encoding: EncodingMap, pair: MeasurementPair) ->
     d = pair.dim
     if encoding.alphabet != d:
         raise ValueError("encoding and measurements have mismatched alphabets")
-    total = 0.0
-    for message in all_messages(d):
-        state = encoding[message]
-        for k in (1, 2):
-            total += born_probability(state, pair.measurement(k)[message.digits[k - 1]])
-    return total / (2.0 * d * d)
+    states = [state for _, state in sorted(encoding.table.items(), key=lambda item: item[0].digits)]
+    if any(s.dim != d for s in states):
+        raise ValueError("state and effect dimensions differ")
+    amplitudes = np.stack([s.amplitudes for s in states]).reshape(d, d, d)
+    first = born_probabilities(amplitudes, _effect_stack(pair.m1)[:, None])
+    second = born_probabilities(amplitudes, _effect_stack(pair.m2)[None])
+    return float(first.sum() + second.sum()) / (2.0 * d * d)
 
 
 def max_success_probability(pair: MeasurementPair) -> float:
     """Best achievable average success probability for a measurement pair,
-    via the operator norm of each effect sum."""
+    via the operator norm of each effect sum, one stack per first digit."""
     d = pair.dim
-    total = 0.0
-    for message in all_messages(d):
-        x1, x2 = message.digits
-        total += operator_norm(pair.m1[x1].matrix + pair.m2[x2].matrix)
+    second = _effect_stack(pair.m2)
+    total = sum(float(operator_norm(first.matrix + second).sum()) for first in pair.m1.effects)
     return total / (2.0 * d * d)
 
 

@@ -341,7 +341,7 @@ class TestConfigMirror:
         config=st.builds(
             RunConfig,
             protocol=st.sampled_from(PROTOCOLS),
-            rounds=st.integers(1, 2**63),
+            rounds=st.integers(1, 2**63 - 1),
             seed=st.integers(0, 2**128),
             workers=st.integers(1, 64),
             sweep=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4),
@@ -411,6 +411,29 @@ class TestConfigErrors:
         assert code == 2
         assert out == ""
         assert "run.seed" in err
+
+    def test_rounds_above_c_long_exit_2(self):
+        assert RunConfig(rounds=2**63 - 1).rounds == 2**63 - 1
+        with pytest.raises(ValueError, match=f"run.rounds must be at most {2**63 - 1}, got {2**63}$"):
+            RunConfig(rounds=2**63)
+        code, out, err = run_cli(["sweep", "--rounds", str(2**63), "--power", "-30"])
+        assert code == 2
+        assert out == ""
+        assert "run.rounds must be at most 9223372036854775807, got 9223372036854775808" in err
+
+    def test_unknown_format_names_key_and_exits_2(self, tmp_path):
+        cfg = tmp_path / "format.cfg"
+        cfg.write_text("run.format = xml\n")
+        code, out, err = run_cli(["sweep", "--config", str(cfg)])
+        assert code == 2
+        assert out == ""
+        assert err == "config error: run.format must be csv or json, got 'xml'\n"
+
+    def test_non_finite_power_names_key_and_exits_2(self):
+        code, out, err = run_cli(["sweep", "--power", "-30", "--power", "inf"])
+        assert code == 2
+        assert out == ""
+        assert err == "config error: run.sweep must be finite powers, got inf\n"
 
     @pytest.mark.parametrize("attr", ["rounds", "seed", "workers"])
     def test_run_integers_are_read_with_index(self, attr):

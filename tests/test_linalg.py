@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qracsim.linalg import born_probabilities, top_eigenvectors
 from qracsim import (
     Basis,
     DensityMatrix,
@@ -316,6 +317,54 @@ class TestOperatorNorm:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="not positive semidefinite"):
             operator_norm(np.diag([1.0, -1.0]))
+
+
+class TestStacks:
+    def test_operator_norm_of_stack_is_an_array(self, rng):
+        stack = np.stack([np.diag([1.0, 3.0]), np.eye(2), np.zeros((2, 2))]).reshape(3, 1, 2, 2)
+        norms = operator_norm(stack)
+        assert isinstance(norms, np.ndarray) and norms.shape == (3, 1)
+        assert norms.ravel().tolist() == [3.0, 1.0, 0.0]
+        assert type(operator_norm(stack[0, 0])) is float
+
+    def test_stack_names_first_failing_matrix(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, -2e-10]), np.diag([1.0, -3e-10])])
+        with pytest.raises(ValueError, match=r"min eigenvalue -2\.000e-10$"):
+            operator_norm(stack)
+        skewed = np.stack([np.eye(2), np.eye(2), np.eye(2)]).astype(complex)
+        skewed[1, 0, 1] = 2e-10
+        skewed[2, 0, 1] = 3e-10
+        for call in (operator_norm, top_eigenvectors):
+            with pytest.raises(ValueError, match=r"= 2\.000e-10 exceeds"):
+                call(skewed)
+
+    def test_one_matrix_paths_reject_stacks(self):
+        for call in (hermitian_eig, Effect, DensityMatrix):
+            with pytest.raises(ValueError, match=r"square matrix, got shape \(2, 2, 2\)"):
+                call(np.stack([np.eye(2), np.eye(2)]) / 2)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 16])
+    def test_top_eigenvectors_match_one_matrix_path(self, rng, d):
+        # random sums, with degenerate tops of every multiplicity among them
+        stack = [random_hermitian(rng, d) for _ in range(3)]
+        for multiplicity in range(1, d + 1):
+            v = np.linalg.qr(random_hermitian(rng, d))[0]
+            w = np.concatenate([np.sort(rng.uniform(-1, 0, d - multiplicity)), np.ones(multiplicity)])
+            stack.append((v * w) @ v.conj().T)
+        states = top_eigenvectors(np.stack(stack))
+        for state, h in zip(states, stack, strict=True):
+            assert np.array_equal(state.amplitudes, hermitian_eig(h).top_eigenvector().amplitudes)
+
+    def test_born_probabilities_broadcast_and_check(self):
+        amplitudes = np.stack([KET0.amplitudes, PLUS.amplitudes])
+        effects = np.stack([KET0.projector(), KET1.projector()])[:, None]
+        values = born_probabilities(amplitudes, effects)
+        assert values.shape == (2, 2)
+        assert np.allclose(values, [[1.0, 0.5], [0.0, 0.5]], atol=1e-15)
+        with pytest.raises(ValueError, match=r"^Born probability 2 is outside"):
+            born_probabilities(amplitudes, np.stack([np.eye(2) / 2, 2 * np.eye(2), 3 * np.eye(2)])[:, None])
+        with pytest.raises(ValueError, match="dimensions differ"):
+            born_probabilities(amplitudes, np.eye(3))
 
 
 class TestPartialTrace:

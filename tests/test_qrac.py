@@ -20,6 +20,8 @@ from qracsim import (
     depolarize,
     empirical_advantage,
     encoding_table,
+    fourier_mub_pair,
+    hermitian_eig,
     max_success_probability,
     measurement_pair_from_mub,
     one_bit_success_probabilities,
@@ -31,6 +33,7 @@ from qracsim import (
     quantum_bound,
     reduce_pair,
 )
+from qracsim.tolerances import TOL
 from conftest import random_measurement_pair
 
 SQRT2 = math.sqrt(2.0)
@@ -206,6 +209,15 @@ class TestSuccessProbabilities:
         with pytest.raises(ValueError, match="cover"):
             EncodingMap({Message((0, 0), 2): ket0})
 
+    def test_table_with_a_foreign_alphabet_key_rejected(self):
+        from qracsim import EncodingMap
+
+        ket0 = PureState(np.array([1.0, 0.0]))
+        table = {m: ket0 for m in all_messages(2)}
+        table[Message((0, 0), 3)] = ket0
+        with pytest.raises(ValueError, match="cover"):
+            EncodingMap(table)
+
     @pytest.mark.parametrize("kind", [0, 1, 2])
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_operator_norm_oracle_equivalence(self, d, kind):
@@ -215,6 +227,146 @@ class TestSuccessProbabilities:
             direct = max_success_probability(pair)
             explicit = average_success_probability(encoding_table(pair), pair)
             assert abs(direct - explicit) < 1e-9
+
+
+def per_message_encoding(total):
+    """The per-message engine's optimal encoding, an oracle kept apart from
+    ``linalg``: one ``eigh``, the top cluster found by a walk down the
+    ascending eigenvalues, then one SVD per component while it is
+    degenerate."""
+    w, v = np.linalg.eigh((total + total.conj().T) / 2.0)
+    start = w.size - 1
+    while start > 0 and w[start] - w[start - 1] < TOL.cluster_gap:
+        start -= 1
+    # Fortran order, as Spectrum keeps its columns: the SVD rule's products
+    # round differently in C order
+    basis = np.asfortranarray(v)[:, start:]
+    for i in range(basis.shape[0]):
+        if basis.shape[1] == 1:
+            break
+        if np.linalg.norm(basis[i]) > TOL.phase_pivot:
+            basis = basis @ np.linalg.svd(basis[i : i + 1])[2][1:].conj().T
+    return PureState(basis[:, 0]), w.size - start
+
+
+def effect_sum(pair, message):
+    x1, x2 = message.digits
+    return pair.m1[x1].matrix + pair.m2[x2].matrix
+
+
+def stacked_engine_pairs():
+    cases = [
+        pytest.param(lambda d=d, kind=kind: random_measurement_pair(
+            np.random.default_rng(8128 + 10 * d + kind), d, kind), id=f"{name}-d{d}")
+        for d in (2, 3, 4, 5, 8, 16)
+        for kind, name in enumerate(("projective", "smeared", "povm"))
+    ]
+    cases += [
+        pytest.param(lambda d=d: measurement_pair_from_mub(fourier_mub_pair(d)), id=f"fourier-d{d}")
+        for d in (2, 3, 4, 5, 8, 16)
+    ]
+    cases += [
+        pytest.param(lambda n=n: measurement_pair_from_mub(product_mub_pair(pauli_mub_pair(), n)),
+                     id=f"pauli-d{2**n}")
+        for n in (1, 2, 3, 4)
+    ]
+    return cases
+
+
+def degenerate_pair(d):
+    """M1 = M2: every x1 != x2 sum is a rank-2 projector, a two-fold top."""
+    first = measurement_pair_from_mub(fourier_mub_pair(d)).m2
+    return MeasurementPair(first, first)
+
+
+def perturbed_pair(first_offsets, second_offsets, position):
+    """Computational-basis pair whose effects carry offsets of order 1e-10 on
+    one entry, each inside the effect tolerances and summing to zero, so the
+    POVMs stay valid while some effect sums leave a tolerance."""
+
+    def povm(offsets):
+        effects = []
+        for k, offset in enumerate(offsets):
+            matrix = np.zeros((len(offsets), len(offsets)), dtype=complex)
+            matrix[k, k] = 1.0
+            matrix[position] += offset * 1e-10
+            effects.append(Effect(matrix))
+        return Povm(tuple(effects))
+
+    return MeasurementPair(povm(first_offsets), povm(second_offsets))
+
+
+def first_error(function, pair):
+    """Message of the first per-message failure, in message order."""
+    for message in all_messages(pair.dim):
+        try:
+            function(effect_sum(pair, message))
+        except ValueError as exc:
+            return str(exc)
+    raise AssertionError("no effect sum fails")
+
+
+class TestStackedEngine:
+    @pytest.mark.parametrize("build", stacked_engine_pairs())
+    def test_matches_per_message_oracle(self, build):
+        pair = build()
+        table = encoding_table(pair)
+        norms = 0.0
+        born = 0.0
+        for message in all_messages(pair.dim):
+            total = effect_sum(pair, message)
+            expected, _ = per_message_encoding(total)
+            assert np.array_equal(table[message].amplitudes, expected.amplitudes)
+            assert np.array_equal(
+                table[message].amplitudes, hermitian_eig(total).top_eigenvector().amplitudes
+            )
+            norms += operator_norm(total)
+            for k in (1, 2):
+                born += born_probability(table[message], pair.measurement(k)[message.digits[k - 1]])
+        d2 = 2.0 * pair.dim**2
+        assert abs(max_success_probability(pair) - norms / d2) <= 1e-14
+        assert abs(average_success_probability(table, pair) - born / d2) <= 1e-14
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+    def test_degenerate_tops_take_the_svd_rule(self, d):
+        pair = degenerate_pair(d)
+        table = encoding_table(pair)
+        for message in all_messages(d):
+            expected, multiplicity = per_message_encoding(effect_sum(pair, message))
+            x1, x2 = message.digits
+            assert multiplicity == (1 if x1 == x2 else 2)
+            assert np.array_equal(table[message].amplitudes, expected.amplitudes)
+            assert np.array_equal(optimal_encoding(pair, message).amplitudes, expected.amplitudes)
+
+    def test_zz_pair_takes_the_svd_rule(self, zz_pair):
+        table = encoding_table(zz_pair)
+        for message in all_messages(2):
+            expected, multiplicity = per_message_encoding(effect_sum(zz_pair, message))
+            assert multiplicity == (1 if message.digits[0] == message.digits[1] else 2)
+            assert np.array_equal(table[message].amplitudes, expected.amplitudes)
+
+    def test_non_hermitian_sum_names_first_failing_message(self):
+        # row x1 = 0 has sums 1.1e-10, 1.4e-10 and 0.2e-10 off Hermitian: the
+        # first failure, not the largest, is named
+        pair = perturbed_pair((0.9, -0.9, 0.0), (0.2, 0.5, -0.7), (0, 1))
+        message = first_error(hermitian_eig, pair)
+        assert message == "matrix is not Hermitian: max |H - H^dag| = 1.100e-10 exceeds 1.0e-10"
+        for call in (encoding_table, max_success_probability, advantage):
+            with pytest.raises(ValueError) as caught:
+                call(pair)
+            assert str(caught.value) == message
+        assert first_error(operator_norm, pair) == message
+
+    def test_non_psd_sum_names_first_failing_message(self):
+        # row x1 = 0 has sums with eigenvalues -1.05e-10 and -1.7e-10 on the
+        # last diagonal entry: the first failure, not the largest, is named
+        pair = perturbed_pair((-0.9, 0.0, 0.9), (-0.15, -0.8, 0.95), (2, 2))
+        message = first_error(operator_norm, pair)
+        assert message == "matrix is not positive semidefinite: min eigenvalue -1.050e-10"
+        for call in (max_success_probability, advantage):
+            with pytest.raises(ValueError) as caught:
+                call(pair)
+            assert str(caught.value) == message
 
 
 class TestBounds:
