@@ -13,7 +13,7 @@ by rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -144,9 +144,11 @@ class Effect:
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Ordered collection of effects resolving the identity."""
+    """Ordered collection of effects resolving the identity, kept also as
+    the read-only (outcome, d, d) stack ``matrices`` of their matrices."""
 
     effects: tuple
+    matrices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         effects = tuple(e if isinstance(e, Effect) else Effect(e) for e in self.effects)
@@ -155,10 +157,11 @@ class Povm:
         dim = effects[0].dim
         if any(e.dim != dim for e in effects):
             raise ValueError("all effects must share one dimension")
-        total = sum(e.matrix for e in effects)
-        if np.max(np.abs(total - np.eye(dim))) > TOL.completeness:
+        matrices = np.stack([e.matrix for e in effects])
+        if np.max(np.abs(matrices.sum(axis=0) - np.eye(dim))) > TOL.completeness:
             raise ValueError("effects do not resolve the identity")
         object.__setattr__(self, "effects", effects)
+        object.__setattr__(self, "matrices", _frozen(matrices))
 
     @property
     def dim(self) -> int:
@@ -391,8 +394,11 @@ def born_probability(state, effect) -> float:
 def born_probabilities(amplitudes: np.ndarray, effects: np.ndarray) -> np.ndarray:
     """Born-rule probabilities of pure-state amplitude rows (..., d) against
     effect matrices (..., d, d), broadcast over the leading axes, with
-    ``born_probability``'s range check applied to the whole array."""
+    ``born_probability``'s range check applied to the whole array.  Each
+    value is a row-times-column product, which rounds as
+    ``born_probability``'s ``vdot`` does; a sum of elementwise products
+    would not."""
     if amplitudes.shape[-1] != effects.shape[-1]:
         raise ValueError("state and effect dimensions differ")
-    values = np.real(np.sum(amplitudes.conj() * (effects @ amplitudes[..., None])[..., 0], axis=-1))
+    values = np.real((amplitudes.conj()[..., None, :] @ (effects @ amplitudes[..., None]))[..., 0, 0])
     return _clipped_probabilities(values)

@@ -359,6 +359,14 @@ def _conditional(probabilities: np.ndarray, arm: str) -> np.ndarray:
     return probabilities / total
 
 
+def _checked_scale(bin_intensity_scale, n_bins: int) -> tuple:
+    """A per-bin intensity scale as a tuple of ``n_bins`` finite positive floats."""
+    scale = tuple(float(s) for s in bin_intensity_scale)
+    valid = len(scale) == n_bins and all(0.0 < s < math.inf for s in scale)
+    _require(valid, "bin_intensity_scale", f"{n_bins} finite positive entries", scale)
+    return scale
+
+
 def _z_cumulative(
     amplitudes: np.ndarray,
     spacing_ps: float,
@@ -369,9 +377,7 @@ def _z_cumulative(
     given by their bin amplitudes (last axis)."""
     intensities = amplitudes**2
     if bin_intensity_scale is not None:
-        if len(bin_intensity_scale) != amplitudes.shape[-1]:
-            raise ValueError("bin intensity scale length must match the train")
-        intensities = intensities * np.asarray(bin_intensity_scale)
+        intensities = intensities * np.asarray(_checked_scale(bin_intensity_scale, amplitudes.shape[-1]))
         intensities /= intensities.sum(axis=-1, keepdims=True)
     return np.cumsum(_jitter_weights(intensities, spacing_ps, sigma_ps), axis=-1)
 
@@ -499,14 +505,7 @@ class SimulationConfig:
         # the counts are drawn by Generator.multinomial, which takes a C long
         _require(self.rounds <= _MAX_ROUNDS, "run.rounds", f"at most {_MAX_ROUNDS}", self.rounds)
         if self.bin_intensity_scale is not None:
-            scale = tuple(float(s) for s in self.bin_intensity_scale)
-            n_bins = _protocol(self.protocol).n_bins
-            _require(
-                len(scale) == n_bins and all(0.0 < s < math.inf for s in scale),
-                "bin_intensity_scale",
-                f"{n_bins} finite positive entries",
-                scale,
-            )
+            scale = _checked_scale(self.bin_intensity_scale, _protocol(self.protocol).n_bins)
             object.__setattr__(self, "bin_intensity_scale", scale)
 
 

@@ -11,17 +11,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import (  # hermitian_eig stays a name here for tracers that patch it
     DensityMatrix,
-    Effect,
     Povm,
     PureState,
     born_probabilities,
-    born_probability,
     hermitian_eig,
     operator_norm,
     partial_trace,
@@ -39,7 +38,7 @@ class Message:
     alphabet: int
 
     def __post_init__(self):
-        digits = tuple(int(x) for x in self.digits)
+        digits = tuple(operator.index(x) for x in self.digits)
         if len(digits) != 2:
             raise ValueError("the protocol encodes exactly two digits")
         if self.alphabet < 2:
@@ -120,13 +119,12 @@ class EncodingMap:
 class AdvantageValue:
     """Excess success probability over the classical bound, floored at zero."""
 
-    value: float
     classical_bound_used: float
     raw_excess: float
 
-    def __post_init__(self):
-        if abs(self.value - max(self.raw_excess, 0.0)) > 1e-15:
-            raise ValueError("value must equal max(raw_excess, 0)")
+    @property
+    def value(self) -> float:
+        return max(self.raw_excess, 0.0)
 
 
 @dataclass(frozen=True)
@@ -139,10 +137,6 @@ class AllocationValue:
 
     phi: float | None
     terms: tuple[float, float, float]
-
-
-def _effect_stack(povm: Povm) -> np.ndarray:
-    return np.stack([e.matrix for e in povm.effects])
 
 
 def optimal_encoding(pair: MeasurementPair, message: Message) -> PureState:
@@ -165,8 +159,8 @@ def encoding_table(pair: MeasurementPair) -> EncodingMap:
     state is bit-identical to ``optimal_encoding``'s.  A stack per x1, not one
     of all d^2 sums, keeps the working set small at d = 16.
     """
-    second = _effect_stack(pair.m2)
-    states = [s for first in pair.m1.effects for s in top_eigenvectors(first.matrix + second)]
+    second = pair.m2.matrices
+    states = [s for first in pair.m1.matrices for s in top_eigenvectors(first + second)]
     return EncodingMap(dict(zip(all_messages(pair.dim), states)))
 
 
@@ -180,8 +174,8 @@ def average_success_probability(encoding: EncodingMap, pair: MeasurementPair) ->
     if any(s.dim != d for s in states):
         raise ValueError("state and effect dimensions differ")
     amplitudes = np.stack([s.amplitudes for s in states]).reshape(d, d, d)
-    first = born_probabilities(amplitudes, _effect_stack(pair.m1)[:, None])
-    second = born_probabilities(amplitudes, _effect_stack(pair.m2)[None])
+    first = born_probabilities(amplitudes, pair.m1.matrices[:, None])
+    second = born_probabilities(amplitudes, pair.m2.matrices[None])
     return float(first.sum() + second.sum()) / (2.0 * d * d)
 
 
@@ -189,8 +183,8 @@ def max_success_probability(pair: MeasurementPair) -> float:
     """Best achievable average success probability for a measurement pair,
     via the operator norm of each effect sum, one stack per first digit."""
     d = pair.dim
-    second = _effect_stack(pair.m2)
-    total = sum(float(operator_norm(first.matrix + second).sum()) for first in pair.m1.effects)
+    second = pair.m2.matrices
+    total = sum(float(operator_norm(first + second).sum()) for first in pair.m1.matrices)
     return total / (2.0 * d * d)
 
 
@@ -216,8 +210,7 @@ def advantage(pair: MeasurementPair) -> AdvantageValue:
     dimension d reaches (sqrt(d) - 1) / d.  Compatible pairs score zero.
     """
     bound = classical_bound(pair.dim)
-    excess = 2.0 * (max_success_probability(pair) - bound)
-    return AdvantageValue(max(excess, 0.0), bound, excess)
+    return AdvantageValue(bound, 2.0 * (max_success_probability(pair) - bound))
 
 
 def empirical_advantage(p: float, bound: float) -> AdvantageValue:
@@ -226,8 +219,7 @@ def empirical_advantage(p: float, bound: float) -> AdvantageValue:
         raise ValueError(f"success probability must lie in [0, 1], got {p}")
     if not 0.0 <= bound <= 1.0:
         raise ValueError(f"bound must lie in [0, 1], got {bound}")
-    excess = p - bound
-    return AdvantageValue(max(excess, 0.0), bound, excess)
+    return AdvantageValue(bound, p - bound)
 
 
 def coarse_grain(povm: Povm, bit: int) -> Povm:
@@ -240,26 +232,16 @@ def coarse_grain(povm: Povm, bit: int) -> Povm:
         raise ValueError("coarse graining is defined for four-outcome measurements")
     if bit not in (0, 1):
         raise ValueError("bit must be 0 or 1")
-    groups = ((0, 1), (2, 3)) if bit == 0 else ((0, 2), (1, 3))
-    effects = tuple(
-        Effect(sum(povm[i].matrix for i in group)) for group in groups
-    )
-    return Povm(effects)
+    d = povm.dim
+    return Povm(tuple(povm.matrices.reshape(2, 2, d, d).sum(axis=1 - bit)))
 
 
 def _reduce_povm(povm: Povm, dims: tuple[int, int], keep: int) -> Povm:
-    d1, d2 = dims
-    if d1 * d2 != povm.dim or povm.outcomes != povm.dim:
-        raise ValueError(f"dims {dims} do not factor a {povm.dim}-outcome measurement")
-    kept_dim, other_dim = (d1, d2) if keep == 1 else (d2, d1)
-    effects = []
-    for a in range(kept_dim):
-        total = np.zeros((povm.dim, povm.dim), dtype=complex)
-        for b in range(other_dim):
-            outcome = a * d2 + b if keep == 1 else b * d2 + a
-            total = total + povm[outcome].matrix
-        effects.append(Effect(partial_trace(total, dims, keep) / other_dim))
-    return Povm(tuple(effects))
+    """Outcome (a, b), numbered a * d2 + b, summed over the discarded
+    subsystem's digit, then each kept digit's sum traced down to its factor."""
+    d = povm.dim
+    totals = povm.matrices.reshape(*dims, d, d).sum(axis=2 - keep)
+    return Povm(tuple(partial_trace(total, dims, keep) / dims[2 - keep] for total in totals))
 
 
 def reduce_pair(pair: MeasurementPair, dims: tuple[int, int], keep: int) -> MeasurementPair:
@@ -272,16 +254,20 @@ def reduce_pair(pair: MeasurementPair, dims: tuple[int, int], keep: int) -> Meas
     """
     if keep not in (1, 2):
         raise ValueError("keep must be 1 or 2")
+    d1, d2 = dims
+    if min(d1, d2) < 1 or d1 * d2 != pair.dim or dims[keep - 1] < 2:
+        raise ValueError(
+            f"dims {dims} with keep {keep} must factor dimension {pair.dim} "
+            "into factors of at least 1, the kept one at least 2"
+        )
     return MeasurementPair(
         _reduce_povm(pair.m1, dims, keep), _reduce_povm(pair.m2, dims, keep)
     )
 
 
 def _is_projective(povm: Povm) -> bool:
-    return all(
-        np.linalg.norm(e.matrix @ e.matrix - e.matrix) < TOL.projective
-        for e in povm.effects
-    )
+    m = povm.matrices
+    return bool(np.all(np.linalg.norm(m @ m - m, axis=(-2, -1)) < TOL.projective))
 
 
 def pvm_pair_compatible(pair: MeasurementPair) -> bool:
@@ -293,12 +279,12 @@ def pvm_pair_compatible(pair: MeasurementPair) -> bool:
     """
     if not _is_projective(pair.m1) or not _is_projective(pair.m2):
         raise ValueError("compatibility test requires projective measurements")
-    for e1 in pair.m1.effects:
-        for e2 in pair.m2.effects:
-            commutator = e1.matrix @ e2.matrix - e2.matrix @ e1.matrix
-            if np.linalg.norm(commutator) >= TOL.commutator:
-                return False
-    return True
+    second = pair.m2.matrices
+    # one (d, d, d) stack of commutators per M1 effect, never all d^2 at once
+    return all(
+        np.all(np.linalg.norm(first @ second - second @ first, axis=(-2, -1)) < TOL.commutator)
+        for first in pair.m1.matrices
+    )
 
 
 def allocation_figure(global_adv, s1_adv, s2_adv) -> AllocationValue:
@@ -335,20 +321,16 @@ def one_bit_success_probabilities(pair: MeasurementPair) -> dict[str, float]:
     conditioned on the halves of the encoded alphabet, the exact
     counterparts of the simulator's estimates.
     """
-    d = pair.dim
-    if d != 4:
+    if pair.dim != 4:
         raise ValueError("defined for the four-dimensional protocol")
-    table = encoding_table(pair)
-    first_bit = coarse_grain(pair.m1, 0)
-    exact = 0.0
-    low = 0.0
-    high = 0.0
-    for q in range(4):
-        state = table[(q, 0)]
-        exact += born_probability(state, pair.m1[q]) / 4.0
-        group = 0 if q < 2 else 1
-        if q < 2:
-            low += born_probability(state, first_bit[group]) / 2.0
-        else:
-            high += born_probability(state, first_bit[group]) / 2.0
-    return {"two_bit": exact, "first_half": low, "second_half": high}
+    # the encodings of messages (q, 0): one stack of the sums M1(q) + M2(0)
+    states = top_eigenvectors(pair.m1.matrices + pair.m2.matrices[0])
+    amplitudes = np.stack([s.amplitudes for s in states])
+    exact = born_probabilities(amplitudes, pair.m1.matrices)
+    # states q < 2 are scored against the first-bit effect 0, the rest against 1
+    halves = born_probabilities(amplitudes, coarse_grain(pair.m1, 0).matrices[[0, 0, 1, 1]])
+    return {
+        "two_bit": sum(exact.tolist()) / 4.0,
+        "first_half": sum(halves[:2].tolist()) / 2.0,
+        "second_half": sum(halves[2:].tolist()) / 2.0,
+    }

@@ -639,6 +639,15 @@ def test_bin_intensity_scale_checked_up_front(protocol, scale):
         SimulationConfig(protocol=protocol, bin_intensity_scale=scale)
 
 
+@pytest.mark.parametrize("scale", [(-1.0, 1.0), (math.nan, 1.0), (0.0, 0.0), (math.inf, 1.0)])
+def test_per_train_bin_intensity_scale_checked(scale):
+    # the per-train path holds the scale to the same check as SimulationConfig
+    train = build_pulse_train(Message((0, 0), 2), "2,2")
+    cfg = SimulationConfig()
+    with pytest.raises(ValueError, match=r"bin_intensity_scale must be 2 finite positive entries, got \("):
+        z_click_distribution(train, cfg.source, cfg.channel, cfg.detector, scale)
+
+
 # The per-message loop that built the trial table before it was batched,
 # kept as an oracle: one train per message, its jitter weights, then the
 # scalar first-click loop of each arm.

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from qracsim import (
     one_bit_success_probabilities,
     operator_norm,
     optimal_encoding,
+    partial_trace,
     pauli_mub_pair,
     product_mub_pair,
     pvm_pair_compatible,
@@ -90,6 +92,13 @@ class TestMessage:
     def test_two_digits_only(self):
         with pytest.raises(ValueError, match="two digits"):
             Message((0, 1, 0), 2)
+
+    def test_non_integer_digit_rejected(self):
+        with pytest.raises(TypeError):
+            Message((1.5, 0.9), 2)
+
+    def test_numpy_integer_digits_accepted(self):
+        assert Message((np.int64(1), np.uint8(0)), 2).digits == (1, 0)
 
     def test_all_messages_order(self):
         labels = [m.label for m in all_messages(2)]
@@ -369,6 +378,114 @@ class TestStackedEngine:
             assert str(caught.value) == message
 
 
+# Per-effect loops, kept as exact oracles for the stack operations of
+# reduce_pair, pvm_pair_compatible and one_bit_success_probabilities.
+def looped_reduce_povm(povm, dims, keep):
+    d1, d2 = dims
+    kept_dim, other_dim = (d1, d2) if keep == 1 else (d2, d1)
+    effects = []
+    for a in range(kept_dim):
+        total = np.zeros((povm.dim, povm.dim), dtype=complex)
+        for b in range(other_dim):
+            outcome = a * d2 + b if keep == 1 else b * d2 + a
+            total = total + povm[outcome].matrix
+        effects.append(partial_trace(total, dims, keep) / other_dim)
+    return effects
+
+
+def looped_compatible(pair):
+    for povm in (pair.m1, pair.m2):
+        for e in povm.effects:
+            if not np.linalg.norm(e.matrix @ e.matrix - e.matrix) < TOL.projective:
+                raise ValueError("compatibility test requires projective measurements")
+    for e1 in pair.m1.effects:
+        for e2 in pair.m2.effects:
+            commutator = e1.matrix @ e2.matrix - e2.matrix @ e1.matrix
+            if np.linalg.norm(commutator) >= TOL.commutator:
+                return False
+    return True
+
+
+def looped_one_bit(pair):
+    table = encoding_table(pair)
+    first_bit = [pair.m1[0].matrix + pair.m1[1].matrix, pair.m1[2].matrix + pair.m1[3].matrix]
+    exact = low = high = 0.0
+    for q in range(4):
+        state = table[(q, 0)]
+        exact += born_probability(state, pair.m1[q]) / 4.0
+        if q < 2:
+            low += born_probability(state, first_bit[0]) / 2.0
+        else:
+            high += born_probability(state, first_bit[1]) / 2.0
+    return {"two_bit": exact, "first_half": low, "second_half": high}
+
+
+def stack_oracle_pairs():
+    cases = [
+        pytest.param(lambda n=n: measurement_pair_from_mub(product_mub_pair(pauli_mub_pair(), n)),
+                     id=f"pauli-d{2**n}")
+        for n in (1, 2, 3, 4)
+    ]
+    cases += [
+        pytest.param(lambda d=d: measurement_pair_from_mub(fourier_mub_pair(d)), id=f"fourier-d{d}")
+        for d in (2, 3, 4, 6, 8)
+    ]
+    cases += [
+        pytest.param(lambda d=d, kind=kind: random_measurement_pair(
+            np.random.default_rng(4096 + 10 * d + kind), d, kind), id=f"{name}-d{d}")
+        for d in (2, 4, 6, 8)
+        for kind, name in enumerate(("projective", "smeared"))
+    ]
+    cases.append(pytest.param(bell_basis_pair, id="bell-twisted"))
+    return cases
+
+
+def factorizations(d):
+    return [((d1, d // d1), keep) for d1 in range(1, d + 1) if d % d1 == 0 for keep in (1, 2)
+            if (d1, d // d1)[keep - 1] >= 2]
+
+
+class TestStackOracles:
+    @pytest.mark.parametrize("build", stack_oracle_pairs())
+    def test_reduce_pair_matches_loop(self, build):
+        pair = build()
+        for dims, keep in factorizations(pair.dim):
+            reduced = reduce_pair(pair, dims, keep)
+            for k in (1, 2):
+                expected = looped_reduce_povm(pair.measurement(k), dims, keep)
+                assert len(reduced.measurement(k).effects) == len(expected)
+                for effect, matrix in zip(reduced.measurement(k).effects, expected):
+                    assert np.array_equal(effect.matrix, matrix), (dims, keep, k)
+
+    @pytest.mark.parametrize("build", stack_oracle_pairs())
+    def test_compatibility_matches_loop(self, build):
+        pair = build()
+        # the pair itself, and M1 against itself, which always commutes
+        for candidate in (pair, MeasurementPair(pair.m1, pair.m1)):
+            try:
+                expected = looped_compatible(candidate)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    pvm_pair_compatible(candidate)
+            else:
+                assert pvm_pair_compatible(candidate) is expected
+
+    @pytest.mark.parametrize("build", [c for c in stack_oracle_pairs() if c.id.endswith(("-d4", "bell-twisted"))])
+    def test_one_bit_matches_loop(self, build):
+        pair = build()
+        assert pair.dim == 4
+        assert one_bit_success_probabilities(pair) == looped_one_bit(pair)
+
+    @pytest.mark.parametrize("build", stack_oracle_pairs())
+    def test_povm_stack_is_read_only_and_stacks_its_effects(self, build):
+        pair = build()
+        for povm in (pair.m1, pair.m2):
+            assert np.array_equal(povm.matrices, np.stack([e.matrix for e in povm.effects]))
+            assert povm.matrices.shape == (povm.outcomes, povm.dim, povm.dim)
+            with pytest.raises(ValueError, match="read-only"):
+                povm.matrices[0, 0, 0] = 2.0
+
+
 class TestBounds:
     def test_values(self):
         assert classical_bound(2) == pytest.approx(0.75, abs=1e-12)
@@ -505,6 +622,19 @@ class TestReduction:
             reduce_pair(ququart_pair, (3, 2), 1)
         with pytest.raises(ValueError, match="keep"):
             reduce_pair(ququart_pair, (2, 2), 0)
+
+    @pytest.mark.parametrize(
+        "dims, keep",
+        [((1, 4), 1), ((4, 1), 2), ((-2, -2), 1), ((-2, -2), 2), ((0, 4), 2), ((2, 3), 1)],
+    )
+    def test_bad_dims_named_up_front(self, ququart_pair, dims, keep):
+        with pytest.raises(ValueError, match=re.escape(f"dims {dims} with keep {keep} must factor")):
+            reduce_pair(ququart_pair, dims, keep)
+
+    def test_trivial_discarded_factor_keeps_the_pair(self, ququart_pair):
+        reduced = reduce_pair(ququart_pair, (4, 1), 1)
+        for k in (1, 2):
+            assert np.array_equal(reduced.measurement(k).matrices, ququart_pair.measurement(k).matrices)
 
 
 class TestCompatibility:
