@@ -10,8 +10,6 @@ from .linalg import (
     Effect,
     Povm,
     PureState,
-    Spectrum,
-    born_probability,
     hermitian_eig,
     operator_norm,
     partial_trace,

@@ -1,20 +1,19 @@
 """Exact dense complex linear algebra for small quantum systems.
 
 States, operators and measurements are thin immutable wrappers around
-``numpy`` arrays, validated on construction.  Spectra come from LAPACK
-(``numpy.linalg.eigh`` and ``eigvalsh``), one call per matrix or per
-(..., d, d) stack, with the same checks either way.  The one rule that picks
-a vector out of a degenerate eigenspace, shared by
-``Spectrum.top_eigenvector`` and the stacked ``top_eigenvectors``, depends on
-the eigenspace alone, so optimal encodings do not depend on the basis LAPACK
-returns: reruns on one build are bit-identical, and LAPACK builds differ only
-by rounding.
+``numpy`` arrays, validated on construction.  Spectra come from LAPACK, one
+call per matrix or per (..., d, d) stack: ``hermitian_eig`` is the one
+checked ``eigh``, and ``top_eigenvectors`` is built on it.  The rule that
+picks a top vector out of a degenerate eigenspace depends on the eigenspace
+alone, so optimal encodings do not depend on the basis LAPACK returns:
+reruns on one build are bit-identical, and LAPACK builds differ only by
+rounding.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +24,7 @@ _SOLVER_NOT_HERMITIAN = "matrix is not Hermitian: max |H - H^dag| = {defect:.3e}
 
 def _as_square_matrix(value, name: str = "matrix", stack: bool = False) -> np.ndarray:
     m = np.asarray(value, dtype=complex)
-    if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-1] != m.shape[-2]:
+    if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
     return m
 
@@ -45,13 +44,12 @@ def _checked_hermitian(
     ``stack`` the value may be a (..., d, d) stack, checked matrix by matrix
     in C order; the first failing matrix names the defect."""
     m = _as_square_matrix(value, name, stack)
-    if m.size:
-        with np.errstate(invalid="ignore"):  # inf - inf gives NaN, which is rejected
-            defects = np.abs(m - _adjoint(m)).max(axis=(-2, -1)).ravel()
-        failing = np.flatnonzero(~(defects <= TOL.hermitian))  # NaN and inf fail too
-        if failing.size:
-            defect = float(defects[failing[0]])
-            raise ValueError(not_hermitian.format(name=name, defect=defect, tol=TOL.hermitian))
+    with np.errstate(invalid="ignore"):  # inf - inf gives NaN, which is rejected
+        defects = np.abs(m - _adjoint(m)).max(axis=(-2, -1)).ravel()
+    failing = np.flatnonzero(~(defects <= TOL.hermitian))  # NaN and inf fail too
+    if failing.size:
+        defect = float(defects[failing[0]])
+        raise ValueError(not_hermitian.format(name=name, defect=defect, tol=TOL.hermitian))
     if m.shape[-1] > TOL.dim_cap:
         raise ValueError(f"dimension {m.shape[-1]} exceeds the exact-solver cap {TOL.dim_cap}")
     return m
@@ -183,8 +181,8 @@ class Basis:
 
     def __post_init__(self):
         vecs = tuple(v if isinstance(v, PureState) else PureState(np.asarray(v)) for v in self.vectors)
-        dim = vecs[0].dim
-        if len(vecs) != dim or any(v.dim != dim for v in vecs):
+        dim = len(vecs)
+        if dim == 0 or any(v.dim != dim for v in vecs):
             raise ValueError("a basis needs exactly dim vectors of matching dimension")
         stack = np.stack([v.amplitudes for v in vecs])
         gram = stack @ stack.conj().T
@@ -204,51 +202,6 @@ class Basis:
         return Povm(tuple(Effect(v.projector()) for v in self.vectors))
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Eigenvalues in ascending order with matching orthonormal eigenvectors,
-    given as raw vectors or ``PureState``s and kept once, as the columns of
-    the read-only ``eigenvector_matrix``."""
-
-    eigenvalues: np.ndarray
-    eigenvector_matrix: np.ndarray
-
-    def __post_init__(self):
-        w = np.array(self.eigenvalues, dtype=float)
-        given = tuple(self.eigenvector_matrix)
-        m = np.array([v.amplitudes if isinstance(v, PureState) else v for v in given], dtype=complex).T
-        if w.ndim != 1 or m.shape != (w.size, w.size):
-            raise ValueError("eigenvalue/eigenvector count mismatch")
-        if np.any(np.diff(w) < -TOL.cluster_gap):
-            raise ValueError("eigenvalues are not ascending")
-        if np.max(np.abs(m.conj().T @ m - np.eye(w.size))) > TOL.orthonormal:
-            raise ValueError("eigenvectors are not orthonormal")
-        object.__setattr__(self, "eigenvalues", _frozen(w))
-        object.__setattr__(self, "eigenvector_matrix", _frozen(m))
-        if all(isinstance(v, PureState) for v in given):
-            # wrapping is not idempotent to the last bit, so keep the states
-            object.__setattr__(self, "eigenvectors", given)
-
-    @cached_property
-    def eigenvectors(self) -> tuple:
-        """Every column as a phase-fixed ``PureState``, wrapped on first read
-        unless the spectrum was built from states."""
-        return tuple(PureState(v) for v in self.eigenvector_matrix.T)
-
-    @property
-    def max_eigenvalue(self) -> float:
-        return float(self.eigenvalues[-1])
-
-    def top_eigenvector(self) -> PureState:
-        """Canonical unit vector of the maximal-eigenvalue eigenspace
-        (``_canonical_tops``), handed back as the stored state when the
-        spectrum was built from states and the top eigenvalue is simple."""
-        w = self.eigenvalues
-        if "eigenvectors" in vars(self) and (w.size == 1 or not w[-1] - w[-2] < TOL.cluster_gap):
-            return self.eigenvectors[-1]
-        return _canonical_tops(w[None], self.eigenvector_matrix[None])[0]
-
-
 def _canonical_tops(w: np.ndarray, v: np.ndarray) -> list:
     """Canonical unit vector of each maximal-eigenvalue eigenspace, for rows
     of ascending eigenvalues ``w`` (n, d) with eigenvector columns ``v``
@@ -266,8 +219,8 @@ def _canonical_tops(w: np.ndarray, v: np.ndarray) -> list:
     starts = d - 1 - np.cumprod(close[:, ::-1], axis=-1).sum(axis=-1)
     states = []
     for vectors, start in zip(v, starts.tolist()):
-        # Fortran order, as Spectrum keeps its columns: the SVD rule's
-        # products round differently in C order
+        # Fortran order: the SVD rule's products round differently in C
+        # order, which would move the encodings' last bits
         basis = np.asfortranarray(vectors[:, start:])
         for i in range(d):
             if basis.shape[1] == 1:
@@ -279,42 +232,34 @@ def _canonical_tops(w: np.ndarray, v: np.ndarray) -> list:
     return states
 
 
-def _checked_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LAPACK ``eigh`` of a checked Hermitian (..., d, d) stack, symmetrised
-    first, with every matrix held to the reconstruction check."""
+def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix, or of every matrix of a
+    (..., d, d) stack, by one LAPACK ``numpy.linalg.eigh`` call.
+
+    Returns read-only ``(eigenvalues, eigenvectors)`` as ``eigh`` does:
+    eigenvalues ascending, eigenvectors as columns, none wrapped as a
+    state.  Each matrix is checked Hermitian and inside the exact-solver
+    cap, symmetrised, and held to the reconstruction and orthonormality
+    checks; a stack that fails a Hermitian check names its first failing
+    matrix in C order.  Inside a degenerate cluster the basis is whichever
+    one LAPACK returns.  Reruns on one build are bit-identical.
+    """
+    m = _checked_hermitian(h, "input", _SOLVER_NOT_HERMITIAN, stack=True)
     m = (m + _adjoint(m)) / 2.0
     w, v = np.linalg.eigh(m)
     if not np.max(np.abs((v * w[..., None, :]) @ _adjoint(v) - m), initial=0.0) <= TOL.reconstruction:
         raise RuntimeError("eigendecomposition failed the reconstruction check")
-    return w, v
-
-
-def hermitian_eig(h) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix by LAPACK (``numpy.linalg.eigh``).
-
-    Eigenvalues come out ascending, and no eigenvector column is wrapped.
-    Inside a degenerate cluster the basis is whichever one LAPACK returns;
-    ``Spectrum.top_eigenvector`` picks its vector from the eigenspace alone.
-    Reruns on one build are bit-identical.
-    """
-    w, v = _checked_eigh(_checked_hermitian(h, "input", _SOLVER_NOT_HERMITIAN))
-    return Spectrum(w, v.T)
+    if np.max(np.abs(_adjoint(v) @ v - np.eye(m.shape[-1])), initial=0.0) > TOL.orthonormal:
+        raise ValueError("eigenvectors are not orthonormal")
+    return _frozen(w), _frozen(v)
 
 
 def top_eigenvectors(h) -> list:
-    """``hermitian_eig(m).top_eigenvector()`` for every matrix ``m`` of a
-    Hermitian (..., d, d) stack, in C order, by one batched ``eigh`` call.
-
-    The checks and their messages are ``hermitian_eig``'s and ``Spectrum``'s,
-    applied to the whole stack; a failing stack names its first failing
-    matrix.  The states are bit-identical to the one-matrix path's.
-    """
-    m = _checked_hermitian(h, "input", _SOLVER_NOT_HERMITIAN, stack=True)
-    d = m.shape[-1]
-    w, v = _checked_eigh(m)
-    # the check a Spectrum makes on construction
-    if np.max(np.abs(_adjoint(v) @ v - np.eye(d)), initial=0.0) > TOL.orthonormal:
-        raise ValueError("eigenvectors are not orthonormal")
+    """Canonical top eigenvector (``_canonical_tops``) of every matrix of a
+    Hermitian (..., d, d) stack, in C order, from one ``hermitian_eig`` call,
+    with its checks and messages."""
+    w, v = hermitian_eig(h)
+    d = w.shape[-1]
     return _canonical_tops(w.reshape(-1, d), v.reshape(-1, d, d))
 
 
@@ -347,6 +292,19 @@ def tensor(a, b):
     return np.kron(_as_square_matrix(a, "left factor"), _as_square_matrix(b, "right factor"))
 
 
+def _checked_split(dims, keep) -> tuple[tuple[int, int], int]:
+    """A bipartite split ``dims`` = (d1, d2) and the factor ``keep`` that
+    survives it, as Python ints, with ``keep`` 1 or 2."""
+    try:
+        d1, d2 = (operator.index(x) for x in dims)
+        kept = operator.index(keep)
+    except TypeError:
+        raise TypeError(f"dims {dims} must be two integers and keep {keep!r} an integer") from None
+    if kept not in (1, 2):
+        raise ValueError("keep must be 1 or 2")
+    return (d1, d2), kept
+
+
 def partial_trace(operator, dims: tuple[int, int], keep: int) -> np.ndarray:
     """Trace out one tensor factor of an operator on a bipartite space.
 
@@ -354,11 +312,9 @@ def partial_trace(operator, dims: tuple[int, int], keep: int) -> np.ndarray:
     ``keep`` is 1 or 2 and names the subsystem that survives.
     """
     m = _as_square_matrix(operator, "operator")
-    d1, d2 = dims
+    (d1, d2), keep = _checked_split(dims, keep)
     if d1 < 1 or d2 < 1 or d1 * d2 != m.shape[0]:
         raise ValueError(f"dims {dims} do not factor dimension {m.shape[0]}")
-    if keep not in (1, 2):
-        raise ValueError("keep must be 1 or 2")
     t = m.reshape(d1, d2, d1, d2)
     if keep == 1:
         return np.trace(t, axis1=1, axis2=3)
@@ -375,29 +331,12 @@ def _clipped_probabilities(values):
     return np.clip(values, 0.0, 1.0)
 
 
-def born_probability(state, effect) -> float:
-    """Born-rule probability of one effect on a pure state or density matrix."""
-    e = effect.matrix if isinstance(effect, Effect) else _as_square_matrix(effect, "effect")
-    if isinstance(state, PureState):
-        if state.dim != e.shape[0]:
-            raise ValueError("state and effect dimensions differ")
-        value = float(np.real(np.vdot(state.amplitudes, e @ state.amplitudes)))
-    elif isinstance(state, DensityMatrix):
-        if state.dim != e.shape[0]:
-            raise ValueError("state and effect dimensions differ")
-        value = float(np.real(np.trace(state.matrix @ e)))
-    else:
-        raise TypeError("state must be a PureState or DensityMatrix")
-    return float(_clipped_probabilities(value))
-
-
 def born_probabilities(amplitudes: np.ndarray, effects: np.ndarray) -> np.ndarray:
     """Born-rule probabilities of pure-state amplitude rows (..., d) against
-    effect matrices (..., d, d), broadcast over the leading axes, with
-    ``born_probability``'s range check applied to the whole array.  Each
-    value is a row-times-column product, which rounds as
-    ``born_probability``'s ``vdot`` does; a sum of elementwise products
-    would not."""
+    effect matrices (..., d, d), broadcast over the leading axes, each
+    checked to lie in [0, 1] within ``TOL.probability_slack`` and clipped
+    into it.  Each value is a row-times-column product, which rounds as one
+    state's ``vdot`` does; a sum of elementwise products would not."""
     if amplitudes.shape[-1] != effects.shape[-1]:
         raise ValueError("state and effect dimensions differ")
     values = np.real((amplitudes.conj()[..., None, :] @ (effects @ amplitudes[..., None]))[..., 0, 0])

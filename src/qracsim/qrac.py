@@ -20,6 +20,7 @@ from .linalg import (  # hermitian_eig stays a name here for tracers that patch 
     DensityMatrix,
     Povm,
     PureState,
+    _checked_split,
     born_probabilities,
     hermitian_eig,
     operator_norm,
@@ -38,14 +39,16 @@ class Message:
     alphabet: int
 
     def __post_init__(self):
+        alphabet = operator.index(self.alphabet)
+        if alphabet < 2:
+            raise ValueError("alphabet must be at least 2")
         digits = tuple(operator.index(x) for x in self.digits)
         if len(digits) != 2:
             raise ValueError("the protocol encodes exactly two digits")
-        if self.alphabet < 2:
-            raise ValueError("alphabet must be at least 2")
-        if any(x < 0 or x >= self.alphabet for x in digits):
-            raise ValueError(f"digits {digits} outside alphabet of size {self.alphabet}")
+        if any(x < 0 or x >= alphabet for x in digits):
+            raise ValueError(f"digits {digits} outside alphabet of size {alphabet}")
         object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "alphabet", alphabet)
 
     @property
     def label(self) -> str:
@@ -143,7 +146,7 @@ def optimal_encoding(pair: MeasurementPair, message: Message) -> PureState:
     """Best encoding state for one message: the top eigenvector of
     M1(x1) + M2(x2), phase-fixed, and for a degenerate top eigenvalue the
     eigenspace's unit vector with the most leading zeros
-    (``Spectrum.top_eigenvector``); ``encoding_table``'s path for a stack of
+    (``linalg.top_eigenvectors``); ``encoding_table``'s path for a stack of
     one."""
     x1, x2 = message.digits
     if message.alphabet != pair.dim:
@@ -252,8 +255,7 @@ def reduce_pair(pair: MeasurementPair, dims: tuple[int, int], keep: int) -> Meas
     product measurements to their single-system factors and maximally
     entangled ones to trivial POVMs.
     """
-    if keep not in (1, 2):
-        raise ValueError("keep must be 1 or 2")
+    dims, keep = _checked_split(dims, keep)
     d1, d2 = dims
     if min(d1, d2) < 1 or d1 * d2 != pair.dim or dims[keep - 1] < 2:
         raise ValueError(

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qracsim import Effect, MeasurementPair, Povm
+from qracsim import DensityMatrix, Effect, MeasurementPair, Povm, PureState
+from qracsim.tolerances import TOL
 
 
 def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -62,6 +63,26 @@ def random_density_matrix(rng: np.random.Generator, d: int) -> np.ndarray:
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def born_probability(state, effect) -> float:
+    """Born-rule probability of one effect on a pure state or density
+    matrix, one ``vdot`` or trace at a time: the oracle that
+    ``linalg.born_probabilities`` is checked against."""
+    e = effect.matrix if isinstance(effect, Effect) else np.asarray(effect, dtype=complex)
+    if isinstance(state, PureState):
+        if state.dim != e.shape[0]:
+            raise ValueError("state and effect dimensions differ")
+        value = float(np.real(np.vdot(state.amplitudes, e @ state.amplitudes)))
+    elif isinstance(state, DensityMatrix):
+        if state.dim != e.shape[0]:
+            raise ValueError("state and effect dimensions differ")
+        value = float(np.real(np.trace(state.matrix @ e)))
+    else:
+        raise TypeError("state must be a PureState or DensityMatrix")
+    if not -TOL.probability_slack <= value <= 1.0 + TOL.probability_slack:
+        raise ValueError(f"Born probability {value:.12g} is outside [0, 1] beyond tolerance")
+    return min(max(value, 0.0), 1.0)
 
 
 @pytest.fixture

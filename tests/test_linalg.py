@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qracsim import linalg
 from qracsim.linalg import born_probabilities, top_eigenvectors
 from qracsim import (
     Basis,
@@ -13,14 +14,19 @@ from qracsim import (
     Effect,
     Povm,
     PureState,
-    Spectrum,
-    born_probability,
     hermitian_eig,
     operator_norm,
     partial_trace,
     tensor,
 )
-from conftest import random_density_matrix, random_hermitian, random_povm, random_pvm
+from conftest import (
+    born_probability,
+    haar_unitary,
+    random_density_matrix,
+    random_hermitian,
+    random_povm,
+    random_pvm,
+)
 
 SQRT2 = math.sqrt(2.0)
 KET0 = PureState(np.array([1.0, 0.0]))
@@ -75,32 +81,33 @@ class TestTensor:
 
 class TestHermitianEig:
     def test_diagonal_case(self):
-        spectrum = hermitian_eig(np.diag([1.0, -1.0]))
-        assert np.allclose(spectrum.eigenvalues, [-1.0, 1.0])
-        assert np.allclose(spectrum.eigenvectors[0].amplitudes, [0.0, 1.0])
-        assert np.allclose(spectrum.eigenvectors[1].amplitudes, [1.0, 0.0])
+        w, v = hermitian_eig(np.diag([1.0, -1.0]))
+        assert np.allclose(w, [-1.0, 1.0])
+        assert np.allclose(PureState(v[:, 0]).amplitudes, [0.0, 1.0])
+        assert np.allclose(PureState(v[:, 1]).amplitudes, [1.0, 0.0])
+        for array in (w, v):
+            with pytest.raises(ValueError):
+                array[0] = 5.0
 
     def test_projector_sum(self):
         # |0><0| + |+><+| has eigenvalues 1 -/+ 1/sqrt(2)
         matrix = KET0.projector() + PLUS.projector()
-        spectrum = hermitian_eig(matrix)
-        assert np.allclose(spectrum.eigenvalues, [1 - 1 / SQRT2, 1 + 1 / SQRT2], atol=1e-12)
-        top = spectrum.top_eigenvector()
+        w, _ = hermitian_eig(matrix)
+        assert np.allclose(w, [1 - 1 / SQRT2, 1 + 1 / SQRT2], atol=1e-12)
+        top = top_eigenvectors(matrix)[0]
         assert np.allclose(top.amplitudes, [math.cos(math.pi / 8), math.sin(math.pi / 8)], atol=1e-12)
 
     def test_degenerate_identity(self):
-        spectrum = hermitian_eig(np.eye(4))
-        assert np.allclose(spectrum.eigenvalues, 1.0)
-        stack = np.stack([v.amplitudes for v in spectrum.eigenvectors])
-        assert np.allclose(stack @ stack.conj().T, np.eye(4), atol=1e-12)
+        w, v = hermitian_eig(np.eye(4))
+        assert np.allclose(w, 1.0)
+        assert np.allclose(v.conj().T @ v, np.eye(4), atol=1e-12)
 
     def test_deterministic_output(self, rng):
         h = random_hermitian(rng, 5)
         first = hermitian_eig(h)
         second = hermitian_eig(h)
-        assert np.array_equal(first.eigenvalues, second.eigenvalues)
-        for a, b in zip(first.eigenvectors, second.eigenvectors):
-            assert np.array_equal(a.amplitudes, b.amplitudes)
+        for a, b in zip(first, second, strict=True):
+            assert np.array_equal(a, b)
 
     def test_non_hermitian_rejected_with_deviation(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -124,20 +131,17 @@ class TestHermitianEig:
     def test_top_eigenvector_of_degenerate_cluster(self):
         # the top cluster {2, 2} spans e1 and e2; the representative is its
         # unit vector with the most leading zeros, e2, whatever basis LAPACK returns
-        spectrum = hermitian_eig(np.diag([1.0, 2.0, 2.0]))
-        assert np.allclose(spectrum.top_eigenvector().amplitudes, [0.0, 0.0, 1.0])
+        top = top_eigenvectors(np.diag([1.0, 2.0, 2.0]))[0]
+        assert np.allclose(top.amplitudes, [0.0, 0.0, 1.0])
 
     def test_top_eigenvector_ignores_cluster_basis(self):
         # {e1, e2} and {(e1 - e2)/sqrt2, (e1 + e2)/sqrt2} span one eigenspace
-        e0, e1, e2 = (PureState(row) for row in np.eye(3))
-        minus = PureState(np.array([0.0, 1.0, -1.0]) / SQRT2)
-        plus = PureState(np.array([0.0, 1.0, 1.0]) / SQRT2)
-        first = Spectrum(np.array([1.0, 2.0, 2.0]), (e0, e1, e2))
-        second = Spectrum(np.array([1.0, 2.0, 2.0]), (e0, minus, plus))
-        assert np.allclose(first.top_eigenvector().amplitudes, [0.0, 0.0, 1.0], atol=1e-12)
-        assert np.allclose(
-            second.top_eigenvector().amplitudes, first.top_eigenvector().amplitudes, atol=1e-12
-        )
+        w = np.array([[1.0, 2.0, 2.0]])
+        second = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, -1.0, 1.0]]) / [1.0, SQRT2, SQRT2]
+        first_top = linalg._canonical_tops(w, np.eye(3)[None])[0].amplitudes
+        second_top = linalg._canonical_tops(w, second[None])[0].amplitudes
+        assert np.allclose(first_top, [0.0, 0.0, 1.0], atol=1e-12)
+        assert np.allclose(second_top, first_top, atol=1e-12)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -146,8 +150,6 @@ class TestHermitianEig:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_top_eigenvector_has_most_leading_zeros(self, d, multiplicity, seed):
-        from conftest import haar_unitary
-
         multiplicity = min(multiplicity, d)
         gen = np.random.default_rng(seed)
         lam = 2.0
@@ -155,7 +157,7 @@ class TestHermitianEig:
         u = haar_unitary(gen, d)
         h = u @ np.diag(np.concatenate([low, np.full(multiplicity, lam)])) @ u.conj().T
         h = (h + h.conj().T) / 2
-        top = hermitian_eig(h).top_eigenvector().amplitudes
+        top = top_eigenvectors(h)[0].amplitudes
         assert np.max(np.abs(h @ top - lam * top)) < 1e-9
         # a unit vector of the eigenspace vanishing on the first `lead`
         # components exists iff those rows leave the eigenspace basis rank
@@ -168,27 +170,23 @@ class TestHermitianEig:
     def test_near_degenerate_cluster(self, rng):
         # eigenvalues separated by less than the cluster gap still give an
         # orthonormal set that reconstructs the input
-        from conftest import haar_unitary
-
         u = haar_unitary(rng, 3)
         h = u @ np.diag([1.0, 1.0 + 3e-10, 2.0]) @ u.conj().T
         h = (h + h.conj().T) / 2
-        spectrum = hermitian_eig(h)
-        stack = np.stack([v.amplitudes for v in spectrum.eigenvectors])
-        assert np.max(np.abs(stack @ stack.conj().T - np.eye(3))) < 1e-10
-        rebuilt = (stack.T * spectrum.eigenvalues) @ stack.conj()
+        w, v = hermitian_eig(h)
+        assert np.max(np.abs(v.conj().T @ v - np.eye(3))) < 1e-10
+        rebuilt = (v * w) @ v.conj().T
         assert np.max(np.abs(rebuilt - h)) < 1e-9
 
     def test_tiny_norm_matrix(self, rng):
         h = 1e-8 * random_hermitian(rng, 4)
-        spectrum = hermitian_eig(h)
-        stack = np.stack([v.amplitudes for v in spectrum.eigenvectors])
-        rebuilt = (stack.T * spectrum.eigenvalues) @ stack.conj()
+        w, v = hermitian_eig(h)
+        rebuilt = (v * w) @ v.conj().T
         assert np.max(np.abs(rebuilt - h)) < 1e-12
 
     def test_zero_matrix(self):
-        spectrum = hermitian_eig(np.zeros((3, 3)))
-        assert np.allclose(spectrum.eigenvalues, 0.0)
+        w, _ = hermitian_eig(np.zeros((3, 3)))
+        assert np.allclose(w, 0.0)
 
     @pytest.mark.parametrize("d", [2, 4, 8, 16])
     def test_random_reconstruction(self, d):
@@ -197,105 +195,36 @@ class TestHermitianEig:
         gen = np.random.default_rng(1000 + d)
         for _ in range(250):
             h = random_hermitian(gen, d)
-            spectrum = hermitian_eig(h)
-            stack = np.stack([v.amplitudes for v in spectrum.eigenvectors])
-            assert np.max(np.abs(stack @ stack.conj().T - np.eye(d))) < 1e-10
-            rebuilt = (stack.T * spectrum.eigenvalues) @ stack.conj()
+            w, v = hermitian_eig(h)
+            assert np.max(np.abs(v.conj().T @ v - np.eye(d))) < 1e-10
+            rebuilt = (v * w) @ v.conj().T
             assert np.max(np.abs(rebuilt - h)) < 1e-9
             reference = scipy.linalg.eigvalsh(h, driver="ev")
-            assert np.max(np.abs(spectrum.eigenvalues - reference)) < 1e-9
+            assert np.max(np.abs(w - reference)) < 1e-9
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_every_cluster_multiplicity(self, d):
+        # the top vector from LAPACK's basis of the top eigenspace and from
+        # a random unitary rotation of that basis agree
+        for multiplicity in range(2, d + 1):
+            for seed in range(5):
+                w, v = _spectrum_with_top_cluster(d, multiplicity, 100 * d + 10 * multiplicity + seed)
+                gen = np.random.default_rng(seed)
+                rotated = v.copy()
+                rotated[:, d - multiplicity :] = v[:, d - multiplicity :] @ haar_unitary(gen, multiplicity)
+                from_lapack = linalg._canonical_tops(w[None], v[None])[0].amplitudes
+                from_rotated = linalg._canonical_tops(w[None], rotated[None])[0].amplitudes
+                assert np.max(np.abs(from_lapack - from_rotated)) < 1e-12
 
 
 def _spectrum_with_top_cluster(d: int, multiplicity: int, seed: int):
     """Eigenvalues and LAPACK eigenvector columns of a random Hermitian
     matrix whose top eigenvalue 2 has the given multiplicity."""
-    from conftest import haar_unitary
-
     gen = np.random.default_rng(seed)
     low = np.sort(gen.uniform(-1.0, 1.0, d - multiplicity))
     u = haar_unitary(gen, d)
     h = u @ np.diag(np.concatenate([low, np.full(multiplicity, 2.0)])) @ u.conj().T
     return np.linalg.eigh((h + h.conj().T) / 2)
-
-
-class TestSpectrum:
-    def test_built_from_raw_vectors(self):
-        spectrum = Spectrum(np.array([-1.0, 1.0]), (np.array([0.0, 1.0j]), np.array([1.0, 0.0])))
-        assert np.array_equal(spectrum.eigenvector_matrix, np.array([[0.0, 1.0], [1.0j, 0.0]]))
-        assert np.array_equal(spectrum.eigenvectors[0].amplitudes, [0.0, 1.0])
-        assert np.array_equal(spectrum.top_eigenvector().amplitudes, [1.0, 0.0])
-        with pytest.raises(ValueError):
-            spectrum.eigenvector_matrix[0, 0] = 5.0
-
-    def test_rejects_non_orthonormal_raw_vectors(self):
-        with pytest.raises(ValueError, match="not orthonormal"):
-            Spectrum(np.array([0.0, 1.0]), (np.array([1.0, 0.0]), np.array([1.0, 1.0]) / SQRT2))
-        with pytest.raises(ValueError, match="not orthonormal"):
-            Spectrum(np.array([0.0, 1.0]), (np.array([1.0, 0.0]), np.array([0.0, 2.0])))
-
-    def test_rejects_count_mismatch(self):
-        with pytest.raises(ValueError, match="count mismatch"):
-            Spectrum(np.array([0.0, 1.0, 2.0]), (KET0, KET1))
-        with pytest.raises(ValueError, match="count mismatch"):
-            Spectrum(np.array([1.0]), (KET0,))
-
-    @pytest.mark.parametrize("d", [2, 3, 8, 16])
-    def test_eigenvectors_match_eager_wrapping(self, d):
-        gen = np.random.default_rng(2000 + d)
-        for _ in range(20):
-            h = random_hermitian(gen, d)
-            _, v = np.linalg.eigh((h + h.conj().T) / 2.0)
-            spectrum = hermitian_eig(h)
-            assert np.array_equal(spectrum.eigenvector_matrix, v)
-            eager = tuple(PureState(v[:, i]) for i in range(d))
-            assert len(spectrum.eigenvectors) == d
-            for lazy, wrapped in zip(spectrum.eigenvectors, eager):
-                assert np.array_equal(lazy.amplitudes, wrapped.amplitudes)
-            assert spectrum.eigenvectors is spectrum.eigenvectors
-
-    def test_states_are_handed_back(self):
-        states = (KET1, KET0)
-        spectrum = Spectrum(np.array([0.0, 1.0]), states)
-        assert spectrum.eigenvectors is states
-        assert spectrum.top_eigenvector() is KET0
-
-    def test_wraps_only_what_is_read(self, monkeypatch):
-        built = []
-        wrap = PureState.__post_init__
-        monkeypatch.setattr(PureState, "__post_init__", lambda self: built.append(wrap(self)))
-        spectrum = hermitian_eig(np.diag([3.0, 1.0, 2.0, 0.0]))
-        assert len(built) == 0
-        spectrum.top_eigenvector()
-        assert len(built) == 1
-        spectrum.eigenvectors
-        spectrum.eigenvectors
-        assert len(built) == 5
-
-    @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(
-        d=st.integers(1, 6),
-        multiplicity=st.integers(1, 6),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_top_eigenvector_same_from_columns_and_states(self, d, multiplicity, seed):
-        multiplicity = min(multiplicity, d)
-        w, v = _spectrum_with_top_cluster(d, multiplicity, seed)
-        from_columns = Spectrum(w, v.T).top_eigenvector().amplitudes
-        from_states = Spectrum(w, tuple(PureState(v[:, i]) for i in range(d))).top_eigenvector().amplitudes
-        if multiplicity == 1:
-            assert np.array_equal(from_columns, from_states)
-        else:
-            assert np.max(np.abs(from_columns - from_states)) < 1e-12
-
-    @pytest.mark.parametrize("d", range(2, 7))
-    def test_every_cluster_multiplicity(self, d):
-        for multiplicity in range(2, d + 1):
-            for seed in range(5):
-                w, v = _spectrum_with_top_cluster(d, multiplicity, 100 * d + 10 * multiplicity + seed)
-                from_columns = Spectrum(w, v.T).top_eigenvector().amplitudes
-                states = tuple(PureState(v[:, i]) for i in range(d))
-                from_states = Spectrum(w, states).top_eigenvector().amplitudes
-                assert np.max(np.abs(from_columns - from_states)) < 1e-12
 
 
 class TestOperatorNorm:
@@ -312,7 +241,7 @@ class TestOperatorNorm:
     def test_matches_max_eigenvalue(self, rng):
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         psd = g @ g.conj().T
-        assert operator_norm(psd) == pytest.approx(hermitian_eig(psd).max_eigenvalue, abs=1e-10)
+        assert operator_norm(psd) == pytest.approx(hermitian_eig(psd)[0][-1], abs=1e-10)
 
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="not positive semidefinite"):
@@ -339,9 +268,17 @@ class TestStacks:
                 call(skewed)
 
     def test_one_matrix_paths_reject_stacks(self):
-        for call in (hermitian_eig, Effect, DensityMatrix):
+        for call in (Effect, DensityMatrix):
             with pytest.raises(ValueError, match=r"square matrix, got shape \(2, 2, 2\)"):
                 call(np.stack([np.eye(2), np.eye(2)]) / 2)
+
+    def test_hermitian_eig_of_stack_matches_each_matrix(self, rng):
+        stack = np.stack([random_hermitian(rng, 4) for _ in range(6)]).reshape(2, 3, 4, 4)
+        w, v = hermitian_eig(stack)
+        assert w.shape == (2, 3, 4) and v.shape == (2, 3, 4, 4)
+        for index in np.ndindex(2, 3):
+            one_w, one_v = hermitian_eig(stack[index])
+            assert np.array_equal(w[index], one_w) and np.array_equal(v[index], one_v)
 
     @pytest.mark.parametrize("d", [2, 3, 5, 16])
     def test_top_eigenvectors_match_one_matrix_path(self, rng, d):
@@ -353,7 +290,7 @@ class TestStacks:
             stack.append((v * w) @ v.conj().T)
         states = top_eigenvectors(np.stack(stack))
         for state, h in zip(states, stack, strict=True):
-            assert np.array_equal(state.amplitudes, hermitian_eig(h).top_eigenvector().amplitudes)
+            assert np.array_equal(state.amplitudes, top_eigenvectors(h)[0].amplitudes)
 
     def test_born_probabilities_broadcast_and_check(self):
         amplitudes = np.stack([KET0.amplitudes, PLUS.amplitudes])
@@ -395,6 +332,10 @@ class TestPartialTrace:
             partial_trace(np.eye(6), (2, 2), 1)
         with pytest.raises(ValueError, match="keep"):
             partial_trace(np.eye(4), (2, 2), 3)
+        with pytest.raises(TypeError, match=r"^dims \(2\.0, 2\.0\) must be two integers and keep 1 an"):
+            partial_trace(np.eye(4), (2.0, 2.0), 1)
+        with pytest.raises(TypeError, match=r"^dims \(2, 2\) must be two integers and keep 1\.0 an"):
+            partial_trace(np.eye(4), (2, 2), 1.0)
 
 
 class TestBornProbability:
@@ -450,6 +391,15 @@ class TestWrapperValidation:
     def test_basis_orthonormality(self):
         with pytest.raises(ValueError, match="orthonormal"):
             Basis((KET0, PLUS))
+
+    @pytest.mark.parametrize("build", [Effect, DensityMatrix, hermitian_eig, top_eigenvectors, operator_norm])
+    def test_empty_matrix_rejected(self, build):
+        with pytest.raises(ValueError, match=r"square matrix, got shape \(0, 0\)$"):
+            build(np.zeros((0, 0)))
+
+    def test_empty_basis_rejected(self):
+        with pytest.raises(ValueError, match="exactly dim vectors"):
+            Basis(())
 
     def test_basis_to_povm(self):
         povm = Basis((KET0, KET1)).to_povm()

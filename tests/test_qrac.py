@@ -15,7 +15,6 @@ from qracsim import (
     all_messages,
     allocation_figure,
     average_success_probability,
-    born_probability,
     classical_bound,
     coarse_grain,
     depolarize,
@@ -35,8 +34,9 @@ from qracsim import (
     quantum_bound,
     reduce_pair,
 )
+from qracsim.linalg import top_eigenvectors
 from qracsim.tolerances import TOL
-from conftest import random_measurement_pair
+from conftest import born_probability, random_measurement_pair
 
 SQRT2 = math.sqrt(2.0)
 A1 = math.sqrt(2 + SQRT2) / 2
@@ -96,6 +96,10 @@ class TestMessage:
     def test_non_integer_digit_rejected(self):
         with pytest.raises(TypeError):
             Message((1.5, 0.9), 2)
+
+    def test_non_integer_alphabet_rejected(self):
+        with pytest.raises(TypeError):
+            Message((0, 1), 2.5)
 
     def test_numpy_integer_digits_accepted(self):
         assert Message((np.int64(1), np.uint8(0)), 2).digits == (1, 0)
@@ -247,8 +251,7 @@ def per_message_encoding(total):
     start = w.size - 1
     while start > 0 and w[start] - w[start - 1] < TOL.cluster_gap:
         start -= 1
-    # Fortran order, as Spectrum keeps its columns: the SVD rule's products
-    # round differently in C order
+    # Fortran order: the SVD rule's products round differently in C order
     basis = np.asfortranarray(v)[:, start:]
     for i in range(basis.shape[0]):
         if basis.shape[1] == 1:
@@ -327,7 +330,7 @@ class TestStackedEngine:
             expected, _ = per_message_encoding(total)
             assert np.array_equal(table[message].amplitudes, expected.amplitudes)
             assert np.array_equal(
-                table[message].amplitudes, hermitian_eig(total).top_eigenvector().amplitudes
+                table[message].amplitudes, top_eigenvectors(total)[0].amplitudes
             )
             norms += operator_norm(total)
             for k in (1, 2):
@@ -622,6 +625,10 @@ class TestReduction:
             reduce_pair(ququart_pair, (3, 2), 1)
         with pytest.raises(ValueError, match="keep"):
             reduce_pair(ququart_pair, (2, 2), 0)
+        with pytest.raises(TypeError, match=r"^dims \(2\.0, 2\.0\) must be two integers and keep 1 an"):
+            reduce_pair(ququart_pair, (2.0, 2.0), 1)
+        with pytest.raises(TypeError, match=r"^dims \(2, 2\) must be two integers and keep 1\.0 an"):
+            reduce_pair(ququart_pair, (2, 2), 1.0)
 
     @pytest.mark.parametrize(
         "dims, keep",
