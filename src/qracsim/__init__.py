@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .linalg import (
     Basis,
     DensityMatrix,
-    Effect,
     Povm,
     PureState,
     hermitian_eig,

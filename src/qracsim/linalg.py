@@ -1,19 +1,19 @@
 """Exact dense complex linear algebra for small quantum systems.
 
-States, operators and measurements are thin immutable wrappers around
-``numpy`` arrays, validated on construction.  Spectra come from LAPACK, one
-call per matrix or per (..., d, d) stack: ``hermitian_eig`` is the one
-checked ``eigh``, and ``top_eigenvectors`` is built on it.  The rule that
-picks a top vector out of a degenerate eigenspace depends on the eigenspace
-alone, so optimal encodings do not depend on the basis LAPACK returns:
-reruns on one build are bit-identical, and LAPACK builds differ only by
-rounding.
+States, operators and measurements (one stack of effects each) are thin
+immutable wrappers around ``numpy`` arrays, checked on construction.  Spectra
+come from LAPACK, one call per matrix or per (..., d, d) stack:
+``hermitian_eig`` is the one checked ``eigh``, and ``top_eigenvectors`` is
+built on it.  The rule that picks a top vector out of a degenerate eigenspace
+depends on the eigenspace alone, so optimal encodings do not depend on the
+basis LAPACK returns: reruns on one build are bit-identical, and LAPACK builds
+differ only by rounding.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,54 +123,41 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class Effect:
-    """Measurement effect: Hermitian with spectrum inside [0, 1]."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = _checked_hermitian(self.matrix, "effect")
-        eigs = np.linalg.eigvalsh(m)
-        if eigs[0] < -TOL.psd or eigs[-1] > 1.0 + TOL.effect_upper:
-            raise ValueError(f"effect spectrum [{eigs[0]:.3e}, {eigs[-1]:.12g}] leaves [0, 1]")
-        object.__setattr__(self, "matrix", _frozen(m.copy()))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class Povm:
-    """Ordered collection of effects resolving the identity, kept also as
-    the read-only (outcome, d, d) stack ``matrices`` of their matrices."""
+    """Measurement as one read-only (outcome, d, d) stack ``matrices`` of
+    effects resolving the identity, indexed by outcome.  Takes d x d matrices
+    or their stack and checks all at once, every spectrum by one ``eigvalsh``."""
 
-    effects: tuple
-    matrices: np.ndarray = field(init=False, repr=False)
+    matrices: np.ndarray
 
     def __post_init__(self):
-        effects = tuple(e if isinstance(e, Effect) else Effect(e) for e in self.effects)
-        if len(effects) < 2:
-            raise ValueError("a POVM needs at least two outcomes")
-        dim = effects[0].dim
-        if any(e.dim != dim for e in effects):
+        if isinstance(self.matrices, (list, tuple)) and len({np.shape(e) for e in self.matrices}) > 1:
             raise ValueError("all effects must share one dimension")
-        matrices = np.stack([e.matrix for e in effects])
-        if np.max(np.abs(matrices.sum(axis=0) - np.eye(dim))) > TOL.completeness:
+        m = np.asarray(self.matrices, dtype=complex)
+        if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] == 0:
+            raise ValueError(f"effect must be a square matrix, got shape {m.shape[1:]}")
+        m = _checked_hermitian(m, "effect", stack=True)
+        if len(m) < 2:
+            raise ValueError("a POVM needs at least two outcomes")
+        eigs = np.linalg.eigvalsh(m)
+        leaving = np.flatnonzero((eigs[:, 0] < -TOL.psd) | (eigs[:, -1] > 1.0 + TOL.effect_upper))
+        if leaving.size:
+            k = leaving[0]
+            raise ValueError(f"effect {k} spectrum [{eigs[k, 0]:.3e}, {eigs[k, -1]:.12g}] leaves [0, 1]")
+        if np.max(np.abs(m.sum(axis=0) - np.eye(m.shape[-1]))) > TOL.completeness:
             raise ValueError("effects do not resolve the identity")
-        object.__setattr__(self, "effects", effects)
-        object.__setattr__(self, "matrices", _frozen(matrices))
+        object.__setattr__(self, "matrices", _frozen(m.copy()))
 
     @property
     def dim(self) -> int:
-        return self.effects[0].dim
+        return self.matrices.shape[-1]
 
     @property
     def outcomes(self) -> int:
-        return len(self.effects)
+        return self.matrices.shape[0]
 
-    def __getitem__(self, outcome: int) -> Effect:
-        return self.effects[outcome]
+    def __getitem__(self, outcome: int) -> np.ndarray:
+        return self.matrices[outcome]
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,7 +186,7 @@ class Basis:
         return self.vectors[index]
 
     def to_povm(self) -> Povm:
-        return Povm(tuple(Effect(v.projector()) for v in self.vectors))
+        return Povm(np.stack([v.projector() for v in self.vectors]))
 
 
 def _canonical_tops(w: np.ndarray, v: np.ndarray) -> list:
@@ -298,7 +285,7 @@ def _checked_split(dims, keep) -> tuple[tuple[int, int], int]:
     try:
         d1, d2 = (operator.index(x) for x in dims)
         kept = operator.index(keep)
-    except TypeError:
+    except (TypeError, ValueError):  # ValueError: dims is not a pair
         raise TypeError(f"dims {dims} must be two integers and keep {keep!r} an integer") from None
     if kept not in (1, 2):
         raise ValueError("keep must be 1 or 2")

@@ -151,7 +151,7 @@ def optimal_encoding(pair: MeasurementPair, message: Message) -> PureState:
     x1, x2 = message.digits
     if message.alphabet != pair.dim:
         raise ValueError("message alphabet must match the measurement dimension")
-    return top_eigenvectors(pair.m1[x1].matrix + pair.m2[x2].matrix)[0]
+    return top_eigenvectors(pair.m1[x1] + pair.m2[x2])[0]
 
 
 def encoding_table(pair: MeasurementPair) -> EncodingMap:
@@ -193,14 +193,14 @@ def max_success_probability(pair: MeasurementPair) -> float:
 
 def classical_bound(d: int) -> float:
     """Optimal average success probability when a single classical dit is sent."""
-    if d < 2:
+    if operator.index(d) < 2:
         raise ValueError("alphabet must be at least 2")
     return 0.5 * (1.0 + 1.0 / d)
 
 
 def quantum_bound(d: int) -> float:
     """Best achievable average success probability with a single qudit."""
-    if d < 2:
+    if operator.index(d) < 2:
         raise ValueError("alphabet must be at least 2")
     return 0.5 * (1.0 + 1.0 / math.sqrt(d))
 
@@ -233,10 +233,10 @@ def coarse_grain(povm: Povm, bit: int) -> Povm:
     """
     if povm.outcomes != 4:
         raise ValueError("coarse graining is defined for four-outcome measurements")
-    if bit not in (0, 1):
+    if operator.index(bit) not in (0, 1):
         raise ValueError("bit must be 0 or 1")
     d = povm.dim
-    return Povm(tuple(povm.matrices.reshape(2, 2, d, d).sum(axis=1 - bit)))
+    return Povm(povm.matrices.reshape(2, 2, d, d).sum(axis=1 - bit))
 
 
 def _reduce_povm(povm: Povm, dims: tuple[int, int], keep: int) -> Povm:
@@ -244,7 +244,7 @@ def _reduce_povm(povm: Povm, dims: tuple[int, int], keep: int) -> Povm:
     subsystem's digit, then each kept digit's sum traced down to its factor."""
     d = povm.dim
     totals = povm.matrices.reshape(*dims, d, d).sum(axis=2 - keep)
-    return Povm(tuple(partial_trace(total, dims, keep) / dims[2 - keep] for total in totals))
+    return Povm(np.stack([partial_trace(total, dims, keep) / dims[2 - keep] for total in totals]))
 
 
 def reduce_pair(pair: MeasurementPair, dims: tuple[int, int], keep: int) -> MeasurementPair:

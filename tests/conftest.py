@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qracsim import DensityMatrix, Effect, MeasurementPair, Povm, PureState
+from qracsim import DensityMatrix, MeasurementPair, Povm, PureState
 from qracsim.tolerances import TOL
 
 
@@ -23,7 +23,7 @@ def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
 
 def random_pvm(rng: np.random.Generator, d: int) -> Povm:
     u = haar_unitary(rng, d)
-    return Povm(tuple(Effect(np.outer(u[:, k], u[:, k].conj())) for k in range(d)))
+    return Povm(tuple(np.outer(u[:, k], u[:, k].conj()) for k in range(d)))
 
 
 def random_povm(rng: np.random.Generator, d: int) -> Povm:
@@ -33,7 +33,7 @@ def random_povm(rng: np.random.Generator, d: int) -> Povm:
     total = sum(raw)
     w, v = np.linalg.eigh(total)
     inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
-    return Povm(tuple(Effect(inv_sqrt @ e @ inv_sqrt) for e in raw))
+    return Povm(tuple(inv_sqrt @ e @ inv_sqrt for e in raw))
 
 
 def smeared_pvm(rng: np.random.Generator, d: int) -> Povm:
@@ -42,10 +42,7 @@ def smeared_pvm(rng: np.random.Generator, d: int) -> Povm:
     u = haar_unitary(rng, d)
     eye = np.eye(d)
     return Povm(
-        tuple(
-            Effect(lam * np.outer(u[:, k], u[:, k].conj()) + (1 - lam) * eye / d)
-            for k in range(d)
-        )
+        tuple(lam * np.outer(u[:, k], u[:, k].conj()) + (1 - lam) * eye / d for k in range(d))
     )
 
 
@@ -66,10 +63,10 @@ def random_density_matrix(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def born_probability(state, effect) -> float:
-    """Born-rule probability of one effect on a pure state or density
+    """Born-rule probability of one effect matrix on a pure state or density
     matrix, one ``vdot`` or trace at a time: the oracle that
     ``linalg.born_probabilities`` is checked against."""
-    e = effect.matrix if isinstance(effect, Effect) else np.asarray(effect, dtype=complex)
+    e = np.asarray(effect, dtype=complex)
     if isinstance(state, PureState):
         if state.dim != e.shape[0]:
             raise ValueError("state and effect dimensions differ")

@@ -15,7 +15,6 @@ import pytest
 from qracsim import (
     ChannelModel,
     DetectorModel,
-    Effect,
     MeasurementPair,
     Povm,
     SimulationConfig,
@@ -149,8 +148,8 @@ def test_criterion_6_measurement_reduction():
             for outcome in range(2):
                 gap = np.max(
                     np.abs(
-                        reduced.measurement(k)[outcome].matrix
-                        - qubit_pair.measurement(k)[outcome].matrix
+                        reduced.measurement(k)[outcome]
+                        - qubit_pair.measurement(k)[outcome]
                     )
                 )
                 assert gap < 1e-10
@@ -161,18 +160,18 @@ def test_criterion_6_measurement_reduction():
     twisted = bell.copy()
     twisted[:, 2:] *= 1j
     entangled = MeasurementPair(
-        Povm(tuple(Effect(np.outer(r, r.conj())) for r in bell)),
-        Povm(tuple(Effect(np.outer(r, r.conj())) for r in twisted)),
+        Povm(tuple(np.outer(r, r.conj()) for r in bell)),
+        Povm(tuple(np.outer(r, r.conj()) for r in twisted)),
     )
     for keep in (1, 2):
         reduced = reduce_pair(entangled, (2, 2), keep)
         for k in (1, 2):
             for outcome in range(2):
-                effect = reduced.measurement(k)[outcome].matrix
+                effect = reduced.measurement(k)[outcome]
                 assert np.max(np.abs(effect - np.eye(2) / 2)) < 1e-10
-        for e1 in reduced.m1.effects:
-            for e2 in reduced.m2.effects:
-                comm = e1.matrix @ e2.matrix - e2.matrix @ e1.matrix
+        for e1 in reduced.m1.matrices:
+            for e2 in reduced.m2.matrices:
+                comm = e1 @ e2 - e2 @ e1
                 assert np.linalg.norm(comm) < 1e-9
 
     assert pvm_pair_compatible(ququart_pair) is False

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from qracsim.linalg import born_probabilities, top_eigenvectors
 from qracsim import (
     Basis,
     DensityMatrix,
-    Effect,
     Povm,
     PureState,
     hermitian_eig,
@@ -32,6 +33,16 @@ SQRT2 = math.sqrt(2.0)
 KET0 = PureState(np.array([1.0, 0.0]))
 KET1 = PureState(np.array([0.0, 1.0]))
 PLUS = PureState(np.array([1.0, 1.0]) / SQRT2)
+
+
+def two_outcome_povm(matrix):
+    """A Povm with ``matrix`` as both outcomes, so its per-effect checks
+    fire on ``matrix`` before completeness is tested."""
+    return Povm((matrix, matrix))
+
+
+# the id names the checks this case runs: a measurement's per-effect ones
+EFFECT_CHECKS = pytest.param(two_outcome_povm, id="Effect")
 
 
 class TestPureState:
@@ -119,7 +130,7 @@ class TestHermitianEig:
         [
             lambda: hermitian_eig(np.eye(17)),
             lambda: operator_norm(np.eye(17)),
-            lambda: Effect(0.5 * np.eye(17)),
+            lambda: two_outcome_povm(0.5 * np.eye(17)),
             lambda: DensityMatrix(np.eye(17) / 17),
         ],
         ids=["hermitian_eig", "operator_norm", "Effect", "DensityMatrix"],
@@ -268,9 +279,8 @@ class TestStacks:
                 call(skewed)
 
     def test_one_matrix_paths_reject_stacks(self):
-        for call in (Effect, DensityMatrix):
-            with pytest.raises(ValueError, match=r"square matrix, got shape \(2, 2, 2\)"):
-                call(np.stack([np.eye(2), np.eye(2)]) / 2)
+        with pytest.raises(ValueError, match=r"square matrix, got shape \(2, 2, 2\)"):
+            DensityMatrix(np.stack([np.eye(2), np.eye(2)]) / 2)
 
     def test_hermitian_eig_of_stack_matches_each_matrix(self, rng):
         stack = np.stack([random_hermitian(rng, 4) for _ in range(6)]).reshape(2, 3, 4, 4)
@@ -336,39 +346,42 @@ class TestPartialTrace:
             partial_trace(np.eye(4), (2.0, 2.0), 1)
         with pytest.raises(TypeError, match=r"^dims \(2, 2\) must be two integers and keep 1\.0 an"):
             partial_trace(np.eye(4), (2, 2), 1.0)
+        for dims in ((2, 2, 1), (4,)):
+            with pytest.raises(TypeError, match=rf"^dims {re.escape(str(dims))} must be two integers"):
+                partial_trace(np.eye(4), dims, 1)
 
 
 class TestBornProbability:
     def test_unbiased_overlap(self):
-        assert born_probability(KET0, Effect(PLUS.projector())) == pytest.approx(0.5, abs=1e-12)
+        assert born_probability(KET0, PLUS.projector()) == pytest.approx(0.5, abs=1e-12)
 
     def test_eigenstate(self):
-        assert born_probability(KET0, Effect(KET0.projector())) == pytest.approx(1.0, abs=1e-12)
+        assert born_probability(KET0, KET0.projector()) == pytest.approx(1.0, abs=1e-12)
 
     def test_optimal_encoding_weight(self):
         a1 = math.sqrt(2 + SQRT2) / 2
         b1 = math.sqrt(2 - SQRT2) / 2
         state = PureState(np.array([a1, b1]))
-        assert born_probability(state, Effect(KET0.projector())) == pytest.approx(
+        assert born_probability(state, KET0.projector()) == pytest.approx(
             0.8535533905932737, abs=1e-7
         )
 
     def test_density_matrix_input(self, rng):
         rho = DensityMatrix(random_density_matrix(rng, 3))
         povm = random_pvm(rng, 3)
-        total = sum(born_probability(rho, e) for e in povm.effects)
+        total = sum(born_probability(rho, e) for e in povm.matrices)
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_povm_probabilities_sum_to_one(self, rng):
         for d in (2, 3, 4):
             rho = DensityMatrix(random_density_matrix(rng, d))
             povm = random_povm(rng, d)
-            total = sum(born_probability(rho, e) for e in povm.effects)
+            total = sum(born_probability(rho, e) for e in povm.matrices)
             assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimensions differ"):
-            born_probability(KET0, Effect(np.eye(3) / 3))
+            born_probability(KET0, np.eye(3) / 3)
 
 
 class TestWrapperValidation:
@@ -381,18 +394,19 @@ class TestWrapperValidation:
             DensityMatrix(np.diag([1.5, -0.5]))
 
     def test_effect_spectrum_bounds(self):
+        # complete, but both effects' spectra leave [0, 1]
         with pytest.raises(ValueError, match="leaves"):
-            Effect(np.diag([1.5, 0.0]))
+            Povm((np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])))
 
     def test_povm_completeness(self):
         with pytest.raises(ValueError, match="resolve the identity"):
-            Povm((Effect(KET0.projector()), Effect(KET0.projector())))
+            Povm((KET0.projector(), KET0.projector()))
 
     def test_basis_orthonormality(self):
         with pytest.raises(ValueError, match="orthonormal"):
             Basis((KET0, PLUS))
 
-    @pytest.mark.parametrize("build", [Effect, DensityMatrix, hermitian_eig, top_eigenvectors, operator_norm])
+    @pytest.mark.parametrize("build", [EFFECT_CHECKS, DensityMatrix, hermitian_eig, top_eigenvectors, operator_norm])
     def test_empty_matrix_rejected(self, build):
         with pytest.raises(ValueError, match=r"square matrix, got shape \(0, 0\)$"):
             build(np.zeros((0, 0)))
@@ -403,7 +417,61 @@ class TestWrapperValidation:
 
     def test_basis_to_povm(self):
         povm = Basis((KET0, KET1)).to_povm()
-        assert np.allclose(povm[0].matrix, KET0.projector())
+        assert np.allclose(povm[0], KET0.projector())
+
+
+class TestPovmStack:
+    """A measurement is one checked, read-only (outcome, d, d) stack."""
+
+    def test_stack_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(Povm)] == ["matrices"]
+
+    def test_sequence_and_stack_give_equal_matrices(self, rng):
+        for povm in (random_pvm(rng, 3), random_povm(rng, 4)):
+            effects = tuple(np.array(e) for e in povm.matrices)
+            from_tuple, from_stack = Povm(effects), Povm(np.stack(effects))
+            assert np.array_equal(from_tuple.matrices, from_stack.matrices)
+            assert np.array_equal(from_tuple.matrices, povm.matrices)
+            assert from_tuple.outcomes == len(effects) and from_tuple.dim == povm.dim
+
+    def test_stack_is_copied(self):
+        stack = np.stack([KET0.projector(), KET1.projector()])
+        povm = Povm(stack)
+        stack[0] = 0.0
+        assert np.array_equal(povm[0], KET0.projector())
+
+    def test_basis_to_povm_stacks_outer_projectors(self, rng):
+        u = haar_unitary(rng, 5)
+        basis = Basis(tuple(u[:, k] for k in range(5)))
+        expected = np.stack([np.outer(v.amplitudes, v.amplitudes.conj()) for v in basis.vectors])
+        assert np.array_equal(basis.to_povm().matrices, expected)
+
+    def test_spectrum_error_names_the_failing_outcome(self):
+        effects = (np.diag([1.0, 0.0]), np.diag([0.0, 1.5]), np.diag([0.0, -0.5]))
+        with pytest.raises(ValueError, match=r"^effect 1 spectrum \[0\.000e\+00, 1\.5\] leaves \[0, 1\]$"):
+            Povm(effects)
+
+    def test_ragged_effects_rejected(self):
+        with pytest.raises(ValueError, match="^all effects must share one dimension$"):
+            Povm((np.eye(2) / 2, np.eye(2) / 2, np.eye(3)))
+
+    def test_effect_shapes_named(self):
+        with pytest.raises(ValueError, match=r"^effect must be a square matrix, got shape \(2,\)$"):
+            Povm(np.eye(2))
+        with pytest.raises(ValueError, match=r"^effect must be a square matrix, got shape \(2, 3\)$"):
+            Povm(np.zeros((2, 2, 3)))
+
+    def test_one_outcome_rejected(self):
+        with pytest.raises(ValueError, match="^a POVM needs at least two outcomes$"):
+            Povm((np.eye(2),))
+
+    def test_one_eigvalsh_call(self, rng, monkeypatch):
+        effects = random_povm(rng, 16).matrices
+        calls = []
+        solver = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or solver(m))
+        Povm(effects)
+        assert calls == [(16, 16, 16)]
 
 
 class TestNonFiniteInput:
@@ -411,7 +479,7 @@ class TestNonFiniteInput:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
-    @pytest.mark.parametrize("build", [Effect, DensityMatrix, hermitian_eig, operator_norm])
+    @pytest.mark.parametrize("build", [EFFECT_CHECKS, DensityMatrix, hermitian_eig, operator_norm])
     def test_matrix_rejected(self, build, entry, bad):
         matrix = np.diag([0.0, 1.0]).astype(complex)
         matrix[entry] = matrix[entry[::-1]] = bad

@@ -6,7 +6,6 @@ import pytest
 
 from qracsim import (
     DensityMatrix,
-    Effect,
     MeasurementPair,
     Message,
     Povm,
@@ -73,9 +72,7 @@ def bell_basis_pair():
     ) / SQRT2
     twisted = bell.astype(complex).copy()
     twisted[:, 2:] *= 1j  # extra phase on the second factor keeps entanglement maximal
-    as_povm = lambda rows: Povm(
-        tuple(Effect(np.outer(r, r.conj())) for r in rows)
-    )
+    as_povm = lambda rows: Povm(tuple(np.outer(r, r.conj()) for r in rows))
     return MeasurementPair(as_povm(bell), as_povm(twisted))
 
 
@@ -161,9 +158,7 @@ class TestOptimalEncoding:
     def _assert_grid_agrees(self, pair):
         states = self._bloch_grid()
         for message in all_messages(2):
-            operator = (
-                pair.m1[message.digits[0]].matrix + pair.m2[message.digits[1]].matrix
-            )
+            operator = pair.m1[message.digits[0]] + pair.m2[message.digits[1]]
             values = np.einsum("ni,ij,nj->n", states.conj(), operator, states).real
             grid_best = float(values.max())
             exact = operator_norm(operator)
@@ -263,7 +258,7 @@ def per_message_encoding(total):
 
 def effect_sum(pair, message):
     x1, x2 = message.digits
-    return pair.m1[x1].matrix + pair.m2[x2].matrix
+    return pair.m1[x1] + pair.m2[x2]
 
 
 def stacked_engine_pairs():
@@ -302,7 +297,7 @@ def perturbed_pair(first_offsets, second_offsets, position):
             matrix = np.zeros((len(offsets), len(offsets)), dtype=complex)
             matrix[k, k] = 1.0
             matrix[position] += offset * 1e-10
-            effects.append(Effect(matrix))
+            effects.append(matrix)
         return Povm(tuple(effects))
 
     return MeasurementPair(povm(first_offsets), povm(second_offsets))
@@ -391,19 +386,19 @@ def looped_reduce_povm(povm, dims, keep):
         total = np.zeros((povm.dim, povm.dim), dtype=complex)
         for b in range(other_dim):
             outcome = a * d2 + b if keep == 1 else b * d2 + a
-            total = total + povm[outcome].matrix
+            total = total + povm[outcome]
         effects.append(partial_trace(total, dims, keep) / other_dim)
     return effects
 
 
 def looped_compatible(pair):
     for povm in (pair.m1, pair.m2):
-        for e in povm.effects:
-            if not np.linalg.norm(e.matrix @ e.matrix - e.matrix) < TOL.projective:
+        for e in povm.matrices:
+            if not np.linalg.norm(e @ e - e) < TOL.projective:
                 raise ValueError("compatibility test requires projective measurements")
-    for e1 in pair.m1.effects:
-        for e2 in pair.m2.effects:
-            commutator = e1.matrix @ e2.matrix - e2.matrix @ e1.matrix
+    for e1 in pair.m1.matrices:
+        for e2 in pair.m2.matrices:
+            commutator = e1 @ e2 - e2 @ e1
             if np.linalg.norm(commutator) >= TOL.commutator:
                 return False
     return True
@@ -411,7 +406,7 @@ def looped_compatible(pair):
 
 def looped_one_bit(pair):
     table = encoding_table(pair)
-    first_bit = [pair.m1[0].matrix + pair.m1[1].matrix, pair.m1[2].matrix + pair.m1[3].matrix]
+    first_bit = [pair.m1[0] + pair.m1[1], pair.m1[2] + pair.m1[3]]
     exact = low = high = 0.0
     for q in range(4):
         state = table[(q, 0)]
@@ -456,9 +451,9 @@ class TestStackOracles:
             reduced = reduce_pair(pair, dims, keep)
             for k in (1, 2):
                 expected = looped_reduce_povm(pair.measurement(k), dims, keep)
-                assert len(reduced.measurement(k).effects) == len(expected)
-                for effect, matrix in zip(reduced.measurement(k).effects, expected):
-                    assert np.array_equal(effect.matrix, matrix), (dims, keep, k)
+                assert len(reduced.measurement(k).matrices) == len(expected)
+                for effect, matrix in zip(reduced.measurement(k).matrices, expected):
+                    assert np.array_equal(effect, matrix), (dims, keep, k)
 
     @pytest.mark.parametrize("build", stack_oracle_pairs())
     def test_compatibility_matches_loop(self, build):
@@ -483,8 +478,11 @@ class TestStackOracles:
     def test_povm_stack_is_read_only_and_stacks_its_effects(self, build):
         pair = build()
         for povm in (pair.m1, pair.m2):
-            assert np.array_equal(povm.matrices, np.stack([e.matrix for e in povm.effects]))
             assert povm.matrices.shape == (povm.outcomes, povm.dim, povm.dim)
+            for k in range(povm.outcomes):
+                assert np.array_equal(povm[k], povm.matrices[k]) and np.shares_memory(povm[k], povm.matrices)
+                with pytest.raises(ValueError, match="read-only"):
+                    povm[k][0, 0] = 2.0
             with pytest.raises(ValueError, match="read-only"):
                 povm.matrices[0, 0, 0] = 2.0
 
@@ -508,6 +506,9 @@ class TestBounds:
             classical_bound(1)
         with pytest.raises(ValueError):
             quantum_bound(1)
+        for bound in (classical_bound, quantum_bound):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                bound(2.5)
 
 
 class TestAdvantage:
@@ -551,18 +552,18 @@ class TestCoarseGrain:
         reduced = coarse_grain(ququart_pair.m1, 0)
         eye = np.eye(4)
         expected = np.outer(eye[0], eye[0]) + np.outer(eye[1], eye[1])
-        assert np.allclose(reduced[0].matrix, expected, atol=1e-12)
+        assert np.allclose(reduced[0], expected, atol=1e-12)
 
     def test_second_bit_grouping(self, ququart_pair):
         reduced = coarse_grain(ququart_pair.m1, 1)
         eye = np.eye(4)
         expected = np.outer(eye[0], eye[0]) + np.outer(eye[2], eye[2])
-        assert np.allclose(reduced[0].matrix, expected, atol=1e-12)
+        assert np.allclose(reduced[0], expected, atol=1e-12)
 
     def test_preserves_identity_resolution(self, ququart_pair):
         for bit in (0, 1):
             reduced = coarse_grain(ququart_pair.m2, bit)
-            total = sum(e.matrix for e in reduced.effects)
+            total = sum(reduced.matrices)
             assert np.allclose(total, np.eye(4), atol=1e-12)
 
     def test_one_bit_ideal_success(self, ququart_pair):
@@ -575,6 +576,13 @@ class TestCoarseGrain:
         with pytest.raises(ValueError, match="four-outcome"):
             coarse_grain(qubit_pair.m1, 0)
 
+    def test_bit_must_be_an_integer(self, ququart_pair):
+        with pytest.raises(ValueError, match="bit must be 0 or 1"):
+            coarse_grain(ququart_pair.m1, 2)
+        for bit in (1.0, 0.5):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                coarse_grain(ququart_pair.m1, bit)
+
 
 class TestReduction:
     def test_product_pair_reduces_to_qubit_pair(self, ququart_pair, qubit_pair):
@@ -583,8 +591,8 @@ class TestReduction:
             for k in (1, 2):
                 for outcome in range(2):
                     assert np.max(np.abs(
-                        reduced.measurement(k)[outcome].matrix
-                        - qubit_pair.measurement(k)[outcome].matrix
+                        reduced.measurement(k)[outcome]
+                        - qubit_pair.measurement(k)[outcome]
                     )) < 1e-10
 
     def test_entangled_pair_reduces_to_trivial(self):
@@ -594,7 +602,7 @@ class TestReduction:
             for k in (1, 2):
                 for outcome in range(2):
                     assert np.allclose(
-                        reduced.measurement(k)[outcome].matrix, np.eye(2) / 2, atol=1e-10
+                        reduced.measurement(k)[outcome], np.eye(2) / 2, atol=1e-10
                     )
 
     def test_random_product_pvm_pairs_reduce_to_factors(self):
@@ -605,19 +613,13 @@ class TestReduction:
         gen = np.random.default_rng(9090)
         for _ in range(10):
             factors = {1: random_pvm(gen, 2), 2: random_pvm(gen, 2)}
-            joint = Povm(
-                tuple(
-                    Effect(tensor(factors[1][a].matrix, factors[2][b].matrix))
-                    for a in range(2)
-                    for b in range(2)
-                )
-            )
+            joint = Povm(tuple(tensor(factors[1][a], factors[2][b]) for a in range(2) for b in range(2)))
             pair = MeasurementPair(joint, joint)
             for keep in (1, 2):
                 reduced = reduce_pair(pair, (2, 2), keep)
                 for outcome in range(2):
                     assert np.max(np.abs(
-                        reduced.m1[outcome].matrix - factors[keep][outcome].matrix
+                        reduced.m1[outcome] - factors[keep][outcome]
                     )) < 1e-10
 
     def test_invalid_factorization(self, ququart_pair):
@@ -629,6 +631,8 @@ class TestReduction:
             reduce_pair(ququart_pair, (2.0, 2.0), 1)
         with pytest.raises(TypeError, match=r"^dims \(2, 2\) must be two integers and keep 1\.0 an"):
             reduce_pair(ququart_pair, (2, 2), 1.0)
+        with pytest.raises(TypeError, match=r"^dims \(2, 2, 1\) must be two integers"):
+            reduce_pair(ququart_pair, (2, 2, 1), 1)
 
     @pytest.mark.parametrize(
         "dims, keep",
@@ -657,7 +661,7 @@ class TestCompatibility:
     def test_rejects_non_projective(self):
         noisy = Povm(
             tuple(
-                Effect(0.5 * np.outer(v, v.conj()) + 0.25 * np.eye(2))
+                0.5 * np.outer(v, v.conj()) + 0.25 * np.eye(2)
                 for v in (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
             )
         )
