@@ -42,14 +42,14 @@ def _checked_hermitian(
     """Square, Hermitian within ``TOL.hermitian`` and inside the exact-solver
     cap: the checks shared by everything that takes a spectrum.  With
     ``stack`` the value may be a (..., d, d) stack, checked matrix by matrix
-    in C order; the first failing matrix names the defect."""
+    in C order; the first failing one, at C-order ``{index}``, names the defect."""
     m = _as_square_matrix(value, name, stack)
     with np.errstate(invalid="ignore"):  # inf - inf gives NaN, which is rejected
         defects = np.abs(m - _adjoint(m)).max(axis=(-2, -1)).ravel()
     failing = np.flatnonzero(~(defects <= TOL.hermitian))  # NaN and inf fail too
     if failing.size:
-        defect = float(defects[failing[0]])
-        raise ValueError(not_hermitian.format(name=name, defect=defect, tol=TOL.hermitian))
+        index, defect = int(failing[0]), float(defects[failing[0]])
+        raise ValueError(not_hermitian.format(name=name, index=index, defect=defect, tol=TOL.hermitian))
     if m.shape[-1] > TOL.dim_cap:
         raise ValueError(f"dimension {m.shape[-1]} exceeds the exact-solver cap {TOL.dim_cap}")
     return m
@@ -136,7 +136,8 @@ class Povm:
         m = np.asarray(self.matrices, dtype=complex)
         if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] == 0:
             raise ValueError(f"effect must be a square matrix, got shape {m.shape[1:]}")
-        m = _checked_hermitian(m, "effect", stack=True)
+        not_hermitian = "effect {index} is not Hermitian: deviation {defect:.3e}"
+        m = _checked_hermitian(m, "effect", not_hermitian, stack=True)
         if len(m) < 2:
             raise ValueError("a POVM needs at least two outcomes")
         eigs = np.linalg.eigvalsh(m)
@@ -250,16 +251,21 @@ def top_eigenvectors(h) -> list:
     return _canonical_tops(w.reshape(-1, d), v.reshape(-1, d, d))
 
 
+def _psd_norms(eigs: np.ndarray) -> np.ndarray:
+    """Top eigenvalues of ascending rows ``eigs``, clamped at 0; names the first row below -TOL.psd."""
+    low = eigs[..., 0].ravel()
+    negative = np.flatnonzero(low < -TOL.psd)
+    if negative.size:
+        raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {low[negative[0]]:.3e}")
+    return np.maximum(eigs[..., -1], 0.0)
+
+
 def operator_norm(h):
     """Operator norm of a Hermitian positive semidefinite matrix, or an
     array of them for a (..., d, d) stack, by one ``eigvalsh`` call.  A
     stack that fails a check names its first failing matrix in C order."""
     eigs = np.linalg.eigvalsh(_checked_hermitian(h, "input", _SOLVER_NOT_HERMITIAN, stack=True))
-    low = eigs[..., 0].ravel()
-    negative = np.flatnonzero(low < -TOL.psd)
-    if negative.size:
-        raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {low[negative[0]]:.3e}")
-    norms = np.maximum(eigs[..., -1], 0.0)
+    norms = _psd_norms(eigs)
     return float(norms) if norms.ndim == 0 else norms
 
 

@@ -13,14 +13,15 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import (  # hermitian_eig stays a name here for tracers that patch it
+from .linalg import _canonical_tops, _checked_split, _frozen, _psd_norms
+from .linalg import (  # hermitian_eig, operator_norm: names bench/spans.py traces here
     DensityMatrix,
     Povm,
     PureState,
-    _checked_split,
     born_probabilities,
     hermitian_eig,
     operator_norm,
@@ -64,7 +65,8 @@ def all_messages(alphabet: int) -> tuple[Message, ...]:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementPair:
-    """The two decoding measurements, each with d outcomes on a d-level system."""
+    """The two decoding measurements, each with d outcomes on a d-level system,
+    and ``spectra``, their effect sums solved once for the encodings and bounds."""
 
     m1: Povm
     m2: Povm
@@ -84,6 +86,19 @@ class MeasurementPair:
         if k not in (1, 2):
             raise ValueError("measurement index must be 1 or 2")
         return self.m1 if k == 1 else self.m2
+
+    @cached_property
+    def spectra(self) -> tuple[np.ndarray, tuple]:
+        """Read-only ascending eigenvalues (x1, x2, k) of each sum M1(x1) + M2(x2)
+        and its canonical top state, by one checked (d, d, d) ``hermitian_eig``
+        per x1, eigenvectors dropped.  A failed check caches nothing."""
+        second = self.m2.matrices
+        eigenvalues, states = [], []
+        for first in self.m1.matrices:
+            w, v = hermitian_eig(first + second)
+            eigenvalues.append(w)
+            states += _canonical_tops(w, v)
+        return _frozen(np.stack(eigenvalues)), tuple(states)
 
 
 def measurement_pair_from_mub(pair: MubPair) -> MeasurementPair:
@@ -146,8 +161,8 @@ def optimal_encoding(pair: MeasurementPair, message: Message) -> PureState:
     """Best encoding state for one message: the top eigenvector of
     M1(x1) + M2(x2), phase-fixed, and for a degenerate top eigenvalue the
     eigenspace's unit vector with the most leading zeros
-    (``linalg.top_eigenvectors``); ``encoding_table``'s path for a stack of
-    one."""
+    (``linalg.top_eigenvectors``), solved alone and bit-identical to
+    ``encoding_table``'s."""
     x1, x2 = message.digits
     if message.alphabet != pair.dim:
         raise ValueError("message alphabet must match the measurement dimension")
@@ -155,16 +170,10 @@ def optimal_encoding(pair: MeasurementPair, message: Message) -> PureState:
 
 
 def encoding_table(pair: MeasurementPair) -> EncodingMap:
-    """Optimal encoding states for all d^2 messages.
-
-    For each first digit x1 the d sums M1(x1) + M2(x2) form one (d, d, d)
-    stack with one batched ``eigh`` call (``linalg.top_eigenvectors``); each
-    state is bit-identical to ``optimal_encoding``'s.  A stack per x1, not one
-    of all d^2 sums, keeps the working set small at d = 16.
-    """
-    second = pair.m2.matrices
-    states = [s for first in pair.m1.matrices for s in top_eigenvectors(first + second)]
-    return EncodingMap(dict(zip(all_messages(pair.dim), states)))
+    """Optimal encoding states for all d^2 messages: the top states of the
+    effect sums in ``pair.spectra``, shared with ``max_success_probability``,
+    each bit-identical to ``optimal_encoding``'s.  Positivity is not checked."""
+    return EncodingMap(dict(zip(all_messages(pair.dim), pair.spectra[1])))
 
 
 def average_success_probability(encoding: EncodingMap, pair: MeasurementPair) -> float:
@@ -183,12 +192,12 @@ def average_success_probability(encoding: EncodingMap, pair: MeasurementPair) ->
 
 
 def max_success_probability(pair: MeasurementPair) -> float:
-    """Best achievable average success probability for a measurement pair,
-    via the operator norm of each effect sum, one stack per first digit."""
+    """Best achievable average success probability for a measurement pair, the
+    mean operator norm of its effect sums in ``pair.spectra``.  All sums are
+    checked Hermitian, then all positive semidefinite, first failure named."""
     d = pair.dim
-    second = pair.m2.matrices
-    total = sum(float(operator_norm(first + second).sum()) for first in pair.m1.matrices)
-    return total / (2.0 * d * d)
+    norms = _psd_norms(pair.spectra[0])
+    return sum(float(row.sum()) for row in norms) / (2.0 * d * d)
 
 
 def classical_bound(d: int) -> float:
@@ -210,7 +219,8 @@ def advantage(pair: MeasurementPair) -> AdvantageValue:
 
     Scores the total excess success probability over the classical strategy,
     summed over the two decoding tasks, so a mutually unbiased pair in
-    dimension d reaches (sqrt(d) - 1) / d.  Compatible pairs score zero.
+    dimension d reaches (sqrt(d) - 1) / d.  Compatible pairs score zero.  It
+    reads ``pair.spectra`` through ``max_success_probability``.
     """
     bound = classical_bound(pair.dim)
     return AdvantageValue(bound, 2.0 * (max_success_probability(pair) - bound))
@@ -325,9 +335,8 @@ def one_bit_success_probabilities(pair: MeasurementPair) -> dict[str, float]:
     """
     if pair.dim != 4:
         raise ValueError("defined for the four-dimensional protocol")
-    # the encodings of messages (q, 0): one stack of the sums M1(q) + M2(0)
-    states = top_eigenvectors(pair.m1.matrices + pair.m2.matrices[0])
-    amplitudes = np.stack([s.amplitudes for s in states])
+    # the encodings of messages (q, 0), read off the pair's shared spectra
+    amplitudes = np.stack([s.amplitudes for s in pair.spectra[1][::4]])
     exact = born_probabilities(amplitudes, pair.m1.matrices)
     # states q < 2 are scored against the first-bit effect 0, the rest against 1
     halves = born_probabilities(amplitudes, coarse_grain(pair.m1, 0).matrices[[0, 0, 1, 1]])

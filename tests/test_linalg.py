@@ -451,6 +451,13 @@ class TestPovmStack:
         with pytest.raises(ValueError, match=r"^effect 1 spectrum \[0\.000e\+00, 1\.5\] leaves \[0, 1\]$"):
             Povm(effects)
 
+    def test_hermitian_error_names_the_failing_outcome(self):
+        shear = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match=r"^effect 1 is not Hermitian: deviation 1\.000e\+00$"):
+            Povm((np.eye(2), shear))
+        with pytest.raises(ValueError, match=r"^effect 1 is not Hermitian: deviation 1\.000e\+00$"):
+            Povm((np.eye(2), shear, 2 * shear.T))
+
     def test_ragged_effects_rejected(self):
         with pytest.raises(ValueError, match="^all effects must share one dimension$"):
             Povm((np.eye(2) / 2, np.eye(2) / 2, np.eye(3)))

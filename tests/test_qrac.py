@@ -376,6 +376,70 @@ class TestStackedEngine:
             assert str(caught.value) == message
 
 
+NON_PSD_MESSAGE = "matrix is not positive semidefinite: min eigenvalue -1.050e-10"
+
+
+def non_psd_pair():
+    """Hermitian effect sums, one row of them not positive semidefinite."""
+    return perturbed_pair((-0.9, 0.0, 0.9), (-0.15, -0.8, 0.95), (2, 2))
+
+
+class TestSharedSpectra:
+    """Each pair's effect sums are solved once, whichever reader comes first."""
+
+    @pytest.mark.parametrize("d", [2, 4, 16])
+    def test_one_eigh_per_first_digit(self, d, monkeypatch):
+        pair = random_measurement_pair(np.random.default_rng(1800 + d), d, 2)
+        eigh_calls, eigvalsh_calls = [], []
+        eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: eigh_calls.append(m.shape) or eigh(m))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: eigvalsh_calls.append(m.shape) or eigvalsh(m))
+        encoding_table(pair)
+        max_success_probability(pair)
+        advantage(pair)
+        if d == 4:
+            one_bit_success_probabilities(pair)
+        assert eigh_calls == [(d, d, d)] * d
+        # only the coarse-grained Povm that the one-bit figures build checks its spectrum
+        assert eigvalsh_calls == ([(2, 4, 4)] if d == 4 else [])
+
+    @pytest.mark.parametrize("build", [c for c in stacked_engine_pairs() if c.id.endswith(("-d3", "-d16"))])
+    def test_reader_order_does_not_matter(self, build):
+        first, second = build(), build()
+        p_first = max_success_probability(first)
+        table_first = encoding_table(first)
+        table_second = encoding_table(second)
+        p_second = max_success_probability(second)
+        assert p_first == p_second
+        for message in all_messages(first.dim):
+            assert np.array_equal(table_first[message].amplitudes, table_second[message].amplitudes)
+        assert np.array_equal(first.spectra[0], second.spectra[0])
+
+    def test_spectra_are_cached_and_read_only(self, ququart_pair):
+        eigenvalues, states = ququart_pair.spectra
+        assert ququart_pair.spectra is ququart_pair.spectra
+        assert eigenvalues.shape == (4, 4, 4) and len(states) == 16
+        assert np.all(np.diff(eigenvalues, axis=-1) >= 0.0)
+        with pytest.raises(ValueError, match="read-only"):
+            eigenvalues[0, 0, 0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            states[0].amplitudes[0] = 2.0
+        table = encoding_table(ququart_pair)
+        for index, message in enumerate(all_messages(4)):
+            assert table[message] is states[index]
+
+    @pytest.mark.parametrize("table_first", [True, False])
+    def test_non_psd_sums_still_encode(self, table_first):
+        pair = non_psd_pair()
+        if table_first:
+            assert encoding_table(pair).alphabet == 3
+        for call in (max_success_probability, advantage):
+            with pytest.raises(ValueError) as caught:
+                call(pair)
+            assert str(caught.value) == NON_PSD_MESSAGE
+        assert encoding_table(pair).alphabet == 3
+
+
 # Per-effect loops, kept as exact oracles for the stack operations of
 # reduce_pair, pvm_pair_compatible and one_bit_success_probabilities.
 def looped_reduce_povm(povm, dims, keep):
