@@ -62,7 +62,6 @@ from .qrac import (
     max_success_probability,
     measurement_pair_from_mub,
     one_bit_success_probabilities,
-    optimal_encoding,
     pvm_pair_compatible,
     quantum_bound,
     reduce_pair,

@@ -163,7 +163,7 @@ def _reproduce_encodings(target: str, config: RunConfig, stdout) -> int:
     messages = protocol_messages(protocol)
     lines = ["message," + ",".join(f"component_{i}" for i in range(messages[0].alphabet))]
     for m in messages:
-        lines.append(m.label + "," + ",".join(f"{c:.6f}" for c in table[m].amplitudes.real))
+        lines.append(m.label + "," + ",".join(f"{c:.6f}" for c in table[m].real))
     _write_table(config.out, "\n".join(lines) + "\n", stdout)
     return 0
 

@@ -1,13 +1,13 @@
 """Exact dense complex linear algebra for small quantum systems.
 
-States, operators and measurements (one stack of effects each) are thin
-immutable wrappers around ``numpy`` arrays, checked on construction.  Spectra
-come from LAPACK, one call per matrix or per (..., d, d) stack:
-``hermitian_eig`` is the one checked ``eigh``, and ``top_eigenvectors`` is
-built on it.  The rule that picks a top vector out of a degenerate eigenspace
-depends on the eigenspace alone, so optimal encodings do not depend on the
-basis LAPACK returns: reruns on one build are bit-identical, and LAPACK builds
-differ only by rounding.
+States, operators, bases and measurements are thin immutable wrappers around
+``numpy`` arrays (a basis is one stack of unit rows, a measurement one stack
+of effects), checked on construction; ``_unit_rows`` normalises and
+phase-fixes every state vector.  Spectra come from LAPACK, one call per matrix
+or per (..., d, d) stack, through the one checked ``eigh``, ``hermitian_eig``.
+The top vector picked from a degenerate eigenspace depends on the eigenspace
+alone, so optimal encodings do not depend on the basis LAPACK returns: reruns
+on one build are bit-identical, and LAPACK builds differ only by rounding.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ def _checked_hermitian(
 ) -> np.ndarray:
     """Square, Hermitian within ``TOL.hermitian`` and inside the exact-solver
     cap: the checks shared by everything that takes a spectrum.  With
-    ``stack`` the value may be a (..., d, d) stack, checked matrix by matrix
-    in C order; the first failing one, at C-order ``{index}``, names the defect."""
+    ``stack`` the value may be a (..., d, d) stack, checked in C order; the
+    first failing matrix's defect is reported (its index only by a template with ``{index}``)."""
     m = _as_square_matrix(value, name, stack)
     with np.errstate(invalid="ignore"):  # inf - inf gives NaN, which is rejected
         defects = np.abs(m - _adjoint(m)).max(axis=(-2, -1)).ravel()
@@ -60,6 +60,27 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _norms_sq(v: np.ndarray) -> np.ndarray:
+    """Squared norms of the rows (last axis) of ``v``, keeping that axis, once
+    each is within ``TOL.norm`` of 1; the first that is not, in C order, is named."""
+    norm_sq = np.sum(np.abs(v) ** 2, axis=-1, keepdims=True)
+    defects = np.abs(norm_sq - 1.0).ravel()
+    failing = np.flatnonzero(~(defects <= TOL.norm))  # NaN and inf fail too
+    if failing.size:
+        raise ValueError(f"state is not normalized: |norm^2 - 1| = {defects[failing[0]]:.3e}")
+    return norm_sq
+
+
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """Rows (last axis) of ``v`` normalised, each first component of modulus
+    above ``TOL.phase_pivot`` made real and nonnegative.  The pivot's modulus
+    is ``hypot``, which rounds as one vector's scalar ``abs``; ``np.abs`` may not."""
+    v = v / np.sqrt(_norms_sq(v))
+    first = np.argmax(np.abs(v) > TOL.phase_pivot, axis=-1)[..., None]
+    pivot = np.take_along_axis(v, first, axis=-1)
+    return v * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized state vector with a fixed global phase.
@@ -75,14 +96,7 @@ class PureState:
         v = np.asarray(self.amplitudes, dtype=complex)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("amplitudes must be a nonempty 1-d vector")
-        norm_sq = float(np.sum(np.abs(v) ** 2))
-        if not abs(norm_sq - 1.0) <= TOL.norm:  # NaN and inf fail too
-            raise ValueError(f"state is not normalized: |norm^2 - 1| = {abs(norm_sq - 1.0):.3e}")
-        v = v / np.sqrt(norm_sq)
-        pivots = np.flatnonzero(np.abs(v) > TOL.phase_pivot)
-        pivot = v[pivots[0]]
-        v = v * (pivot.conjugate() / abs(pivot))
-        object.__setattr__(self, "amplitudes", _frozen(v))
+        object.__setattr__(self, "amplitudes", _frozen(_unit_rows(v)))
 
     @property
     def dim(self) -> int:
@@ -163,61 +177,65 @@ class Povm:
 
 @dataclass(frozen=True, eq=False)
 class Basis:
-    """Orthonormal basis given as a tuple of pure states."""
+    """Orthonormal basis as one read-only (d, d) stack ``vectors`` of unit
+    rows.  Takes d vectors, each normalised and phase-fixed as a
+    ``PureState`` is, or ``PureState``s, kept as they are."""
 
-    vectors: tuple
+    vectors: np.ndarray
 
     def __post_init__(self):
-        vecs = tuple(v if isinstance(v, PureState) else PureState(np.asarray(v)) for v in self.vectors)
-        dim = len(vecs)
-        if dim == 0 or any(v.dim != dim for v in vecs):
+        given = tuple(self.vectors)
+        rows = [v.amplitudes if isinstance(v, PureState) else np.asarray(v, dtype=complex) for v in given]
+        dim = len(rows)
+        if dim == 0 or any(r.shape != (dim,) for r in rows):
             raise ValueError("a basis needs exactly dim vectors of matching dimension")
-        stack = np.stack([v.amplitudes for v in vecs])
-        gram = stack @ stack.conj().T
-        off = np.max(np.abs(gram - np.eye(dim)))
+        stack = np.stack(rows)
+        raw = [not isinstance(v, PureState) for v in given]
+        stack[raw] = _unit_rows(stack[raw])
+        off = np.max(np.abs(stack @ stack.conj().T - np.eye(dim)))
         if off > TOL.orthonormal:
             raise ValueError(f"basis is not orthonormal: overlap defect {off:.3e}")
-        object.__setattr__(self, "vectors", vecs)
+        object.__setattr__(self, "vectors", _frozen(stack))
 
     @property
     def dim(self) -> int:
-        return self.vectors[0].dim
+        return self.vectors.shape[0]
 
-    def __getitem__(self, index: int) -> PureState:
+    def __getitem__(self, index: int) -> np.ndarray:
         return self.vectors[index]
 
     def to_povm(self) -> Povm:
-        return Povm(np.stack([v.projector() for v in self.vectors]))
+        return Povm(self.vectors[:, :, None] * self.vectors[:, None, :].conj())
 
 
-def _canonical_tops(w: np.ndarray, v: np.ndarray) -> list:
-    """Canonical unit vector of each maximal-eigenvalue eigenspace, for rows
-    of ascending eigenvalues ``w`` (n, d) with eigenvector columns ``v``
-    (n, d, d).
+def _canonical_tops(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Canonical unit vector of each maximal-eigenvalue eigenspace, as a
+    read-only (n, d) stack of rows, for rows of ascending eigenvalues ``w``
+    (n, d) with eigenvector columns ``v`` (n, d, d).
 
     An eigenspace is spanned by its row's top cluster (consecutive gaps below
     ``TOL.cluster_gap``).  Its unit vector with the most leading zeros is
     unique up to phase; phase-fixed, it is the lexicographically smallest
     one.  It depends on the eigenspace alone, not on the basis of it that
-    the solver returned.  A simple top eigenvalue's column is wrapped as it
+    the solver returned.  A simple top eigenvalue's column is taken as it
     is; only a degenerate cluster is narrowed, one SVD per component.
     """
     d = w.shape[-1]
     close = np.diff(w, axis=-1) < TOL.cluster_gap
     starts = d - 1 - np.cumprod(close[:, ::-1], axis=-1).sum(axis=-1)
-    states = []
-    for vectors, start in zip(v, starts.tolist()):
+    tops = v[..., -1].copy()
+    for row in np.flatnonzero(starts < d - 1).tolist():
         # Fortran order: the SVD rule's products round differently in C
         # order, which would move the encodings' last bits
-        basis = np.asfortranarray(vectors[:, start:])
+        basis = np.asfortranarray(v[row, :, starts[row] :])
         for i in range(d):
             if basis.shape[1] == 1:
                 break
             if np.linalg.norm(basis[i]) > TOL.phase_pivot:
                 # keep the orthonormal combinations that vanish on component i
                 basis = basis @ np.linalg.svd(basis[i : i + 1])[2][1:].conj().T
-        states.append(PureState(basis[:, 0]))
-    return states
+        tops[row] = basis[:, 0]
+    return _frozen(_unit_rows(tops))
 
 
 def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
@@ -228,8 +246,8 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     eigenvalues ascending, eigenvectors as columns, none wrapped as a
     state.  Each matrix is checked Hermitian and inside the exact-solver
     cap, symmetrised, and held to the reconstruction and orthonormality
-    checks; a stack that fails a Hermitian check names its first failing
-    matrix in C order.  Inside a degenerate cluster the basis is whichever
+    checks; a failing stack reports its first failing matrix's defect in C
+    order, not its index.  Inside a degenerate cluster the basis is whichever
     one LAPACK returns.  Reruns on one build are bit-identical.
     """
     m = _checked_hermitian(h, "input", _SOLVER_NOT_HERMITIAN, stack=True)
@@ -240,15 +258,6 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     if np.max(np.abs(_adjoint(v) @ v - np.eye(m.shape[-1])), initial=0.0) > TOL.orthonormal:
         raise ValueError("eigenvectors are not orthonormal")
     return _frozen(w), _frozen(v)
-
-
-def top_eigenvectors(h) -> list:
-    """Canonical top eigenvector (``_canonical_tops``) of every matrix of a
-    Hermitian (..., d, d) stack, in C order, from one ``hermitian_eig`` call,
-    with its checks and messages."""
-    w, v = hermitian_eig(h)
-    d = w.shape[-1]
-    return _canonical_tops(w.reshape(-1, d), v.reshape(-1, d, d))
 
 
 def _psd_norms(eigs: np.ndarray) -> np.ndarray:
@@ -262,8 +271,8 @@ def _psd_norms(eigs: np.ndarray) -> np.ndarray:
 
 def operator_norm(h):
     """Operator norm of a Hermitian positive semidefinite matrix, or an
-    array of them for a (..., d, d) stack, by one ``eigvalsh`` call.  A
-    stack that fails a check names its first failing matrix in C order."""
+    array of them for a (..., d, d) stack, by one ``eigvalsh`` call.  A failing
+    stack reports its first failing matrix's defect in C order, not its index."""
     eigs = np.linalg.eigvalsh(_checked_hermitian(h, "input", _SOLVER_NOT_HERMITIAN, stack=True))
     norms = _psd_norms(eigs)
     return float(norms) if norms.ndim == 0 else norms

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import product
 
 import numpy as np
 
-from .linalg import Basis, PureState, tensor
+from .linalg import Basis, _unit_rows
 from .tolerances import TOL
 
 
@@ -16,11 +14,8 @@ def unbiasedness_defect(first: Basis, second: Basis) -> float:
     """Worst deviation of the squared overlaps from the unbiased value 1/d."""
     if first.dim != second.dim:
         raise ValueError("bases must share one dimension")
-    d = first.dim
-    a = np.stack([v.amplitudes for v in first.vectors])
-    b = np.stack([v.amplitudes for v in second.vectors])
-    overlaps = np.abs(a.conj() @ b.T) ** 2
-    return float(np.max(np.abs(overlaps - 1.0 / d)))
+    overlaps = np.abs(first.vectors.conj() @ second.vectors.T) ** 2
+    return float(np.max(np.abs(overlaps - 1.0 / first.dim)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,9 +26,7 @@ class MubPair:
     second: Basis
 
     def __post_init__(self):
-        if self.first.dim != self.second.dim:
-            raise ValueError("bases must share one dimension")
-        defect = unbiasedness_defect(self.first, self.second)
+        defect = unbiasedness_defect(self.first, self.second)  # checks the dimensions too
         if defect > TOL.mub_defect:
             raise ValueError(f"bases are not mutually unbiased: defect {defect:.3e}")
 
@@ -44,16 +37,19 @@ class MubPair:
 
 def pauli_mub_pair() -> MubPair:
     """The qubit pair: computational basis and its conjugate (X) basis."""
-    zero = PureState(np.array([1.0, 0.0]))
-    one = PureState(np.array([0.0, 1.0]))
-    plus = PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
-    minus = PureState(np.array([1.0, -1.0]) / np.sqrt(2.0))
-    return MubPair(Basis((zero, one)), Basis((plus, minus)))
+    return MubPair(Basis(np.eye(2)), Basis(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)))
 
 
 def _product_basis(base: Basis, n: int) -> Basis:
-    # product() runs its last factor fastest, so the order is big-endian
-    return Basis(tuple(reduce(tensor, states) for states in product(base.vectors, repeat=n)))
+    # row-wise Kronecker power, the last factor fastest, so big-endian; each
+    # product is normalised as ``tensor`` normalises one, the last by Basis
+    if n == 1:
+        return base
+    rows = base.vectors
+    for factor in range(2, n + 1):
+        rows = (rows[:, None, :, None] * base.vectors[None, :, None, :]).reshape(base.dim**factor, -1)
+        rows = _unit_rows(rows) if factor < n else rows
+    return Basis(rows)
 
 
 def product_mub_pair(base: MubPair, n: int) -> MubPair:
@@ -72,13 +68,5 @@ def fourier_mub_pair(d: int) -> MubPair:
     """Computational basis paired with the discrete Fourier basis in dimension d."""
     if d < 2 or d > TOL.dim_cap:
         raise ValueError(f"dimension must be in 2..{TOL.dim_cap}")
-    eye = np.eye(d)
-    first = Basis(tuple(PureState(eye[k]) for k in range(d)))
     omega = np.exp(2j * np.pi / d)
-    second = Basis(
-        tuple(
-            PureState(omega ** (j * np.arange(d)) / np.sqrt(d))
-            for j in range(d)
-        )
-    )
-    return MubPair(first, second)
+    return MubPair(Basis(np.eye(d)), Basis(omega ** np.outer(np.arange(d), np.arange(d)) / np.sqrt(d)))

@@ -202,7 +202,7 @@ def _protocol(name: str) -> _Protocol:
     else:
         raise ValueError(f"unknown protocol {name!r}")
     table = encoding_table(measurement_pair_from_mub(pair))
-    encoded = np.array([table[m].amplitudes for m in messages])
+    encoded = np.array([table[m] for m in messages])
     if np.max(np.abs(encoded.imag)) > 1e-12:
         raise ValueError("optimal encoding is not realizable with 0/pi phases")
     trains = tuple(

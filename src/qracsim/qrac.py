@@ -9,7 +9,6 @@ subsystems, and depolarizing noise.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -17,16 +16,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import _canonical_tops, _checked_split, _frozen, _psd_norms
+from .linalg import _canonical_tops, _checked_split, _frozen, _norms_sq, _psd_norms
 from .linalg import (  # hermitian_eig, operator_norm: names bench/spans.py traces here
     DensityMatrix,
     Povm,
-    PureState,
     born_probabilities,
     hermitian_eig,
     operator_norm,
     partial_trace,
-    top_eigenvectors,
 )
 from .mub import MubPair
 from .tolerances import TOL
@@ -72,6 +69,8 @@ class MeasurementPair:
     m2: Povm
 
     def __post_init__(self):
+        if not isinstance(self.m1, Povm) or not isinstance(self.m2, Povm):
+            raise TypeError(f"m1 and m2 must be Povms, got {type(self.m1).__name__}, {type(self.m2).__name__}")
         if self.m1.dim != self.m2.dim:
             raise ValueError("measurements must act on the same dimension")
         d = self.m1.dim
@@ -88,17 +87,17 @@ class MeasurementPair:
         return self.m1 if k == 1 else self.m2
 
     @cached_property
-    def spectra(self) -> tuple[np.ndarray, tuple]:
-        """Read-only ascending eigenvalues (x1, x2, k) of each sum M1(x1) + M2(x2)
-        and its canonical top state, by one checked (d, d, d) ``hermitian_eig``
-        per x1, eigenvectors dropped.  A failed check caches nothing."""
+    def spectra(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (x1, x2, k) stacks: ascending eigenvalues of each sum M1(x1) +
+        M2(x2) and its canonical top state, by one checked (d, d, d)
+        ``hermitian_eig`` per x1, eigenvectors dropped.  A failure caches nothing."""
         second = self.m2.matrices
-        eigenvalues, states = [], []
+        eigenvalues, tops = [], []
         for first in self.m1.matrices:
             w, v = hermitian_eig(first + second)
             eigenvalues.append(w)
-            states += _canonical_tops(w, v)
-        return _frozen(np.stack(eigenvalues)), tuple(states)
+            tops.append(_canonical_tops(w, v))
+        return _frozen(np.stack(eigenvalues)), _frozen(np.stack(tops))
 
 
 def measurement_pair_from_mub(pair: MubPair) -> MeasurementPair:
@@ -108,29 +107,28 @@ def measurement_pair_from_mub(pair: MubPair) -> MeasurementPair:
 
 @dataclass(frozen=True, eq=False)
 class EncodingMap:
-    """Complete table of encoding states, one per message."""
+    """Encoding states of all d^2 messages as one read-only (x1, x2, k) stack
+    ``amplitudes``; rows are checked normalised but kept as given, not re-phased."""
 
-    table: dict
+    amplitudes: np.ndarray
 
     def __post_init__(self):
-        if not self.table:
-            raise ValueError("encoding table is empty")
-        d = next(iter(self.table)).alphabet
-        digits = {m.digits for m in self.table}
-        if len(self.table) != d * d or digits != set(itertools.product(range(d), repeat=2)):
-            raise ValueError("encoding table must cover all d^2 messages")
-        if any(not isinstance(s, PureState) for s in self.table.values()):
-            raise ValueError("encoding table values must be pure states")
-        object.__setattr__(self, "table", dict(self.table))
+        a = np.array(self.amplitudes, dtype=complex)
+        if a.ndim != 3 or a.shape[0] != a.shape[1] or a.shape[0] < 2:
+            raise ValueError(f"encoding table must cover all d^2 messages: amplitudes of shape {a.shape}")
+        _norms_sq(a)
+        object.__setattr__(self, "amplitudes", _frozen(a))
 
     @property
     def alphabet(self) -> int:
-        return next(iter(self.table)).alphabet
+        return self.amplitudes.shape[0]
 
-    def __getitem__(self, message) -> PureState:
-        if isinstance(message, Message):
-            return self.table[message]
-        return self.table[Message(tuple(message), self.alphabet)]
+    def __getitem__(self, message) -> np.ndarray:  # a Message or digits (x1, x2)
+        if not isinstance(message, Message):
+            message = Message(tuple(message), self.alphabet)
+        elif message.alphabet != self.alphabet:
+            raise ValueError(f"message alphabet {message.alphabet} is not the encoding's {self.alphabet}")
+        return self.amplitudes[message.digits]
 
 
 @dataclass(frozen=True)
@@ -157,23 +155,11 @@ class AllocationValue:
     terms: tuple[float, float, float]
 
 
-def optimal_encoding(pair: MeasurementPair, message: Message) -> PureState:
-    """Best encoding state for one message: the top eigenvector of
-    M1(x1) + M2(x2), phase-fixed, and for a degenerate top eigenvalue the
-    eigenspace's unit vector with the most leading zeros
-    (``linalg.top_eigenvectors``), solved alone and bit-identical to
-    ``encoding_table``'s."""
-    x1, x2 = message.digits
-    if message.alphabet != pair.dim:
-        raise ValueError("message alphabet must match the measurement dimension")
-    return top_eigenvectors(pair.m1[x1] + pair.m2[x2])[0]
-
-
 def encoding_table(pair: MeasurementPair) -> EncodingMap:
-    """Optimal encoding states for all d^2 messages: the top states of the
-    effect sums in ``pair.spectra``, shared with ``max_success_probability``,
-    each bit-identical to ``optimal_encoding``'s.  Positivity is not checked."""
-    return EncodingMap(dict(zip(all_messages(pair.dim), pair.spectra[1])))
+    """Optimal encodings: row (x1, x2) is the phase-fixed top eigenvector of
+    M1(x1) + M2(x2) (of a degenerate top, the eigenspace's unit vector with the most
+    leading zeros), read off ``pair.spectra``.  Positivity is not checked."""
+    return EncodingMap(pair.spectra[1])
 
 
 def average_success_probability(encoding: EncodingMap, pair: MeasurementPair) -> float:
@@ -182,12 +168,8 @@ def average_success_probability(encoding: EncodingMap, pair: MeasurementPair) ->
     d = pair.dim
     if encoding.alphabet != d:
         raise ValueError("encoding and measurements have mismatched alphabets")
-    states = [state for _, state in sorted(encoding.table.items(), key=lambda item: item[0].digits)]
-    if any(s.dim != d for s in states):
-        raise ValueError("state and effect dimensions differ")
-    amplitudes = np.stack([s.amplitudes for s in states]).reshape(d, d, d)
-    first = born_probabilities(amplitudes, pair.m1.matrices[:, None])
-    second = born_probabilities(amplitudes, pair.m2.matrices[None])
+    first = born_probabilities(encoding.amplitudes, pair.m1.matrices[:, None])
+    second = born_probabilities(encoding.amplitudes, pair.m2.matrices[None])
     return float(first.sum() + second.sum()) / (2.0 * d * d)
 
 
@@ -310,8 +292,8 @@ def allocation_figure(global_adv, s1_adv, s2_adv) -> AllocationValue:
         float(a.value) if isinstance(a, AdvantageValue) else float(a)
         for a in (global_adv, s1_adv, s2_adv)
     )
-    if not all(t >= 0.0 for t in terms):
-        raise ValueError("advantage terms must be nonnegative")
+    if not all(0.0 <= t < math.inf for t in terms):
+        raise ValueError(f"advantage terms must be nonnegative and finite, got {terms}")
     if any(t == 0.0 for t in terms):
         return AllocationValue(None, terms)
     return AllocationValue(sum(math.log(t) for t in terms), terms)
@@ -336,7 +318,7 @@ def one_bit_success_probabilities(pair: MeasurementPair) -> dict[str, float]:
     if pair.dim != 4:
         raise ValueError("defined for the four-dimensional protocol")
     # the encodings of messages (q, 0), read off the pair's shared spectra
-    amplitudes = np.stack([s.amplitudes for s in pair.spectra[1][::4]])
+    amplitudes = pair.spectra[1][:, 0]
     exact = born_probabilities(amplitudes, pair.m1.matrices)
     # states q < 2 are scored against the first-bit effect 0, the rest against 1
     halves = born_probabilities(amplitudes, coarse_grain(pair.m1, 0).matrices[[0, 0, 1, 1]])

@@ -62,21 +62,37 @@ def random_density_matrix(rng: np.random.Generator, d: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+def unit_vector_oracle(v) -> np.ndarray:
+    """One vector normalised and phase-fixed as ``PureState`` did before
+    ``linalg._unit_rows`` took over, one vector at a time with a scalar
+    ``abs`` of the pivot: the oracle that every row of ``_unit_rows`` must
+    equal bytewise."""
+    v = np.asarray(v, dtype=complex)
+    norm_sq = float(np.sum(np.abs(v) ** 2))
+    if not abs(norm_sq - 1.0) <= TOL.norm:
+        raise ValueError(f"state is not normalized: |norm^2 - 1| = {abs(norm_sq - 1.0):.3e}")
+    v = v / np.sqrt(norm_sq)
+    pivot = v[np.flatnonzero(np.abs(v) > TOL.phase_pivot)[0]]
+    return v * (pivot.conjugate() / abs(pivot))
+
+
 def born_probability(state, effect) -> float:
-    """Born-rule probability of one effect matrix on a pure state or density
-    matrix, one ``vdot`` or trace at a time: the oracle that
-    ``linalg.born_probabilities`` is checked against."""
+    """Born-rule probability of one effect matrix on a pure state (a
+    ``PureState`` or an amplitude row) or a density matrix, one ``vdot`` or
+    trace at a time: the oracle that ``linalg.born_probabilities`` is
+    checked against."""
     e = np.asarray(effect, dtype=complex)
-    if isinstance(state, PureState):
-        if state.dim != e.shape[0]:
+    if isinstance(state, (PureState, np.ndarray)):
+        amplitudes = state.amplitudes if isinstance(state, PureState) else state
+        if amplitudes.shape != e.shape[:1]:
             raise ValueError("state and effect dimensions differ")
-        value = float(np.real(np.vdot(state.amplitudes, e @ state.amplitudes)))
+        value = float(np.real(np.vdot(amplitudes, e @ amplitudes)))
     elif isinstance(state, DensityMatrix):
         if state.dim != e.shape[0]:
             raise ValueError("state and effect dimensions differ")
         value = float(np.real(np.trace(state.matrix @ e)))
     else:
-        raise TypeError("state must be a PureState or DensityMatrix")
+        raise TypeError("state must be a PureState, an amplitude row or a DensityMatrix")
     if not -TOL.probability_slack <= value <= 1.0 + TOL.probability_slack:
         raise ValueError(f"Born probability {value:.12g} is outside [0, 1] beyond tolerance")
     return min(max(value, 0.0), 1.0)

@@ -83,13 +83,13 @@ def test_criterion_2_encoding_reproduction():
         (1, 1): (b1, -a1),
     }
     for digits, amplitudes in expected_qubit.items():
-        assert np.allclose(table[digits].amplitudes.real, amplitudes, atol=1e-6)
+        assert np.allclose(table[digits].real, amplitudes, atol=1e-6)
 
     table4 = encoding_table(ququart_pair)
     for q in range(4):
         expected = np.full(4, b2)
         expected[q] = a2
-        assert np.allclose(table4[(q, 0)].amplitudes.real, expected, atol=1e-6)
+        assert np.allclose(table4[(q, 0)].real, expected, atol=1e-6)
 
     assert runtime < 10e-3
     report(2, f"both encoding tables match to 1e-6, runtime {runtime * 1e3:.2f} ms")

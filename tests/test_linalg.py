@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qracsim import linalg
-from qracsim.linalg import born_probabilities, top_eigenvectors
+from qracsim.linalg import born_probabilities
 from qracsim import (
     Basis,
     DensityMatrix,
@@ -27,6 +27,7 @@ from conftest import (
     random_hermitian,
     random_povm,
     random_pvm,
+    unit_vector_oracle,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -43,6 +44,14 @@ def two_outcome_povm(matrix):
 
 # the id names the checks this case runs: a measurement's per-effect ones
 EFFECT_CHECKS = pytest.param(two_outcome_povm, id="Effect")
+
+
+def top_eigenvectors(h) -> np.ndarray:
+    """Canonical top eigenvector rows of every matrix of a Hermitian
+    (..., d, d) stack, in C order, from one ``hermitian_eig`` call."""
+    w, v = hermitian_eig(h)
+    d = w.shape[-1]
+    return linalg._canonical_tops(w.reshape(-1, d), v.reshape(-1, d, d))
 
 
 class TestPureState:
@@ -62,6 +71,39 @@ class TestPureState:
     def test_amplitudes_read_only(self):
         with pytest.raises(ValueError):
             KET0.amplitudes[0] = 5.0
+
+
+class TestUnitRows:
+    """``_unit_rows`` is the one normalise-and-phase-fix rule, row by row
+    bit-identical to the one-vector body that ``PureState`` had before."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        d=st.integers(1, 16),
+        rows=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        stretch=st.floats(-5e-11, 5e-11),
+    )
+    def test_rows_match_one_vector_oracle(self, d, rows, seed, stretch):
+        gen = np.random.default_rng(seed)
+        v = gen.normal(size=(rows, d)) + 1j * gen.normal(size=(rows, d))
+        # leading zeros, then components too small to fix the phase
+        leads = gen.integers(0, d, size=(rows, 1))
+        v[np.arange(d) < leads] = 0.0
+        v[np.arange(d) == leads - 1] = 1e-13 * gen.normal(size=rows)[leads[:, 0] > 0]
+        v *= np.exp(2j * np.pi * gen.uniform(size=(rows, 1)))
+        v *= math.sqrt(1.0 + stretch) / np.linalg.norm(v, axis=-1, keepdims=True)
+        unit = linalg._unit_rows(v)
+        assert unit.shape == v.shape
+        for row, vector in zip(unit, v, strict=True):
+            assert row.tobytes() == unit_vector_oracle(vector).tobytes()
+        assert linalg._unit_rows(v[0]).tobytes() == unit[0].tobytes()
+        assert PureState(v[0]).amplitudes.tobytes() == unit[0].tobytes()
+
+    def test_first_failing_row_is_named(self):
+        rows = np.array([[1.0, 0.0], [1.0, 1e-4], [1.0, 1.0]])
+        with pytest.raises(ValueError, match=r"^state is not normalized: \|norm\^2 - 1\| = 1\.000e-08$"):
+            linalg._unit_rows(rows)
 
 
 class TestTensor:
@@ -94,8 +136,7 @@ class TestHermitianEig:
     def test_diagonal_case(self):
         w, v = hermitian_eig(np.diag([1.0, -1.0]))
         assert np.allclose(w, [-1.0, 1.0])
-        assert np.allclose(PureState(v[:, 0]).amplitudes, [0.0, 1.0])
-        assert np.allclose(PureState(v[:, 1]).amplitudes, [1.0, 0.0])
+        assert np.allclose(linalg._unit_rows(v.T), [[0.0, 1.0], [1.0, 0.0]])
         for array in (w, v):
             with pytest.raises(ValueError):
                 array[0] = 5.0
@@ -106,7 +147,7 @@ class TestHermitianEig:
         w, _ = hermitian_eig(matrix)
         assert np.allclose(w, [1 - 1 / SQRT2, 1 + 1 / SQRT2], atol=1e-12)
         top = top_eigenvectors(matrix)[0]
-        assert np.allclose(top.amplitudes, [math.cos(math.pi / 8), math.sin(math.pi / 8)], atol=1e-12)
+        assert np.allclose(top, [math.cos(math.pi / 8), math.sin(math.pi / 8)], atol=1e-12)
 
     def test_degenerate_identity(self):
         w, v = hermitian_eig(np.eye(4))
@@ -143,14 +184,14 @@ class TestHermitianEig:
         # the top cluster {2, 2} spans e1 and e2; the representative is its
         # unit vector with the most leading zeros, e2, whatever basis LAPACK returns
         top = top_eigenvectors(np.diag([1.0, 2.0, 2.0]))[0]
-        assert np.allclose(top.amplitudes, [0.0, 0.0, 1.0])
+        assert np.allclose(top, [0.0, 0.0, 1.0])
 
     def test_top_eigenvector_ignores_cluster_basis(self):
         # {e1, e2} and {(e1 - e2)/sqrt2, (e1 + e2)/sqrt2} span one eigenspace
         w = np.array([[1.0, 2.0, 2.0]])
         second = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, -1.0, 1.0]]) / [1.0, SQRT2, SQRT2]
-        first_top = linalg._canonical_tops(w, np.eye(3)[None])[0].amplitudes
-        second_top = linalg._canonical_tops(w, second[None])[0].amplitudes
+        first_top = linalg._canonical_tops(w, np.eye(3)[None])[0]
+        second_top = linalg._canonical_tops(w, second[None])[0]
         assert np.allclose(first_top, [0.0, 0.0, 1.0], atol=1e-12)
         assert np.allclose(second_top, first_top, atol=1e-12)
 
@@ -168,7 +209,7 @@ class TestHermitianEig:
         u = haar_unitary(gen, d)
         h = u @ np.diag(np.concatenate([low, np.full(multiplicity, lam)])) @ u.conj().T
         h = (h + h.conj().T) / 2
-        top = top_eigenvectors(h)[0].amplitudes
+        top = top_eigenvectors(h)[0]
         assert np.max(np.abs(h @ top - lam * top)) < 1e-9
         # a unit vector of the eigenspace vanishing on the first `lead`
         # components exists iff those rows leave the eigenspace basis rank
@@ -223,8 +264,8 @@ class TestHermitianEig:
                 gen = np.random.default_rng(seed)
                 rotated = v.copy()
                 rotated[:, d - multiplicity :] = v[:, d - multiplicity :] @ haar_unitary(gen, multiplicity)
-                from_lapack = linalg._canonical_tops(w[None], v[None])[0].amplitudes
-                from_rotated = linalg._canonical_tops(w[None], rotated[None])[0].amplitudes
+                from_lapack = linalg._canonical_tops(w[None], v[None])[0]
+                from_rotated = linalg._canonical_tops(w[None], rotated[None])[0]
                 assert np.max(np.abs(from_lapack - from_rotated)) < 1e-12
 
 
@@ -298,9 +339,12 @@ class TestStacks:
             v = np.linalg.qr(random_hermitian(rng, d))[0]
             w = np.concatenate([np.sort(rng.uniform(-1, 0, d - multiplicity)), np.ones(multiplicity)])
             stack.append((v * w) @ v.conj().T)
-        states = top_eigenvectors(np.stack(stack))
-        for state, h in zip(states, stack, strict=True):
-            assert np.array_equal(state.amplitudes, top_eigenvectors(h)[0].amplitudes)
+        tops = top_eigenvectors(np.stack(stack))
+        assert tops.shape == (len(stack), d)
+        with pytest.raises(ValueError, match="read-only"):
+            tops[0, 0] = 2.0
+        for top, h in zip(tops, stack, strict=True):
+            assert np.array_equal(top, top_eigenvectors(h)[0])
 
     def test_born_probabilities_broadcast_and_check(self):
         amplitudes = np.stack([KET0.amplitudes, PLUS.amplitudes])
@@ -420,6 +464,43 @@ class TestWrapperValidation:
         assert np.allclose(povm[0], KET0.projector())
 
 
+class TestBasisStack:
+    """A basis is one checked, read-only (d, d) stack of unit rows."""
+
+    def test_vectors_are_one_read_only_stack(self, rng):
+        u = haar_unitary(rng, 4)
+        basis = Basis(tuple(u[:, k] for k in range(4)))
+        assert basis.vectors.shape == (4, 4) and basis.dim == 4
+        assert np.array_equal(basis[2], basis.vectors[2])
+        with pytest.raises(ValueError, match="read-only"):
+            basis.vectors[0, 0] = 2.0
+
+    def test_raw_rows_are_fixed_and_states_kept(self, rng):
+        u = haar_unitary(rng, 3) * np.exp(0.3j)
+        raw = Basis(tuple(u[:, k] for k in range(3)))
+        for k in range(3):
+            assert raw[k].tobytes() == unit_vector_oracle(u[:, k]).tobytes()
+        # a PureState row is taken as it is, not normalised a second time
+        states = (PureState(u[:, 0]), u[:, 1], PureState(u[:, 2]))
+        mixed = Basis(states)
+        assert mixed[0].tobytes() == states[0].amplitudes.tobytes()
+        assert mixed[2].tobytes() == states[2].amplitudes.tobytes()
+        assert mixed[1].tobytes() == raw[1].tobytes()
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [(np.array([1.0, 0.0]), np.array([0.0, 1.0, 0.0])), (np.array([1.0, 0.0]),), (np.eye(2), np.eye(2))],
+        ids=["ragged", "too-few", "matrices"],
+    )
+    def test_ragged_input_rejected(self, vectors):
+        with pytest.raises(ValueError, match="^a basis needs exactly dim vectors of matching dimension$"):
+            Basis(vectors)
+
+    def test_unnormalized_row_rejected(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            Basis((np.array([1.0, 0.0]), np.array([0.0, 2.0])))
+
+
 class TestPovmStack:
     """A measurement is one checked, read-only (outcome, d, d) stack."""
 
@@ -443,7 +524,7 @@ class TestPovmStack:
     def test_basis_to_povm_stacks_outer_projectors(self, rng):
         u = haar_unitary(rng, 5)
         basis = Basis(tuple(u[:, k] for k in range(5)))
-        expected = np.stack([np.outer(v.amplitudes, v.amplitudes.conj()) for v in basis.vectors])
+        expected = np.stack([np.outer(v, v.conj()) for v in basis.vectors])
         assert np.array_equal(basis.to_povm().matrices, expected)
 
     def test_spectrum_error_names_the_failing_outcome(self):

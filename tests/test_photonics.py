@@ -93,7 +93,7 @@ class TestBuildPulseTrain:
         for digits in ((0, 0), (0, 1), (1, 0), (1, 1)):
             train = build_pulse_train(Message(digits, 2), "2,2")
             signed = [a if p == 0.0 else -a for a, p in train.bins]
-            assert np.allclose(signed, table[digits].amplitudes.real, atol=1e-9)
+            assert np.allclose(signed, table[digits].real, atol=1e-9)
 
 
 class TestRamanRate:

@@ -9,7 +9,6 @@ from qracsim import (
     MeasurementPair,
     Message,
     Povm,
-    PureState,
     advantage,
     all_messages,
     allocation_figure,
@@ -25,7 +24,6 @@ from qracsim import (
     measurement_pair_from_mub,
     one_bit_success_probabilities,
     operator_norm,
-    optimal_encoding,
     partial_trace,
     pauli_mub_pair,
     product_mub_pair,
@@ -33,9 +31,9 @@ from qracsim import (
     quantum_bound,
     reduce_pair,
 )
-from qracsim.linalg import top_eigenvectors
+from qracsim.linalg import _canonical_tops
 from qracsim.tolerances import TOL
-from conftest import born_probability, random_measurement_pair
+from conftest import born_probability, random_measurement_pair, unit_vector_oracle
 
 SQRT2 = math.sqrt(2.0)
 A1 = math.sqrt(2 + SQRT2) / 2
@@ -106,20 +104,29 @@ class TestMessage:
         assert labels == ["00", "01", "10", "11"]
 
 
+class TestMeasurementPair:
+    def test_non_povm_measurements_rejected(self):
+        with pytest.raises(TypeError, match=r"^m1 and m2 must be Povms, got ndarray, ndarray$"):
+            MeasurementPair(np.eye(2), np.eye(2))
+        z = pauli_mub_pair().first.to_povm()
+        with pytest.raises(TypeError, match=r"^m1 and m2 must be Povms, got Povm, list$"):
+            MeasurementPair(z, [np.eye(2)])
+
+
 class TestOptimalEncoding:
     def test_qubit_message_00(self, qubit_pair):
-        state = optimal_encoding(qubit_pair, Message((0, 0), 2))
-        assert np.allclose(state.amplitudes, [A1, B1], atol=1e-10)
+        state = encoding_table(qubit_pair)[Message((0, 0), 2)]
+        assert np.allclose(state, [A1, B1], atol=1e-10)
 
     def test_ququart_message_00(self, ququart_pair):
-        state = optimal_encoding(ququart_pair, Message((0, 0), 4))
-        assert np.allclose(state.amplitudes, [A2, B2, B2, B2], atol=1e-10)
+        state = encoding_table(ququart_pair)[Message((0, 0), 4)]
+        assert np.allclose(state, [A2, B2, B2, B2], atol=1e-10)
 
     def test_degenerate_sum_uses_tiebreak(self, zz_pair):
         # M_Z(0) + M_Z(1) is the identity, so the top eigenspace is the whole
         # space; the convention returns its unit vector with the most leading zeros
-        state = optimal_encoding(zz_pair, Message((0, 1), 2))
-        assert np.allclose(state.amplitudes, [0.0, 1.0])
+        state = encoding_table(zz_pair)[Message((0, 1), 2)]
+        assert np.allclose(state, [0.0, 1.0])
 
     def test_encoding_table_matches_reference_signs(self, qubit_pair):
         table = encoding_table(qubit_pair)
@@ -130,19 +137,19 @@ class TestOptimalEncoding:
             (1, 1): [B1, -A1],
         }
         for digits, amplitudes in expected.items():
-            assert np.allclose(table[digits].amplitudes, amplitudes, atol=1e-10)
+            assert np.allclose(table[digits], amplitudes, atol=1e-10)
 
     def test_encoding_table_ququart_rows(self, ququart_pair):
         table = encoding_table(ququart_pair)
         for q in range(4):
             expected = np.full(4, B2)
             expected[q] = A2
-            assert np.allclose(table[(q, 0)].amplitudes, expected, atol=1e-10)
+            assert np.allclose(table[(q, 0)], expected, atol=1e-10)
 
     def test_all_outputs_normalized(self, ququart_pair):
         table = encoding_table(ququart_pair)
         for message in all_messages(4):
-            assert np.sum(np.abs(table[message].amplitudes) ** 2) == pytest.approx(1.0, abs=1e-12)
+            assert np.sum(np.abs(table[message]) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     @staticmethod
     def _bloch_grid():
@@ -184,8 +191,7 @@ class TestSuccessProbabilities:
         # average is (2 + 1 + 1 + 0) / 8 = 0.5
         from qracsim import EncodingMap
 
-        ket0 = PureState(np.array([1.0, 0.0]))
-        table = EncodingMap({m: ket0 for m in all_messages(2)})
+        table = EncodingMap(np.broadcast_to([1.0, 0.0], (2, 2, 2)))
         assert average_success_probability(table, zz_pair) == pytest.approx(0.5, abs=1e-12)
 
     def test_maximally_mixed_input_scores_half(self, qubit_pair):
@@ -213,18 +219,39 @@ class TestSuccessProbabilities:
     def test_incomplete_table_rejected(self):
         from qracsim import EncodingMap
 
-        ket0 = PureState(np.array([1.0, 0.0]))
-        with pytest.raises(ValueError, match="cover"):
-            EncodingMap({Message((0, 0), 2): ket0})
+        for shape in ((1, 1, 2), (2, 1, 2), (2, 2)):
+            message = f"encoding table must cover all d^2 messages: amplitudes of shape {shape}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                EncodingMap(np.broadcast_to([1.0, 0.0][: shape[-1]], shape))
 
     def test_table_with_a_foreign_alphabet_key_rejected(self):
         from qracsim import EncodingMap
 
-        ket0 = PureState(np.array([1.0, 0.0]))
-        table = {m: ket0 for m in all_messages(2)}
-        table[Message((0, 0), 3)] = ket0
+        # a third value of x1 on an alphabet-2 table: rows (3, 2), not (d, d)
         with pytest.raises(ValueError, match="cover"):
-            EncodingMap(table)
+            EncodingMap(np.broadcast_to([1.0, 0.0], (3, 2, 2)))
+
+    def test_lookup_with_a_foreign_alphabet_message_rejected(self, qubit_pair):
+        table = encoding_table(qubit_pair)
+        with pytest.raises(ValueError, match=r"^message alphabet 3 is not the encoding's 2$"):
+            table[Message((0, 0), 3)]
+        with pytest.raises(ValueError, match="outside alphabet of size 2"):
+            table[(0, 2)]
+        assert np.array_equal(table[(1, 0)], table[Message((1, 0), 2)])
+
+    def test_table_is_one_checked_read_only_stack(self):
+        from qracsim import EncodingMap
+
+        # rows are checked normalised and kept as given: no phase is fixed
+        given = np.broadcast_to([0.0, 1.0j], (2, 2, 2)).copy()
+        table = EncodingMap(given)
+        given[0, 0] = [1.0, 0.0]
+        assert table.amplitudes.shape == (2, 2, 2) and table.alphabet == 2
+        assert np.array_equal(table[(0, 0)], [0.0, 1.0j])
+        with pytest.raises(ValueError, match="read-only"):
+            table.amplitudes[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match=r"^state is not normalized"):
+            EncodingMap(2 * given)
 
     @pytest.mark.parametrize("kind", [0, 1, 2])
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -241,7 +268,7 @@ def per_message_encoding(total):
     """The per-message engine's optimal encoding, an oracle kept apart from
     ``linalg``: one ``eigh``, the top cluster found by a walk down the
     ascending eigenvalues, then one SVD per component while it is
-    degenerate."""
+    degenerate, and the one-vector normalise-and-phase-fix body."""
     w, v = np.linalg.eigh((total + total.conj().T) / 2.0)
     start = w.size - 1
     while start > 0 and w[start] - w[start - 1] < TOL.cluster_gap:
@@ -253,7 +280,14 @@ def per_message_encoding(total):
             break
         if np.linalg.norm(basis[i]) > TOL.phase_pivot:
             basis = basis @ np.linalg.svd(basis[i : i + 1])[2][1:].conj().T
-    return PureState(basis[:, 0]), w.size - start
+    return unit_vector_oracle(basis[:, 0]), w.size - start
+
+
+def solved_alone(total):
+    """The top state of one effect sum solved by itself, through
+    ``hermitian_eig`` and ``linalg._canonical_tops``."""
+    w, v = hermitian_eig(total)
+    return _canonical_tops(w[None], v[None])[0]
 
 
 def effect_sum(pair, message):
@@ -323,10 +357,8 @@ class TestStackedEngine:
         for message in all_messages(pair.dim):
             total = effect_sum(pair, message)
             expected, _ = per_message_encoding(total)
-            assert np.array_equal(table[message].amplitudes, expected.amplitudes)
-            assert np.array_equal(
-                table[message].amplitudes, top_eigenvectors(total)[0].amplitudes
-            )
+            assert np.array_equal(table[message], expected)
+            assert np.array_equal(table[message], solved_alone(total))
             norms += operator_norm(total)
             for k in (1, 2):
                 born += born_probability(table[message], pair.measurement(k)[message.digits[k - 1]])
@@ -342,15 +374,15 @@ class TestStackedEngine:
             expected, multiplicity = per_message_encoding(effect_sum(pair, message))
             x1, x2 = message.digits
             assert multiplicity == (1 if x1 == x2 else 2)
-            assert np.array_equal(table[message].amplitudes, expected.amplitudes)
-            assert np.array_equal(optimal_encoding(pair, message).amplitudes, expected.amplitudes)
+            assert np.array_equal(table[message], expected)
+            assert np.array_equal(solved_alone(effect_sum(pair, message)), expected)
 
     def test_zz_pair_takes_the_svd_rule(self, zz_pair):
         table = encoding_table(zz_pair)
         for message in all_messages(2):
             expected, multiplicity = per_message_encoding(effect_sum(zz_pair, message))
             assert multiplicity == (1 if message.digits[0] == message.digits[1] else 2)
-            assert np.array_equal(table[message].amplitudes, expected.amplitudes)
+            assert np.array_equal(table[message], expected)
 
     def test_non_hermitian_sum_names_first_failing_message(self):
         # row x1 = 0 has sums 1.1e-10, 1.4e-10 and 0.2e-10 off Hermitian: the
@@ -412,21 +444,20 @@ class TestSharedSpectra:
         p_second = max_success_probability(second)
         assert p_first == p_second
         for message in all_messages(first.dim):
-            assert np.array_equal(table_first[message].amplitudes, table_second[message].amplitudes)
+            assert np.array_equal(table_first[message], table_second[message])
         assert np.array_equal(first.spectra[0], second.spectra[0])
 
     def test_spectra_are_cached_and_read_only(self, ququart_pair):
-        eigenvalues, states = ququart_pair.spectra
+        eigenvalues, tops = ququart_pair.spectra
         assert ququart_pair.spectra is ququart_pair.spectra
-        assert eigenvalues.shape == (4, 4, 4) and len(states) == 16
+        assert eigenvalues.shape == (4, 4, 4) and tops.shape == (4, 4, 4)
         assert np.all(np.diff(eigenvalues, axis=-1) >= 0.0)
-        with pytest.raises(ValueError, match="read-only"):
-            eigenvalues[0, 0, 0] = 2.0
-        with pytest.raises(ValueError, match="read-only"):
-            states[0].amplitudes[0] = 2.0
+        for stack in (eigenvalues, tops):
+            with pytest.raises(ValueError, match="read-only"):
+                stack[0, 0, 0] = 2.0
         table = encoding_table(ququart_pair)
-        for index, message in enumerate(all_messages(4)):
-            assert table[message] is states[index]
+        for message in all_messages(4):
+            assert np.array_equal(table[message], tops[message.digits])
 
     @pytest.mark.parametrize("table_first", [True, False])
     def test_non_psd_sums_still_encode(self, table_first):
@@ -764,6 +795,13 @@ class TestAllocation:
         with pytest.raises(ValueError, match="nonnegative"):
             allocation_figure(*terms)
 
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_infinite_rejected(self, position):
+        terms = [0.1, 0.1, 0.1]
+        terms[position] = math.inf
+        with pytest.raises(ValueError, match=r"^advantage terms must be nonnegative and finite, got \("):
+            allocation_figure(*terms)
+
 
 class TestDepolarize:
     def test_identity_at_full_visibility(self, rng):
@@ -783,7 +821,7 @@ class TestDepolarize:
         v = 0.5
         total = 0.0
         for message in all_messages(2):
-            noisy = depolarize(DensityMatrix.from_pure(table[message]), v)
+            noisy = depolarize(DensityMatrix(np.outer(table[message], table[message].conj())), v)
             for k in (1, 2):
                 total += born_probability(
                     noisy, qubit_pair.measurement(k)[message.digits[k - 1]]
