@@ -6,13 +6,10 @@ __version__ = "0.1.0"
 
 from .linalg import (
     Basis,
-    DensityMatrix,
     Povm,
-    PureState,
     hermitian_eig,
     operator_norm,
     partial_trace,
-    tensor,
 )
 from .mub import (
     MubPair,

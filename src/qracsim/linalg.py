@@ -1,9 +1,9 @@
 """Exact dense complex linear algebra for small quantum systems.
 
-States, operators, bases and measurements are thin immutable wrappers around
-``numpy`` arrays (a basis is one stack of unit rows, a measurement one stack
-of effects), checked on construction; ``_unit_rows`` normalises and
-phase-fixes every state vector.  Spectra come from LAPACK, one call per matrix
+A state is an amplitude row, or a row of a stack, normalised and
+phase-fixed by the one rule ``_unit_rows``.  A basis is one read-only stack of
+unit rows and a measurement one read-only stack of effects, each checked on
+construction.  Spectra come from LAPACK, one call per matrix
 or per (..., d, d) stack, through the one checked ``eigh``, ``hermitian_eig``.
 The top vector picked from a degenerate eigenspace depends on the eigenspace
 alone, so optimal encodings do not depend on the basis LAPACK returns: reruns
@@ -22,7 +22,7 @@ from .tolerances import TOL
 _SOLVER_NOT_HERMITIAN = "matrix is not Hermitian: max |H - H^dag| = {defect:.3e} exceeds {tol:.1e}"
 
 
-def _as_square_matrix(value, name: str = "matrix", stack: bool = False) -> np.ndarray:
+def _as_square_matrix(value, name: str, stack: bool = False) -> np.ndarray:
     m = np.asarray(value, dtype=complex)
     if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
@@ -33,17 +33,12 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def _checked_hermitian(
-    value,
-    name: str,
-    not_hermitian: str = "{name} is not Hermitian: deviation {defect:.3e}",
-    stack: bool = False,
-) -> np.ndarray:
+def _checked_hermitian(value, name: str, not_hermitian: str) -> np.ndarray:
     """Square, Hermitian within ``TOL.hermitian`` and inside the exact-solver
-    cap: the checks shared by everything that takes a spectrum.  With
-    ``stack`` the value may be a (..., d, d) stack, checked in C order; the
-    first failing matrix's defect is reported (its index only by a template with ``{index}``)."""
-    m = _as_square_matrix(value, name, stack)
+    cap: the checks shared by everything that takes a spectrum.  The value is
+    one matrix or a (..., d, d) stack, checked in C order; the first failing
+    matrix's defect is reported (its index only by a template with ``{index}``)."""
+    m = _as_square_matrix(value, name, stack=True)
     with np.errstate(invalid="ignore"):  # inf - inf gives NaN, which is rejected
         defects = np.abs(m - _adjoint(m)).max(axis=(-2, -1)).ravel()
     failing = np.flatnonzero(~(defects <= TOL.hermitian))  # NaN and inf fail too
@@ -82,61 +77,6 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class PureState:
-    """Normalized state vector with a fixed global phase.
-
-    The phase convention makes the first component of modulus above
-    ``TOL.phase_pivot`` real and nonnegative, so equal rays compare equal
-    entrywise.
-    """
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.amplitudes, dtype=complex)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("amplitudes must be a nonempty 1-d vector")
-        object.__setattr__(self, "amplitudes", _frozen(_unit_rows(v)))
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    def inner(self, other: "PureState") -> complex:
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch in inner product")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def projector(self) -> np.ndarray:
-        return np.outer(self.amplitudes, self.amplitudes.conj())
-
-
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Hermitian positive semidefinite operator of unit trace."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = _checked_hermitian(self.matrix, "density matrix")
-        trace = complex(np.trace(m))
-        if abs(trace - 1.0) > TOL.trace:
-            raise ValueError(f"density matrix trace {trace:.12g} is not 1")
-        low = np.linalg.eigvalsh(m)[0]
-        if low < -TOL.psd:
-            raise ValueError(f"density matrix has negative eigenvalue {low:.3e}")
-        object.__setattr__(self, "matrix", _frozen(m.copy()))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @classmethod
-    def from_pure(cls, state: PureState) -> "DensityMatrix":
-        return cls(state.projector())
-
-
-@dataclass(frozen=True, eq=False)
 class Povm:
     """Measurement as one read-only (outcome, d, d) stack ``matrices`` of
     effects resolving the identity, indexed by outcome.  Takes d x d matrices
@@ -151,7 +91,7 @@ class Povm:
         if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] == 0:
             raise ValueError(f"effect must be a square matrix, got shape {m.shape[1:]}")
         not_hermitian = "effect {index} is not Hermitian: deviation {defect:.3e}"
-        m = _checked_hermitian(m, "effect", not_hermitian, stack=True)
+        m = _checked_hermitian(m, "effect", not_hermitian)
         if len(m) < 2:
             raise ValueError("a POVM needs at least two outcomes")
         eigs = np.linalg.eigvalsh(m)
@@ -178,21 +118,18 @@ class Povm:
 @dataclass(frozen=True, eq=False)
 class Basis:
     """Orthonormal basis as one read-only (d, d) stack ``vectors`` of unit
-    rows.  Takes d vectors, each normalised and phase-fixed as a
-    ``PureState`` is, or ``PureState``s, kept as they are."""
+    rows.  Takes d vectors of dimension d, or their stack, each normalised and
+    phase-fixed by ``_unit_rows``."""
 
     vectors: np.ndarray
 
     def __post_init__(self):
-        given = tuple(self.vectors)
-        rows = [v.amplitudes if isinstance(v, PureState) else np.asarray(v, dtype=complex) for v in given]
-        dim = len(rows)
-        if dim == 0 or any(r.shape != (dim,) for r in rows):
-            raise ValueError("a basis needs exactly dim vectors of matching dimension")
-        stack = np.stack(rows)
-        raw = [not isinstance(v, PureState) for v in given]
-        stack[raw] = _unit_rows(stack[raw])
-        off = np.max(np.abs(stack @ stack.conj().T - np.eye(dim)))
+        try:
+            rows = _as_square_matrix(self.vectors, "basis")
+        except ValueError:  # ragged, empty or scalar input, or d rows not of dimension d
+            raise ValueError("a basis needs exactly dim vectors of matching dimension") from None
+        stack = _unit_rows(rows)
+        off = np.max(np.abs(stack @ stack.conj().T - np.eye(len(stack))))
         if off > TOL.orthonormal:
             raise ValueError(f"basis is not orthonormal: overlap defect {off:.3e}")
         object.__setattr__(self, "vectors", _frozen(stack))
@@ -250,7 +187,7 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     order, not its index.  Inside a degenerate cluster the basis is whichever
     one LAPACK returns.  Reruns on one build are bit-identical.
     """
-    m = _checked_hermitian(h, "input", _SOLVER_NOT_HERMITIAN, stack=True)
+    m = _checked_hermitian(h, "input", _SOLVER_NOT_HERMITIAN)
     m = (m + _adjoint(m)) / 2.0
     w, v = np.linalg.eigh(m)
     if not np.max(np.abs((v * w[..., None, :]) @ _adjoint(v) - m), initial=0.0) <= TOL.reconstruction:
@@ -273,25 +210,9 @@ def operator_norm(h):
     """Operator norm of a Hermitian positive semidefinite matrix, or an
     array of them for a (..., d, d) stack, by one ``eigvalsh`` call.  A failing
     stack reports its first failing matrix's defect in C order, not its index."""
-    eigs = np.linalg.eigvalsh(_checked_hermitian(h, "input", _SOLVER_NOT_HERMITIAN, stack=True))
+    eigs = np.linalg.eigvalsh(_checked_hermitian(h, "input", _SOLVER_NOT_HERMITIAN))
     norms = _psd_norms(eigs)
     return float(norms) if norms.ndim == 0 else norms
-
-
-def tensor(a, b):
-    """Tensor product of two states or two operators, big-endian.
-
-    The left factor is the most significant digit: component ``I`` of a
-    product state carries the base-d digits of ``I`` left to right.  Mixing a
-    state with an operator is rejected.
-    """
-    a_state = isinstance(a, PureState)
-    b_state = isinstance(b, PureState)
-    if a_state and b_state:
-        return PureState(np.kron(a.amplitudes, b.amplitudes))
-    if a_state or b_state:
-        raise TypeError("cannot tensor a state with an operator")
-    return np.kron(_as_square_matrix(a, "left factor"), _as_square_matrix(b, "right factor"))
 
 
 def _checked_split(dims, keep) -> tuple[tuple[int, int], int]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +13,8 @@ from .tolerances import TOL
 
 def unbiasedness_defect(first: Basis, second: Basis) -> float:
     """Worst deviation of the squared overlaps from the unbiased value 1/d."""
+    if not isinstance(first, Basis) or not isinstance(second, Basis):
+        raise TypeError(f"first and second must be Bases, got {type(first).__name__}, {type(second).__name__}")
     if first.dim != second.dim:
         raise ValueError("bases must share one dimension")
     overlaps = np.abs(first.vectors.conj() @ second.vectors.T) ** 2
@@ -26,7 +29,7 @@ class MubPair:
     second: Basis
 
     def __post_init__(self):
-        defect = unbiasedness_defect(self.first, self.second)  # checks the dimensions too
+        defect = unbiasedness_defect(self.first, self.second)  # checks the types and dimensions too
         if defect > TOL.mub_defect:
             raise ValueError(f"bases are not mutually unbiased: defect {defect:.3e}")
 
@@ -40,9 +43,16 @@ def pauli_mub_pair() -> MubPair:
     return MubPair(Basis(np.eye(2)), Basis(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)))
 
 
+def _integer(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _product_basis(base: Basis, n: int) -> Basis:
     # row-wise Kronecker power, the last factor fastest, so big-endian; each
-    # product is normalised as ``tensor`` normalises one, the last by Basis
+    # product is normalised and phase-fixed by ``_unit_rows``, the last by Basis
     if n == 1:
         return base
     rows = base.vectors
@@ -55,6 +65,7 @@ def _product_basis(base: Basis, n: int) -> Basis:
 def product_mub_pair(base: MubPair, n: int) -> MubPair:
     """Tensor-power pair on n qudits; vector I is the product over the
     big-endian base-d digits of I."""
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError("n must be at least 1")
     if base.dim**n > TOL.dim_cap:
@@ -66,6 +77,7 @@ def product_mub_pair(base: MubPair, n: int) -> MubPair:
 
 def fourier_mub_pair(d: int) -> MubPair:
     """Computational basis paired with the discrete Fourier basis in dimension d."""
+    d = _integer(d, "d")
     if d < 2 or d > TOL.dim_cap:
         raise ValueError(f"dimension must be in 2..{TOL.dim_cap}")
     omega = np.exp(2j * np.pi / d)

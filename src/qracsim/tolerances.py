@@ -13,7 +13,6 @@ class Tolerances:
     effect_upper: float = 1e-10       # slack above 1 for effect eigenvalues
     completeness: float = 1e-10       # POVM resolution of identity, entrywise
     orthonormal: float = 1e-10        # modulus of off-diagonal basis overlaps
-    trace: float = 1e-10              # unit-trace deviation
     phase_pivot: float = 1e-12        # smallest component that may fix the global phase
     cluster_gap: float = 1e-9         # eigenvalue gap that delimits a degenerate cluster
     reconstruction: float = 1e-9      # eigendecomposition reconstruction error

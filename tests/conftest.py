@@ -1,12 +1,17 @@
-"""Shared helpers for building random states and measurements."""
+"""Shared helpers for building random states and measurements, and the
+one-at-a-time oracles that the stacked library code is checked against."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from qracsim import DensityMatrix, MeasurementPair, Povm, PureState
+from qracsim import MeasurementPair, Povm, linalg
 from qracsim.tolerances import TOL
+
+TRACE_TOL = 1e-10  # unit-trace deviation a DensityMatrix accepts
 
 
 def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -63,8 +68,8 @@ def random_density_matrix(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def unit_vector_oracle(v) -> np.ndarray:
-    """One vector normalised and phase-fixed as ``PureState`` did before
-    ``linalg._unit_rows`` took over, one vector at a time with a scalar
+    """One vector normalised and phase-fixed as the library's one-vector state
+    class did before ``linalg._unit_rows`` took over, with a scalar
     ``abs`` of the pivot: the oracle that every row of ``_unit_rows`` must
     equal bytewise."""
     v = np.asarray(v, dtype=complex)
@@ -76,23 +81,54 @@ def unit_vector_oracle(v) -> np.ndarray:
     return v * (pivot.conjugate() / abs(pivot))
 
 
+@dataclass(frozen=True, eq=False)
+class DensityMatrix:
+    """Hermitian positive semidefinite operator of unit trace, one matrix,
+    checked as the library's state class checked it before noise became a
+    map on measurements: the state side of ``qrac.depolarize``'s oracle."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        m = linalg._as_square_matrix(self.matrix, "density matrix")
+        m = linalg._checked_hermitian(m, "density matrix", "{name} is not Hermitian: deviation {defect:.3e}")
+        trace = complex(np.trace(m))
+        if abs(trace - 1.0) > TRACE_TOL:
+            raise ValueError(f"density matrix trace {trace:.12g} is not 1")
+        low = np.linalg.eigvalsh(m)[0]
+        if low < -TOL.psd:
+            raise ValueError(f"density matrix has negative eigenvalue {low:.3e}")
+        object.__setattr__(self, "matrix", linalg._frozen(m.copy()))
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+
+def depolarize_state(rho: DensityMatrix, visibility: float) -> DensityMatrix:
+    """Mix a state with the maximally mixed state, v*rho + (1-v)*I/d: the
+    channel on states whose adjoint ``qrac.depolarize`` applies to effects."""
+    if not 0.0 <= visibility <= 1.0:
+        raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
+    d = rho.dim
+    return DensityMatrix(visibility * rho.matrix + (1.0 - visibility) * np.eye(d) / d)
+
+
 def born_probability(state, effect) -> float:
-    """Born-rule probability of one effect matrix on a pure state (a
-    ``PureState`` or an amplitude row) or a density matrix, one ``vdot`` or
+    """Born-rule probability of one effect matrix on a pure state (a 1-d
+    amplitude row) or a mixed one (a 2-d density matrix), one ``vdot`` or
     trace at a time: the oracle that ``linalg.born_probabilities`` is
     checked against."""
     e = np.asarray(effect, dtype=complex)
-    if isinstance(state, (PureState, np.ndarray)):
-        amplitudes = state.amplitudes if isinstance(state, PureState) else state
-        if amplitudes.shape != e.shape[:1]:
-            raise ValueError("state and effect dimensions differ")
-        value = float(np.real(np.vdot(amplitudes, e @ amplitudes)))
-    elif isinstance(state, DensityMatrix):
-        if state.dim != e.shape[0]:
-            raise ValueError("state and effect dimensions differ")
-        value = float(np.real(np.trace(state.matrix @ e)))
+    state = np.asarray(state, dtype=complex)
+    if state.shape[0] != e.shape[0]:
+        raise ValueError("state and effect dimensions differ")
+    if state.ndim == 1:
+        value = float(np.real(np.vdot(state, e @ state)))
+    elif state.ndim == 2:
+        value = float(np.real(np.trace(state @ e)))
     else:
-        raise TypeError("state must be a PureState, an amplitude row or a DensityMatrix")
+        raise ValueError(f"state must be an amplitude row or a density matrix, got shape {state.shape}")
     if not -TOL.probability_slack <= value <= 1.0 + TOL.probability_slack:
         raise ValueError(f"Born probability {value:.12g} is outside [0, 1] beyond tolerance")
     return min(max(value, 0.0), 1.0)

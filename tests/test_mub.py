@@ -7,7 +7,7 @@ import pytest
 
 from qracsim import (
     Basis,
-    PureState,
+    MubPair,
     fourier_mub_pair,
     pauli_mub_pair,
     product_mub_pair,
@@ -45,6 +45,20 @@ def test_product_pair_two_qubits():
     assert np.allclose(lifted.second[0], [0.5, 0.5, 0.5, 0.5], atol=1e-12)
     # index 1 carries big-endian digits (0, 1)
     assert np.allclose(lifted.first[1], [0.0, 1.0, 0.0, 0.0], atol=1e-12)
+
+
+def test_product_pair_left_factor_is_most_significant():
+    # vector I of the product pair is the Kronecker product of the factors
+    # named by I's digits, the left digit most significant
+    lifted = product_mub_pair(pauli_mub_pair(), 2)
+    z = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+    x = [np.array([1.0, 1.0]) / SQRT2, np.array([1.0, -1.0]) / SQRT2]
+    for index in range(4):
+        left, right = divmod(index, 2)
+        assert np.allclose(lifted.first[index], np.kron(z[left], z[right]), atol=1e-12)
+        assert np.allclose(lifted.second[index], np.kron(x[left], x[right]), atol=1e-12)
+    # index 1 has digits (0, 1): x0 x x1, not x1 x x0
+    assert np.allclose(lifted.second[1], [0.5, -0.5, 0.5, -0.5], atol=1e-12)
 
 
 def test_product_pair_three_qubits_brute_force():
@@ -97,8 +111,6 @@ def test_defect_of_identical_bases():
 
 
 def test_defect_dimension_mismatch():
-    from qracsim import MubPair
-
     for check in (unbiasedness_defect, MubPair):
         with pytest.raises(ValueError, match="^bases must share one dimension$"):
             check(pauli_mub_pair().first, fourier_mub_pair(3).first)
@@ -119,11 +131,38 @@ def test_fourier_dimension_range():
 
 
 def test_mub_pair_rejects_biased_bases():
-    from qracsim import MubPair
-
-    z = Basis((PureState(np.array([1.0, 0.0])), PureState(np.array([0.0, 1.0]))))
+    z = Basis((np.array([1.0, 0.0]), np.array([0.0, 1.0])))
     with pytest.raises(ValueError, match="unbiased"):
         MubPair(z, z)
+
+
+@pytest.mark.parametrize("check", [MubPair, unbiasedness_defect])
+def test_bases_must_be_basis_instances(check):
+    with pytest.raises(TypeError, match="^first and second must be Bases, got ndarray, ndarray$"):
+        check(np.eye(2), np.eye(2))
+    with pytest.raises(TypeError, match="^first and second must be Bases, got Basis, ndarray$"):
+        check(pauli_mub_pair().first, np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "call, argument",
+    [
+        (lambda: product_mub_pair(pauli_mub_pair(), 2.5), "n"),
+        (lambda: product_mub_pair(pauli_mub_pair(), "2"), "n"),
+        (lambda: product_mub_pair(pauli_mub_pair(), None), "n"),
+        (lambda: fourier_mub_pair(4.0), "d"),
+        (lambda: fourier_mub_pair("4"), "d"),
+    ],
+    ids=["n-float", "n-str", "n-none", "d-float", "d-str"],
+)
+def test_non_integer_counts_named(call, argument):
+    with pytest.raises(TypeError, match=f"^{argument} must be an integer, got "):
+        call()
+
+
+def test_integer_like_counts_accepted():
+    assert product_mub_pair(pauli_mub_pair(), np.int64(2)).dim == 4
+    assert fourier_mub_pair(np.int32(3)).dim == 3
 
 
 @pytest.mark.parametrize("d", range(2, 17))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from qracsim import (
     ChannelModel,
-    DensityMatrix,
     DetectorModel,
     DliModel,
     Message,
@@ -134,7 +133,7 @@ class TestLeakFraction:
         (lambda: cross_bin_leak_fraction(math.nan, 800.0), "sigma_ps"),
         (lambda: cross_bin_leak_fraction(200.0, math.nan), "spacing_ps"),
         (lambda: empirical_advantage(0.8, math.nan), "bound"),
-        (lambda: depolarize(DensityMatrix(np.eye(2) / 2), math.nan), "visibility"),
+        (lambda: depolarize(pauli_mub_pair().first.to_povm(), math.nan), "visibility"),
     ],
     ids=[
         "train-amplitude", "train-phase", "raman-power-nan", "raman-power-inf", "raman-coefficient",

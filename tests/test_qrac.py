@@ -1,11 +1,15 @@
+import functools
+import itertools
 import math
 import re
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qracsim import (
-    DensityMatrix,
     MeasurementPair,
     Message,
     Povm,
@@ -33,7 +37,15 @@ from qracsim import (
 )
 from qracsim.linalg import _canonical_tops
 from qracsim.tolerances import TOL
-from conftest import born_probability, random_measurement_pair, unit_vector_oracle
+from conftest import (
+    DensityMatrix,
+    born_probability,
+    depolarize_state,
+    random_density_matrix,
+    random_measurement_pair,
+    random_povm,
+    unit_vector_oracle,
+)
 
 SQRT2 = math.sqrt(2.0)
 A1 = math.sqrt(2 + SQRT2) / 2
@@ -195,7 +207,7 @@ class TestSuccessProbabilities:
         assert average_success_probability(table, zz_pair) == pytest.approx(0.5, abs=1e-12)
 
     def test_maximally_mixed_input_scores_half(self, qubit_pair):
-        rho = DensityMatrix(np.eye(2) / 2)
+        rho = np.eye(2) / 2
         for message in all_messages(2):
             total = sum(
                 born_probability(rho, qubit_pair.measurement(k)[message.digits[k - 1]])
@@ -703,12 +715,11 @@ class TestReduction:
     def test_random_product_pvm_pairs_reduce_to_factors(self):
         # any product measurement must reduce to its single-system factors
         from conftest import random_pvm
-        from qracsim import tensor
 
         gen = np.random.default_rng(9090)
         for _ in range(10):
             factors = {1: random_pvm(gen, 2), 2: random_pvm(gen, 2)}
-            joint = Povm(tuple(tensor(factors[1][a], factors[2][b]) for a in range(2) for b in range(2)))
+            joint = Povm(tuple(np.kron(factors[1][a], factors[2][b]) for a in range(2) for b in range(2)))
             pair = MeasurementPair(joint, joint)
             for keep in (1, 2):
                 reduced = reduce_pair(pair, (2, 2), keep)
@@ -804,35 +815,141 @@ class TestAllocation:
 
 
 class TestDepolarize:
-    def test_identity_at_full_visibility(self, rng):
-        from conftest import random_density_matrix
+    """Depolarizing noise as a map on measurements, checked against the
+    state-side channel it is the adjoint of."""
 
-        rho = DensityMatrix(random_density_matrix(rng, 3))
-        assert np.allclose(depolarize(rho, 1.0).matrix, rho.matrix, atol=1e-12)
+    def test_identity_at_full_visibility(self, rng):
+        povm = random_povm(rng, 3)
+        assert np.allclose(depolarize(povm, 1.0).matrices, povm.matrices, atol=1e-12)
 
     def test_fully_mixed_at_zero(self, rng):
-        from conftest import random_density_matrix
-
-        rho = DensityMatrix(random_density_matrix(rng, 4))
-        assert np.allclose(depolarize(rho, 0.0).matrix, np.eye(4) / 4, atol=1e-12)
+        povm = random_povm(rng, 4)
+        noisy = depolarize(povm, 0.0)
+        for effect, original in zip(noisy.matrices, povm.matrices, strict=True):
+            assert np.allclose(effect, np.trace(original) * np.eye(4) / 4, atol=1e-12)
 
     def test_success_probability_linearity(self, qubit_pair):
         table = encoding_table(qubit_pair)
         v = 0.5
-        total = 0.0
-        for message in all_messages(2):
-            noisy = depolarize(DensityMatrix(np.outer(table[message], table[message].conj())), v)
-            for k in (1, 2):
-                total += born_probability(
-                    noisy, qubit_pair.measurement(k)[message.digits[k - 1]]
-                )
-        blended = total / 8.0
+        blended = average_success_probability(table, noisy_pair(qubit_pair, v))
         assert blended == pytest.approx(v * quantum_bound(2) + (1 - v) * 0.5, abs=1e-10)
         assert blended == pytest.approx(0.6767766952966369, abs=1e-10)
+        # the same figure with the noise on every state instead
+        total = 0.0
+        for message in all_messages(2):
+            noisy = depolarize_state(DensityMatrix(np.outer(table[message], table[message].conj())), v)
+            for k in (1, 2):
+                total += born_probability(noisy.matrix, qubit_pair.measurement(k)[message.digits[k - 1]])
+        assert blended == pytest.approx(total / 8.0, abs=1e-12)
 
-    def test_visibility_range(self, rng):
-        from conftest import random_density_matrix
-
-        rho = DensityMatrix(random_density_matrix(rng, 2))
+    def test_visibility_range(self, qubit_pair):
         with pytest.raises(ValueError):
-            depolarize(rho, 1.5)
+            depolarize(qubit_pair.m1, 1.5)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(d=st.integers(2, 8), v=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_noisy_effects_give_noisy_state_statistics(self, d, v, seed):
+        # tr(D_v(M) rho) = tr(M D_v(rho)): the channel is self-adjoint
+        gen = np.random.default_rng(seed)
+        povm = random_povm(gen, d)
+        rho = DensityMatrix(random_density_matrix(gen, d))
+        mapped = depolarize(povm, v)
+        noisy_rho = depolarize_state(rho, v)
+        for effect, original in zip(mapped.matrices, povm.matrices, strict=True):
+            assert abs(born_probability(rho.matrix, effect) - born_probability(noisy_rho.matrix, original)) < 1e-12
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2)])
+    @pytest.mark.parametrize("v", [0.0, 0.3, 0.75, 1.0])
+    def test_per_factor_noise_is_a_kron_of_qubit_maps(self, rng, dims, v):
+        # one-qubit D_v by its Kraus operators sqrt(1 - 3(1-v)/4) I and
+        # sqrt((1-v)/4) X, Y, Z; the n-qubit map takes their Kronecker products
+        paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
+        weights = [1 - 3 * (1 - v) / 4] + [(1 - v) / 4] * 3
+        kraus = [(math.sqrt(w), p) for w, p in zip(weights, paulis, strict=True)]
+        d = 2 ** len(dims)
+        povm = random_povm(rng, d)
+        mapped = depolarize(povm, v, dims)
+        for effect, original in zip(mapped.matrices, povm.matrices, strict=True):
+            expected = np.zeros((d, d), dtype=complex)
+            for terms in itertools.product(kraus, repeat=len(dims)):
+                k = functools.reduce(np.kron, [w * p for w, p in terms])
+                expected += k @ original @ k.conj().T
+            assert np.max(np.abs(effect - expected)) < 1e-12
+
+    def test_one_factor_is_global_noise(self, rng):
+        povm = random_povm(rng, 4)
+        assert np.array_equal(depolarize(povm, 0.6, (4,)).matrices, depolarize(povm, 0.6).matrices)
+
+    @pytest.mark.parametrize("dims", [None, (2, 2)])
+    def test_valid_povm_at_both_ends(self, ququart_pair, dims):
+        # v = 1 leaves every effect as it was; v = 0 leaves only its trace
+        povm = ququart_pair.m2
+        for v in (0.0, 1.0):
+            mapped = depolarize(povm, v, dims)
+            assert isinstance(mapped, Povm) and mapped.outcomes == 4 and mapped.dim == 4
+        assert np.array_equal(depolarize(povm, 1.0, dims).matrices, povm.matrices)
+        mixed = np.broadcast_to(np.eye(4) / 4, (4, 4, 4))
+        assert np.allclose(depolarize(povm, 0.0, dims).matrices, mixed, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "dims, error",
+        [((2, 3), ValueError), ((), ValueError), ((-2, -2), ValueError), ((0, 4), ValueError),
+         (4, TypeError), ((2.0, 2.0), TypeError), ("22", TypeError)],
+        ids=["wrong-product", "empty", "negative", "zero", "scalar", "floats", "string"],
+    )
+    def test_bad_dims_named(self, ququart_pair, dims, error):
+        with pytest.raises(error, match="^dims "):
+            depolarize(ququart_pair.m1, 0.5, dims)
+
+    def test_rejects_non_povm(self):
+        with pytest.raises(TypeError, match="^povm must be a Povm, got ndarray$"):
+            depolarize(np.stack([np.eye(2), np.zeros((2, 2))]), 0.5)
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(v=st.floats(0.0, 1.0))
+    def test_global_noise_on_fourier_pairs_is_linear(self, d, v):
+        # fixed noiseless encodings and re-optimised ones both give v P_q + (1 - v) / d
+        pair, table = fourier_pair_and_table(d)
+        noisy = noisy_pair(pair, v)
+        expected = v * quantum_bound(d) + (1 - v) / d
+        assert abs(average_success_probability(table, noisy) - expected) < 1e-12
+        assert abs(max_success_probability(noisy) - expected) < 1e-12
+
+    @pytest.mark.parametrize("v", [0.0, 0.25, 0.5, 0.7, 0.8, 0.9, 1.0])
+    def test_per_qubit_noise_on_two_qubits(self, ququart_pair, v):
+        # fixed noiseless encodings of the Pauli x 2 pair score less than under
+        # global noise, 1/4 + v/2
+        noisy = noisy_pair(ququart_pair, v, (2, 2))
+        fixed = average_success_probability(encoding_table(ququart_pair), noisy)
+        assert abs(fixed - (0.25 + v / 3 + v**2 / 6)) < 1e-12
+
+    def test_per_qubit_threshold(self, ququart_pair):
+        table = encoding_table(ququart_pair)
+
+        def excess(v):
+            return average_success_probability(table, noisy_pair(ququart_pair, v, (2, 2))) - classical_bound(4)
+
+        root = scipy.optimize.brentq(excess, 0.5, 1.0, xtol=1e-15)
+        assert abs(root - (math.sqrt(13) / 2 - 1)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "v, reoptimised, fixed", [(0.7, 0.566204, 0.565), (0.8, 0.623939, 0.623333), (0.9, 0.685168, 0.685)]
+    )
+    def test_reoptimised_encodings_beat_fixed_ones_under_per_qubit_noise(self, ququart_pair, v, reoptimised, fixed):
+        noisy = noisy_pair(ququart_pair, v, (2, 2))
+        best = max_success_probability(noisy)
+        noiseless = average_success_probability(encoding_table(ququart_pair), noisy)
+        assert best == pytest.approx(reoptimised, abs=5e-7)
+        assert noiseless == pytest.approx(fixed, abs=5e-7)
+        assert best > noiseless + 1e-4
+
+
+def noisy_pair(pair: MeasurementPair, v: float, dims=None) -> MeasurementPair:
+    return MeasurementPair(depolarize(pair.m1, v, dims), depolarize(pair.m2, v, dims))
+
+
+@functools.lru_cache(maxsize=None)
+def fourier_pair_and_table(d: int):
+    pair = measurement_pair_from_mub(fourier_mub_pair(d))
+    return pair, encoding_table(pair)
