@@ -22,6 +22,13 @@ from .tolerances import TOL
 _SOLVER_NOT_HERMITIAN = "matrix is not Hermitian: max |H - H^dag| = {defect:.3e} exceeds {tol:.1e}"
 
 
+def _require_type(value, kind: type, name: str) -> None:
+    """A TypeError naming argument ``name`` unless ``value`` is a ``kind``."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise TypeError(f"{name} must be {article} {kind.__name__}, got {type(value).__name__}")
+
+
 def _as_square_matrix(value, name: str, stack: bool = False) -> np.ndarray:
     m = np.asarray(value, dtype=complex)
     if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Basis, _unit_rows
+from .linalg import Basis, _require_type, _unit_rows
 from .tolerances import TOL
 
 
@@ -65,6 +65,7 @@ def _product_basis(base: Basis, n: int) -> Basis:
 def product_mub_pair(base: MubPair, n: int) -> MubPair:
     """Tensor-power pair on n qudits; vector I is the product over the
     big-endian base-d digits of I."""
+    _require_type(base, MubPair, "base")
     n = _integer(n, "n")
     if n < 1:
         raise ValueError("n must be at least 1")

@@ -125,6 +125,37 @@ class TestMeasurementPair:
             MeasurementPair(z, [np.eye(2)])
 
 
+def qubit_table_and_pair():
+    pair = measurement_pair_from_mub(pauli_mub_pair())
+    return encoding_table(pair), pair
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: encoding_table(np.eye(2)), "pair must be a MeasurementPair"),
+        (lambda: max_success_probability(np.eye(2)), "pair must be a MeasurementPair"),
+        (lambda: average_success_probability(qubit_table_and_pair()[0], np.eye(2)), "pair must be a MeasurementPair"),
+        (lambda: average_success_probability(np.eye(2), qubit_table_and_pair()[1]), "encoding must be an EncodingMap"),
+        (lambda: advantage(np.eye(2)), "pair must be a MeasurementPair"),
+        (lambda: reduce_pair(np.eye(4), (2, 2), 1), "pair must be a MeasurementPair"),
+        (lambda: one_bit_success_probabilities(np.eye(4)), "pair must be a MeasurementPair"),
+        (lambda: pvm_pair_compatible(np.eye(2)), "pair must be a MeasurementPair"),
+        (lambda: coarse_grain(np.eye(4), 0), "povm must be a Povm"),
+        (lambda: measurement_pair_from_mub(np.eye(2)), "pair must be a MubPair"),
+        (lambda: product_mub_pair(np.eye(2), 2), "base must be a MubPair"),
+    ],
+    ids=[
+        "encoding_table", "max_success_probability", "average_success_probability-pair",
+        "average_success_probability-encoding", "advantage", "reduce_pair", "one_bit_success_probabilities",
+        "pvm_pair_compatible", "coarse_grain", "measurement_pair_from_mub", "product_mub_pair",
+    ],
+)
+def test_wrong_argument_type_is_named(call, message):
+    with pytest.raises(TypeError, match=f"^{message}, got ndarray$"):
+        call()
+
+
 class TestOptimalEncoding:
     def test_qubit_message_00(self, qubit_pair):
         state = encoding_table(qubit_pair)[Message((0, 0), 2)]
@@ -408,6 +439,20 @@ class TestStackedEngine:
             assert str(caught.value) == message
         assert first_error(operator_norm, pair) == message
 
+    @pytest.mark.parametrize("d", [5, 16])
+    def test_non_hermitian_sum_in_a_larger_pair_names_first_failing_message(self, d):
+        # row x1 = 0 is Hermitian; sums (1, 0) and (2, 1) are 1.1e-10 and 1.3e-10
+        # off it.  At d = 16 they lie in the second of the 16 eigh stacks
+        first = (0.0, 0.6, -0.6) + (0.0,) * (d - 3)
+        second = (0.5, -0.7, 0.2) + (0.0,) * (d - 3)
+        pair = perturbed_pair(first, second, (0, 1))
+        message = first_error(hermitian_eig, pair)
+        assert message == "matrix is not Hermitian: max |H - H^dag| = 1.100e-10 exceeds 1.0e-10"
+        for call in (encoding_table, max_success_probability, advantage):
+            with pytest.raises(ValueError) as caught:
+                call(pair)
+            assert str(caught.value) == message
+
     def test_non_psd_sum_names_first_failing_message(self):
         # row x1 = 0 has sums with eigenvalues -1.05e-10 and -1.7e-10 on the
         # last diagonal entry: the first failure, not the largest, is named
@@ -443,7 +488,8 @@ class TestSharedSpectra:
         advantage(pair)
         if d == 4:
             one_bit_success_probabilities(pair)
-        assert eigh_calls == [(d, d, d)] * d
+        # up to d = 8 all d^2 sums are one stack; d = 16 takes one stack per first digit
+        assert eigh_calls == ([(d * d, d, d)] if d <= 8 else [(d, d, d)] * d)
         # only the coarse-grained Povm that the one-bit figures build checks its spectrum
         assert eigvalsh_calls == ([(2, 4, 4)] if d == 4 else [])
 
@@ -481,6 +527,61 @@ class TestSharedSpectra:
                 call(pair)
             assert str(caught.value) == NON_PSD_MESSAGE
         assert encoding_table(pair).alphabet == 3
+
+
+def looped_spectra(pair):
+    """The effect sums solved one first digit at a time, by one checked (d, d, d)
+    ``hermitian_eig`` each: the loop that ``spectra`` replaced, kept as its oracle."""
+    second = pair.m2.matrices
+    eigenvalues, tops = [], []
+    for first in pair.m1.matrices:
+        w, v = hermitian_eig(first + second)
+        eigenvalues.append(w)
+        tops.append(_canonical_tops(w, v))
+    return np.stack(eigenvalues), np.stack(tops)
+
+
+def assert_spectra_match_loop(pair):
+    for stack, expected in zip(pair.spectra, looped_spectra(pair)):
+        assert np.array_equal(stack, expected)
+
+
+class TestCappedSpectra:
+    """``spectra`` solves its sums in as few checked eigh stacks of at most 4096
+    entries as it can, and LAPACK gives each sum the bits it gives it alone."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(d=st.integers(2, 8), kind=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+    def test_random_pairs_match_the_loop(self, d, kind, seed):
+        assert_spectra_match_loop(random_measurement_pair(np.random.default_rng(seed), d, kind))
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_fourier_pairs_match_the_loop(self, d):
+        assert_spectra_match_loop(measurement_pair_from_mub(fourier_mub_pair(d)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_pauli_pairs_and_their_reductions_match_the_loop(self, n):
+        pair = measurement_pair_from_mub(product_mub_pair(pauli_mub_pair(), n))
+        assert_spectra_match_loop(pair)
+        if n > 1:
+            dims = (2 ** (n // 2), 2 ** (n - n // 2))
+            for keep in (1, 2):
+                assert_spectra_match_loop(reduce_pair(pair, dims, keep))
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_stacks_stay_under_the_cap(self, d, monkeypatch):
+        pair = measurement_pair_from_mub(fourier_mub_pair(d))
+        shapes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: shapes.append(m.shape) or eigh(m))
+        pair.spectra
+        assert all(math.prod(shape) <= 4096 for shape in shapes)
+        assert sum(shape[0] for shape in shapes) == d * d
+        assert len(shapes) == math.ceil(d * d / (4096 // (d * d)))
+        if d <= 8:
+            assert shapes == [(d * d, d, d)]
+        if d == 16:
+            assert shapes == [(16, 16, 16)] * 16
 
 
 # Per-effect loops, kept as exact oracles for the stack operations of
