@@ -29,6 +29,14 @@ def _require_type(value, kind: type, name: str) -> None:
         raise TypeError(f"{name} must be {article} {kind.__name__}, got {type(value).__name__}")
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int by ``operator.index``, or a TypeError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _as_square_matrix(value, name: str, stack: bool = False) -> np.ndarray:
     m = np.asarray(value, dtype=complex)
     if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:

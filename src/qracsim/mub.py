@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Basis, _require_type, _unit_rows
+from .linalg import Basis, _integer, _require_type, _unit_rows
 from .tolerances import TOL
 
 
@@ -41,13 +40,6 @@ class MubPair:
 def pauli_mub_pair() -> MubPair:
     """The qubit pair: computational basis and its conjugate (X) basis."""
     return MubPair(Basis(np.eye(2)), Basis(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)))
-
-
-def _integer(value, name: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _product_basis(base: Basis, n: int) -> Basis:

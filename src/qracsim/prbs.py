@@ -4,20 +4,24 @@ The transmitter drives its modulators from a pseudo-random binary sequence;
 decoding must first recover the cyclic offset between the detected stream
 and the reference sequence.
 
-Every register order 3..23 generates and aligns.  Generation runs a short
-register loop, then fills the period in numpy blocks of a doubled-tap linear
-recurrence.  Alignment folds the stream onto one period and finds the best
-offset by one FFT circular cross-correlation, O(P log P) for period P, whose
-agreements are rounded back to exact integers.
+Every register order 3..23 generates and aligns.  Generation writes the
+initial register state, then fills the period in numpy blocks of the tap
+recurrence (or of its reciprocal, run backwards, when that has the longer
+shortest lag) with every lag scaled by a power of two, doubling the scale as
+the filled prefix grows, so no register loop runs.  Alignment folds the
+stream onto one period in one pass, as per-phase erasure counts and column
+sums, and finds the best offset by one FFT circular cross-correlation,
+O(P log P) for period P, whose agreements are rounded back to exact integers.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .linalg import _integer, _require_type
 
 # Feedback taps (polynomial exponents) giving a maximal-length register for
 # each supported order.  One entry per k so generated sequences are
@@ -60,9 +64,18 @@ class PrbsSequence:
     bits: np.ndarray
 
     def __post_init__(self):
-        bits = np.array(self.bits, dtype=np.uint8)
-        if bits.size != self.period:
-            raise ValueError(f"expected {self.period} bits, got {bits.size}")
+        raw = np.asarray(self.bits)
+        if raw.shape != (self.period,):
+            raise ValueError(f"bits must be a 1-d array of {self.period} bits, got shape {raw.shape}")
+        # checked before the cast, where -1 would wrap to 255, 256 to 0 and
+        # 0.5 truncate to 0; unsigned and bool input needs one upper bound
+        if raw.dtype.kind in "bu":
+            valid = raw.max() <= 1
+        else:
+            valid = np.all((raw == 0) | (raw == 1))
+        if not valid:
+            raise ValueError("bits must hold only 0 and 1")
+        bits = raw.astype(np.uint8)
         bits.setflags(write=False)
         object.__setattr__(self, "bits", bits)
 
@@ -89,16 +102,23 @@ def prbs_generate(order: int, seed: int | None = None) -> PrbsSequence:
 
     ``seed`` is the initial register state, an integer in 1..2**order - 1
     (all ones by default); different seeds produce cyclic shifts of the same
-    sequence.  The output bits obey ``b[n] = XOR_t b[n - t]`` over the taps;
-    squaring the feedback polynomial over GF(2) gives the same recurrence
-    with every tap doubled, so after a short register run the rest of the
-    period is filled in blocks, each block one XOR of shifted slices.
+    sequence.  The first ``order`` output bits are the register state, most
+    significant bit first, and the rest obey ``b[n] = XOR_t b[n - t]`` over
+    the taps.  Over GF(2), p(x)**s = p(x**s) for the feedback polynomial p
+    and every power of two s, so ``b[n] = XOR_t b[n - s * t]`` holds as soon
+    as n >= s * order.  The period is filled in blocks of s times the
+    shortest lag, each one slice copy and ``len(taps) - 1`` in-place XORs of
+    earlier bits, doubling s once 2 * s * order bits exist: O(log P) blocks
+    for period P, with no register loop.  Where the taps include a short lag
+    (1 for orders 12, 13, 14 and 19) the sequence is built backwards from the
+    reciprocal recurrence, whose shortest lag is longer, and then reversed.
     """
+    order = _integer(order, "order")
     if order not in DEFAULT_TAPS:
         raise ValueError(f"unsupported register length {order}: choose from 3..23")
     taps = DEFAULT_TAPS[order]
     mask = (1 << order) - 1
-    state = mask if seed is None else operator.index(seed)
+    state = mask if seed is None else _integer(seed, "seed")
     if not 1 <= state <= mask:
         raise ValueError(
             f"seed must be a nonzero register state in 1..{mask} for order {order}, got {state}"
@@ -106,34 +126,32 @@ def prbs_generate(order: int, seed: int | None = None) -> PrbsSequence:
     period = 2**order - 1
     # one period plus the first register state again, to check the cycle closes
     total = period + order
-    # The doubled recurrence b[n] = XOR_t b[n - scale * t] needs a register
-    # run of scale * order bits and then fills blocks of scale * min(taps)
-    # bits; grow the scale until the run outweighs the number of blocks.
-    scale = 1
-    while scale * scale * order < 8 * period * len(taps) / min(taps):
-        scale *= 2
-    head = min(total, scale * order)
-    tap_mask = 0
-    for t in taps:
-        tap_mask |= 1 << (t - 1)
-    top = order - 1
-    start = []
-    for _ in range(head):
-        start.append((state >> top) & 1)
-        feedback = (state & tap_mask).bit_count() & 1
-        state = ((state << 1) | feedback) & mask
+    head = [(state >> i) & 1 for i in range(order - 1, -1, -1)]
+    # The time-reversed sequence obeys the reciprocal recurrence, lags order
+    # and order - t; run the direction whose shortest lag is longer, since
+    # each block spans the scale times that lag.
+    reciprocal = (order, *(order - t for t in taps if t != order))
+    reverse = min(reciprocal) > min(taps)
+    lags = reciprocal if reverse else taps
     bits = np.empty(total, dtype=np.uint8)
-    bits[:head] = start
-    lags = [scale * t for t in taps]
-    block = min(lags)
-    for lo in range(head, total, block):
-        hi = min(lo + block, total)
+    bits[:order] = head[::-1] if reverse else head
+    scale, lo = 1, order
+    while lo < total:
+        # doubling only once lo >= 2 * s * order keeps lo >= s * order, so
+        # the scaled lags never reach back before bit 0
+        if lo >= 2 * scale * order:
+            scale *= 2
+        hi = min(lo + scale * min(lags), total)
         out = bits[lo:hi]
-        out[:] = bits[lo - lags[0] : hi - lags[0]]
+        out[:] = bits[lo - scale * lags[0] : hi - scale * lags[0]]
         for lag in lags[1:]:
-            out ^= bits[lo - lag : hi - lag]
+            out ^= bits[lo - scale * lag : hi - scale * lag]
+        lo = hi
     if not np.array_equal(bits[period:], bits[:order]):
         raise RuntimeError(f"register failed to close its cycle for taps {taps}")
+    if reverse:
+        # reversed bit j is bit (order - 1 - j) mod period of the sequence
+        bits = np.concatenate((bits[order - 1 :: -1], bits[period - 1 : order - 1 : -1]))
     return PrbsSequence(order, taps, bits[:period])
 
 
@@ -146,8 +164,9 @@ def prbs_align(observed, reference: PrbsSequence, min_agreement: float = 0.6) ->
     PrbsAlignmentError when the best agreement fraction stays below
     ``min_agreement``, which must lie in [0, 1].
 
-    The stream is folded onto one period as per-phase counts of ones and
-    zeros, so ``agreement(o) = zeros.sum() + sum_p (ones[p] - zeros[p]) *
+    The stream is folded onto one period once: each phase's erasure count
+    and the column sum of the -1/0/1 fold give its counts of ones and zeros,
+    so ``agreement(o) = zeros.sum() + sum_p (ones[p] - zeros[p]) *
     ref[(p + o) % period]``, one circular cross-correlation.  It runs as an
     FFT over a power-of-two length of at least two periods against two
     tiled reference periods, which never wraps, and is rounded back to the
@@ -155,6 +174,7 @@ def prbs_align(observed, reference: PrbsSequence, min_agreement: float = 0.6) ->
     spectrum is computed once per ``PrbsSequence`` and reused by every
     later alignment against it.
     """
+    _require_type(reference, PrbsSequence, "reference")
     if not 0.0 <= min_agreement <= 1.0:
         raise ValueError(f"min_agreement must lie in [0, 1], got {min_agreement}")
     raw = np.asarray(observed)
@@ -169,16 +189,19 @@ def prbs_align(observed, reference: PrbsSequence, min_agreement: float = 0.6) ->
     folded = np.full(-(-raw.size // period) * period, -1, dtype=np.int8)
     folded[: raw.size] = raw
     folded = folded.reshape(-1, period)
-    ones = np.count_nonzero(folded == 1, axis=0)
-    zeros = np.count_nonzero(folded == 0, axis=0)
-    n_valid = int(ones.sum() + zeros.sum())
+    # per phase: the column sum of the -1/0/1 fold is ones - erasures
+    erasures = (folded < 0).sum(axis=0)
+    ones = folded.sum(axis=0, dtype=np.int64) + erasures
+    valid = folded.shape[0] - erasures
+    n_valid = int(valid.sum())
     if n_valid == 0:
         raise ValueError("observed stream contains only erasures")
+    n_zeros = n_valid - int(ones.sum())
     size = reference._correlation_size
-    spectrum = np.conj(np.fft.rfft(ones - zeros, size))
+    spectrum = np.conj(np.fft.rfft(2 * ones - valid, size))  # ones - zeros
     spectrum *= reference._tiled_spectrum
     correlation = np.fft.irfft(spectrum, size)[:period]
-    agreements = int(zeros.sum()) + np.rint(correlation).astype(np.int64)
+    agreements = n_zeros + np.rint(correlation).astype(np.int64)
     best = int(np.argmax(agreements))
     fraction = agreements[best] / n_valid
     if fraction < min_agreement:

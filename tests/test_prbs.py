@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qracsim import PrbsAlignmentError, prbs_align, prbs_generate
-from qracsim.prbs import DEFAULT_TAPS
+from qracsim.prbs import DEFAULT_TAPS, PrbsSequence
 
 
 def test_period_length():
@@ -108,6 +108,67 @@ def test_align_validates_symbols():
         prbs_align(bad, ref)
 
 
+def test_non_integer_order_and_seed_named():
+    with pytest.raises(TypeError, match=r"^order must be an integer, got 7\.0$"):
+        prbs_generate(7.0)
+    with pytest.raises(TypeError, match=r"^seed must be an integer, got 3\.0$"):
+        prbs_generate(7, seed=3.0)
+    assert np.array_equal(prbs_generate(np.int64(7), seed=np.uint8(3)).bits, prbs_generate(7, seed=3).bits)
+
+
+def test_align_rejects_non_sequence_reference():
+    stream = prbs_generate(3).bits
+    with pytest.raises(TypeError, match="^reference must be a PrbsSequence, got str$"):
+        prbs_align(stream, "x")
+    with pytest.raises(TypeError, match="^reference must be a PrbsSequence, got ndarray$"):
+        prbs_align(stream, stream)
+
+
+@pytest.mark.parametrize(
+    "bits",
+    [
+        np.array([2, 0, 1, 0, 1, 1, 0]),
+        np.array([-1, 0, 1, 0, 1, 1, 0]),
+        np.array([256, 0, 1, 0, 1, 1, 0]),
+        np.array([2, 0, 1, 0, 1, 1, 0], dtype=np.uint8),
+        np.array([0.5, 0, 1, 0, 1, 1, 0]),
+        np.array([np.nan, 0, 1, 0, 1, 1, 0]),
+    ],
+    ids=["int64 2", "int64 -1", "int64 256", "uint8 2", "float 0.5", "nan"],
+)
+def test_sequence_rejects_non_bits(bits):
+    # cast to uint8 first, -1 would wrap to 255, 256 to 0 and 0.5 truncate to 0
+    with pytest.raises(ValueError, match="^bits must hold only 0 and 1$"):
+        PrbsSequence(3, (3, 2), bits)
+
+
+def test_sequence_rejects_wrong_shape():
+    bits = prbs_generate(3).bits
+    for shaped in (bits[:6], np.tile(bits, 2), bits.reshape(7, 1)):
+        message = re.escape(f"bits must be a 1-d array of 7 bits, got shape {shaped.shape}")
+        with pytest.raises(ValueError, match=message):
+            PrbsSequence(3, (3, 2), shaped)
+
+
+def test_sequence_accepts_any_bit_dtype():
+    bits = prbs_generate(3).bits
+    for dtype in (bool, np.int8, np.int64, float):
+        seq = PrbsSequence(3, (3, 2), bits.astype(dtype))
+        assert seq.bits.dtype == np.uint8 and np.array_equal(seq.bits, bits)
+
+
+def test_align_same_offset_for_every_stream_dtype():
+    ref = prbs_generate(7)
+    rng = np.random.default_rng(7)
+    clean = ref.bits[(np.arange(3 * ref.period) + 45) % ref.period].astype(np.int64)
+    clean ^= (rng.random(clean.size) < 0.1).astype(np.int64)
+    erased = clean.copy()
+    erased[rng.random(erased.size) < 0.4] = -1
+    # bool holds no erasure, so it aligns the stream without them
+    for stream, dtypes in ((clean, (bool, np.int8, np.int64, float)), (erased, (np.int8, np.int64, float))):
+        assert {prbs_align(stream.astype(dtype), ref) for dtype in dtypes} == {45}
+
+
 def test_seed_out_of_range_rejected():
     message = re.escape("seed must be a nonzero register state in 1..127")
     for seed in (2**7, 2**7 + 1, -1, -(2**7)):
@@ -148,6 +209,42 @@ def _register_oracle(order, seed):
     return np.array(out, dtype=np.uint8)
 
 
+def _heuristic_scale_oracle(order, seed):
+    """The heuristic-scale generator that the doubling schedule replaced,
+    kept as its oracle: a register run of ``scale * order`` bits, its scale
+    grown until that run outweighs the block count, then blocks of the
+    recurrence with every tap times scale."""
+    taps = DEFAULT_TAPS[order]
+    mask = (1 << order) - 1
+    state = seed
+    period = 2**order - 1
+    total = period + order
+    scale = 1
+    while scale * scale * order < 8 * period * len(taps) / min(taps):
+        scale *= 2
+    head = min(total, scale * order)
+    tap_mask = 0
+    for t in taps:
+        tap_mask |= 1 << (t - 1)
+    start = []
+    for _ in range(head):
+        start.append((state >> (order - 1)) & 1)
+        feedback = (state & tap_mask).bit_count() & 1
+        state = ((state << 1) | feedback) & mask
+    bits = np.empty(total, dtype=np.uint8)
+    bits[:head] = start
+    lags = [scale * t for t in taps]
+    block = min(lags)
+    for lo in range(head, total, block):
+        hi = min(lo + block, total)
+        out = bits[lo:hi]
+        out[:] = bits[lo - lags[0] : hi - lags[0]]
+        for lag in lags[1:]:
+            out ^= bits[lo - lag : hi - lag]
+    assert np.array_equal(bits[period:], bits[:order])
+    return bits[:period]
+
+
 def _align_oracle(observed, reference):
     """Brute-force O(P * n) agreements; returns (first best offset, fraction)."""
     obs = np.asarray(observed, dtype=np.int64)
@@ -166,6 +263,15 @@ def test_generate_matches_register_oracle(order):
     mask = 2**order - 1
     for seed in (mask, 1, 5, mask // 3):
         expected = _register_oracle(order, seed)
+        actual = prbs_generate(order, seed=None if seed == mask else seed).bits
+        assert np.array_equal(actual, expected), f"order {order}, seed {seed}"
+
+
+@pytest.mark.parametrize("order", range(3, 24))
+def test_generate_matches_heuristic_scale_oracle(order):
+    mask = 2**order - 1
+    for seed in (mask, 1, 5, mask // 3):
+        expected = _heuristic_scale_oracle(order, seed)
         actual = prbs_generate(order, seed=None if seed == mask else seed).bits
         assert np.array_equal(actual, expected), f"order {order}, seed {seed}"
 
