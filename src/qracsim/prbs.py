@@ -6,8 +6,7 @@ and the reference sequence.
 
 Every register order 3..23 generates and aligns.  Generation writes the
 initial register state, then fills the period in numpy blocks of the tap
-recurrence (or of its reciprocal, run backwards, when that has the longer
-shortest lag) with every lag scaled by a power of two, doubling the scale as
+recurrence with every lag scaled by a power of two, doubling the scale as
 the filled prefix grows, so no register loop runs.  Alignment folds the
 stream onto one period in one pass, as per-phase erasure counts and column
 sums, and finds the best offset by one FFT circular cross-correlation,
@@ -109,9 +108,7 @@ def prbs_generate(order: int, seed: int | None = None) -> PrbsSequence:
     as n >= s * order.  The period is filled in blocks of s times the
     shortest lag, each one slice copy and ``len(taps) - 1`` in-place XORs of
     earlier bits, doubling s once 2 * s * order bits exist: O(log P) blocks
-    for period P, with no register loop.  Where the taps include a short lag
-    (1 for orders 12, 13, 14 and 19) the sequence is built backwards from the
-    reciprocal recurrence, whose shortest lag is longer, and then reversed.
+    for period P, with no register loop.
     """
     order = _integer(order, "order")
     if order not in DEFAULT_TAPS:
@@ -126,32 +123,22 @@ def prbs_generate(order: int, seed: int | None = None) -> PrbsSequence:
     period = 2**order - 1
     # one period plus the first register state again, to check the cycle closes
     total = period + order
-    head = [(state >> i) & 1 for i in range(order - 1, -1, -1)]
-    # The time-reversed sequence obeys the reciprocal recurrence, lags order
-    # and order - t; run the direction whose shortest lag is longer, since
-    # each block spans the scale times that lag.
-    reciprocal = (order, *(order - t for t in taps if t != order))
-    reverse = min(reciprocal) > min(taps)
-    lags = reciprocal if reverse else taps
     bits = np.empty(total, dtype=np.uint8)
-    bits[:order] = head[::-1] if reverse else head
+    bits[:order] = [(state >> i) & 1 for i in range(order - 1, -1, -1)]
     scale, lo = 1, order
     while lo < total:
         # doubling only once lo >= 2 * s * order keeps lo >= s * order, so
         # the scaled lags never reach back before bit 0
         if lo >= 2 * scale * order:
             scale *= 2
-        hi = min(lo + scale * min(lags), total)
+        hi = min(lo + scale * min(taps), total)
         out = bits[lo:hi]
-        out[:] = bits[lo - scale * lags[0] : hi - scale * lags[0]]
-        for lag in lags[1:]:
+        out[:] = bits[lo - scale * taps[0] : hi - scale * taps[0]]
+        for lag in taps[1:]:
             out ^= bits[lo - scale * lag : hi - scale * lag]
         lo = hi
     if not np.array_equal(bits[period:], bits[:order]):
         raise RuntimeError(f"register failed to close its cycle for taps {taps}")
-    if reverse:
-        # reversed bit j is bit (order - 1 - j) mod period of the sequence
-        bits = np.concatenate((bits[order - 1 :: -1], bits[period - 1 : order - 1 : -1]))
     return PrbsSequence(order, taps, bits[:period])
 
 

@@ -267,7 +267,8 @@ def test_generate_matches_register_oracle(order):
         assert np.array_equal(actual, expected), f"order {order}, seed {seed}"
 
 
-@pytest.mark.parametrize("order", range(3, 24))
+# orders 3..18 are checked against the register oracle above at the same seeds
+@pytest.mark.parametrize("order", range(19, 24))
 def test_generate_matches_heuristic_scale_oracle(order):
     mask = 2**order - 1
     for seed in (mask, 1, 5, mask // 3):
