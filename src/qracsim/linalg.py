@@ -4,7 +4,9 @@ A state is an amplitude row, or a row of a stack, normalised and
 phase-fixed by the one rule ``_unit_rows``.  A basis is one read-only stack of
 unit rows and a measurement one read-only stack of effects, each checked on
 construction.  Spectra come from LAPACK, one call per matrix
-or per (..., d, d) stack, through the one checked ``eigh``, ``hermitian_eig``.
+or per (..., d, d) stack, through the one checked ``eigh``, ``hermitian_eig``;
+only sums of two rank-one projectors, whose spectra are closed forms, are
+solved without it (``qrac.MeasurementPair.spectra``).
 The top vector picked from a degenerate eigenspace depends on the eigenspace
 alone, so optimal encodings do not depend on the basis LAPACK returns: reruns
 on one build are bit-identical, and LAPACK builds differ only by rounding.
@@ -13,13 +15,14 @@ on one build are bit-identical, and LAPACK builds differ only by rounding.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .tolerances import TOL
 
 _SOLVER_NOT_HERMITIAN = "matrix is not Hermitian: max |H - H^dag| = {defect:.3e} exceeds {tol:.1e}"
+_NOT_RECONSTRUCTED = "eigendecomposition failed the reconstruction check"
 
 
 def _require_type(value, kind: type, name: str) -> None:
@@ -95,9 +98,15 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
 class Povm:
     """Measurement as one read-only (outcome, d, d) stack ``matrices`` of
     effects resolving the identity, indexed by outcome.  Takes d x d matrices
-    or their stack and checks all at once, every spectrum by one ``eigvalsh``."""
+    or their stack and checks all at once, every spectrum by one ``eigvalsh``.
+
+    ``rows`` is not a constructor argument.  It is None, except on the Povm
+    that ``Basis.to_povm`` returns, where it is the basis's read-only unit
+    rows, effect k being |row k><row k|: a projective measurement whose pairs
+    ``MeasurementPair.spectra`` solves from their overlaps."""
 
     matrices: np.ndarray
+    rows: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if isinstance(self.matrices, (list, tuple)) and len({np.shape(e) for e in self.matrices}) > 1:
@@ -157,13 +166,18 @@ class Basis:
         return self.vectors[index]
 
     def to_povm(self) -> Povm:
-        return Povm(self.vectors[:, :, None] * self.vectors[:, None, :].conj())
+        """The projective measurement onto the rows, effect k = |row k><row k|,
+        with ``rows`` set to this basis's read-only ``vectors``."""
+        povm = Povm(self.vectors[:, :, None] * self.vectors[:, None, :].conj())
+        object.__setattr__(povm, "rows", self.vectors)
+        return povm
 
 
 def _canonical_tops(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Canonical unit vector of each maximal-eigenvalue eigenspace, as a
-    read-only (n, d) stack of rows, for rows of ascending eigenvalues ``w``
-    (n, d) with eigenvector columns ``v`` (n, d, d).
+    read-only (n, d) stack of rows, for rows of the top k ascending
+    eigenvalues ``w`` (n, k) with their orthonormal eigenvector columns ``v``
+    (n, d, k): all d of an ``eigh``, or the two of a rank-one projector pair.
 
     An eigenspace is spanned by its row's top cluster (consecutive gaps below
     ``TOL.cluster_gap``).  Its unit vector with the most leading zeros is
@@ -172,15 +186,15 @@ def _canonical_tops(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     the solver returned.  A simple top eigenvalue's column is taken as it
     is; only a degenerate cluster is narrowed, one SVD per component.
     """
-    d = w.shape[-1]
+    k = w.shape[-1]
     close = np.diff(w, axis=-1) < TOL.cluster_gap
-    starts = d - 1 - np.cumprod(close[:, ::-1], axis=-1).sum(axis=-1)
+    starts = k - 1 - np.cumprod(close[:, ::-1], axis=-1).sum(axis=-1)
     tops = v[..., -1].copy()
-    for row in np.flatnonzero(starts < d - 1).tolist():
+    for row in np.flatnonzero(starts < k - 1).tolist():
         # Fortran order: the SVD rule's products round differently in C
         # order, which would move the encodings' last bits
         basis = np.asfortranarray(v[row, :, starts[row] :])
-        for i in range(d):
+        for i in range(v.shape[1]):
             if basis.shape[1] == 1:
                 break
             if np.linalg.norm(basis[i]) > TOL.phase_pivot:
@@ -206,7 +220,7 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     m = (m + _adjoint(m)) / 2.0
     w, v = np.linalg.eigh(m)
     if not np.max(np.abs((v * w[..., None, :]) @ _adjoint(v) - m), initial=0.0) <= TOL.reconstruction:
-        raise RuntimeError("eigendecomposition failed the reconstruction check")
+        raise RuntimeError(_NOT_RECONSTRUCTED)
     if np.max(np.abs(_adjoint(v) @ v - np.eye(m.shape[-1])), initial=0.0) > TOL.orthonormal:
         raise ValueError("eigenvectors are not orthonormal")
     return _frozen(w), _frozen(v)

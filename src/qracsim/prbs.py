@@ -50,19 +50,40 @@ DEFAULT_TAPS: dict[int, tuple[int, ...]] = {
 }
 
 
+def _checked_order(order) -> int:
+    """A register order as an int in 3..23, the orders with default taps."""
+    order = _integer(order, "order")
+    if order not in DEFAULT_TAPS:
+        raise ValueError(f"unsupported register length {order}: choose from 3..23")
+    return order
+
+
 class PrbsAlignmentError(RuntimeError):
     """No cyclic offset reached the required agreement fraction."""
 
 
 @dataclass(frozen=True, eq=False)
 class PrbsSequence:
-    """One period of a maximal-length sequence with its generator metadata."""
+    """One period of a maximal-length sequence with its generator metadata:
+    an integer ``order`` in 3..23 and distinct integer ``taps`` in 1..order,
+    the largest ``order``, both kept as Python ints."""
 
     order: int
     taps: tuple[int, ...]
     bits: np.ndarray
 
     def __post_init__(self):
+        order = _checked_order(self.order)
+        try:
+            taps = tuple(_integer(t, "taps") for t in self.taps)
+        except TypeError:  # not a sequence, or a tap that is not an integer
+            taps = None
+        if not taps or len(set(taps)) != len(taps) or min(taps) < 1 or max(taps) != order:
+            raise ValueError(
+                f"taps must be distinct integers in 1..{order}, the largest {order}, got {self.taps!r}"
+            )
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "taps", taps)
         raw = np.asarray(self.bits)
         if raw.shape != (self.period,):
             raise ValueError(f"bits must be a 1-d array of {self.period} bits, got shape {raw.shape}")
@@ -110,9 +131,7 @@ def prbs_generate(order: int, seed: int | None = None) -> PrbsSequence:
     earlier bits, doubling s once 2 * s * order bits exist: O(log P) blocks
     for period P, with no register loop.
     """
-    order = _integer(order, "order")
-    if order not in DEFAULT_TAPS:
-        raise ValueError(f"unsupported register length {order}: choose from 3..23")
+    order = _checked_order(order)
     taps = DEFAULT_TAPS[order]
     mask = (1 << order) - 1
     state = mask if seed is None else _integer(seed, "seed")

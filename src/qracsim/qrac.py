@@ -16,7 +16,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import _canonical_tops, _checked_split, _frozen, _norms_sq, _psd_norms, _require_type
+from .linalg import (
+    _NOT_RECONSTRUCTED,
+    _canonical_tops,
+    _checked_split,
+    _frozen,
+    _integer,
+    _norms_sq,
+    _psd_norms,
+    _require_type,
+)
 from .linalg import (  # hermitian_eig, operator_norm: names bench/spans.py traces here
     Povm,
     born_probabilities,
@@ -42,10 +51,10 @@ class Message:
     alphabet: int
 
     def __post_init__(self):
-        alphabet = operator.index(self.alphabet)
+        alphabet = _integer(self.alphabet, "alphabet")
         if alphabet < 2:
             raise ValueError("alphabet must be at least 2")
-        digits = tuple(operator.index(x) for x in self.digits)
+        digits = tuple(_integer(x, "digits") for x in self.digits)
         if len(digits) != 2:
             raise ValueError("the protocol encodes exactly two digits")
         if any(x < 0 or x >= alphabet for x in digits):
@@ -60,6 +69,7 @@ class Message:
 
 def all_messages(alphabet: int) -> tuple[Message, ...]:
     """Every message (x1, x2), ordered with x1 most significant."""
+    alphabet = _integer(alphabet, "alphabet")
     return tuple(
         Message((x1, x2), alphabet) for x1 in range(alphabet) for x2 in range(alphabet)
     )
@@ -87,6 +97,7 @@ class MeasurementPair:
         return self.m1.dim
 
     def measurement(self, k: int) -> Povm:
+        k = _integer(k, "k")
         if k not in (1, 2):
             raise ValueError("measurement index must be 1 or 2")
         return self.m1 if k == 1 else self.m2
@@ -94,12 +105,19 @@ class MeasurementPair:
     @cached_property
     def spectra(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (x1, x2, k) stacks: ascending eigenvalues of each sum M1(x1) +
-        M2(x2) and its canonical top state, eigenvectors dropped.  The sums are
-        solved in C order by checked ``hermitian_eig`` stacks of at most
-        ``_EIGH_STACK_ENTRIES`` entries: one (d^2, d, d) stack up to d = 8, 16 of
-        (16, 16, 16) at d = 16.  A failure caches nothing."""
+        M2(x2) and its canonical top state, eigenvectors dropped.
+
+        When both measurements carry basis ``rows`` (``Basis.to_povm``), every
+        sum is solved in closed form from the d x d overlap matrix of the rows,
+        with no ``eigh`` (``_overlap_spectra``).  Otherwise the sums are solved
+        in C order by checked ``hermitian_eig`` stacks of at most
+        ``_EIGH_STACK_ENTRIES`` entries: one (d^2, d, d) stack up to d = 8, 16
+        of (16, 16, 16) at d = 16.  A failure caches nothing."""
         d = self.dim
         x1, x2 = np.divmod(np.arange(d * d), d)
+        if self.m1.rows is not None and self.m2.rows is not None:
+            stacks = _overlap_spectra(self.m1, self.m2, x1, x2)
+            return tuple(_frozen(stack.reshape(d, d, d)) for stack in stacks)
         step = _EIGH_STACK_ENTRIES // d**2  # sums per call, d^2 of them up to d = 8
         eigenvalues, tops = [], []
         for start in range(0, d * d, step):
@@ -108,6 +126,40 @@ class MeasurementPair:
             eigenvalues.append(w)
             tops.append(_canonical_tops(w, v))
         return tuple(_frozen(np.concatenate(stack).reshape(d, d, d)) for stack in (eigenvalues, tops))
+
+
+def _overlap_spectra(m1: Povm, m2: Povm, x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d^2, d) eigenvalue and canonical top rows of the sums M1(x1) + M2(x2)
+    of two rank-one projective measurements, from the overlaps C = E* F^T of
+    their rows.  The sum |e><e| + |f><f| has eigenvalues 1 -/+ |c|, c = <e|f>,
+    with eigenvectors (e -/+ w f) / sqrt(2 (1 -/+ |c|)), w = c*/|c| (1 at
+    c = 0), and d - 2 zeros.  A degenerate top (e orthogonal to f) goes to
+    ``_canonical_tops``' narrowing.  Every top state is then held to
+    max |M1(x1) psi + M2(x2) psi - (1 + |c|) psi| <= ``TOL.reconstruction``."""
+    d = m1.dim
+    e, f = m1.rows, m2.rows
+    c = (e.conj() @ f.T).ravel()  # c[x1 * d + x2] = <e_x1|f_x2>
+    size = np.abs(c)
+    eigenvalues = np.zeros((d * d, d))
+    eigenvalues[:, -2], eigenvalues[:, -1] = 1.0 - size, 1.0 + size
+    phase = np.divide(c.conj(), size, out=np.ones_like(c), where=size > 0.0)
+    pairs = np.zeros((d * d, d, 2), dtype=complex)  # (lower, upper) columns
+    pairs[..., 1] = (e[x1] + phase[:, None] * f[x2]) / np.sqrt(2.0 * (1.0 + size))[:, None]
+    # the top gap as ``_canonical_tops`` computes it
+    tied = np.flatnonzero(eigenvalues[:, -1] - eigenvalues[:, -2] < TOL.cluster_gap)
+    if tied.size:
+        lower = e[x1[tied]] - phase[tied, None] * f[x2[tied]]
+        pairs[tied, :, 0] = lower / np.sqrt(2.0 * (1.0 - size[tied]))[:, None]
+    tops = _canonical_tops(eigenvalues[:, -2:], pairs)
+    # M(x) psi for each measurement, one (d, d, d) matmul each, never a
+    # (d^2, d, d) stack of sums
+    grid = tops.reshape(d, d, d)  # (x1, x2, i)
+    first = np.matmul(m1.matrices, grid.transpose(0, 2, 1)).transpose(0, 2, 1)
+    second = np.matmul(m2.matrices, grid.transpose(1, 2, 0)).transpose(2, 0, 1)
+    residual = first + second - eigenvalues[:, -1].reshape(d, d, 1) * grid
+    if not np.max(np.abs(residual)) <= TOL.reconstruction:
+        raise RuntimeError(_NOT_RECONSTRUCTED)
+    return eigenvalues, tops
 
 
 def measurement_pair_from_mub(pair: MubPair) -> MeasurementPair:
@@ -169,7 +221,8 @@ class AllocationValue:
 def encoding_table(pair: MeasurementPair) -> EncodingMap:
     """Optimal encodings: row (x1, x2) is the phase-fixed top eigenvector of
     M1(x1) + M2(x2) (of a degenerate top, the eigenspace's unit vector with the most
-    leading zeros), read off ``pair.spectra``.  Positivity is not checked."""
+    leading zeros), read off ``pair.spectra``: for basis measurements, (e + (c*/|c|) f)
+    normalised, c = <e|f>.  Positivity is not checked."""
     _require_type(pair, MeasurementPair, "pair")
     return EncodingMap(pair.spectra[1])
 
@@ -199,14 +252,16 @@ def max_success_probability(pair: MeasurementPair) -> float:
 
 def classical_bound(d: int) -> float:
     """Optimal average success probability when a single classical dit is sent."""
-    if operator.index(d) < 2:
+    d = _integer(d, "d")
+    if d < 2:
         raise ValueError("alphabet must be at least 2")
     return 0.5 * (1.0 + 1.0 / d)
 
 
 def quantum_bound(d: int) -> float:
     """Best achievable average success probability with a single qudit."""
-    if operator.index(d) < 2:
+    d = _integer(d, "d")
+    if d < 2:
         raise ValueError("alphabet must be at least 2")
     return 0.5 * (1.0 + 1.0 / math.sqrt(d))
 

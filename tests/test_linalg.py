@@ -453,7 +453,9 @@ class TestPovmStack:
     """A measurement is one checked, read-only (outcome, d, d) stack."""
 
     def test_stack_is_the_only_field(self):
-        assert [f.name for f in dataclasses.fields(Povm)] == ["matrices"]
+        # the only constructor field; ``rows`` is set by ``Basis.to_povm`` alone
+        assert [f.name for f in dataclasses.fields(Povm)] == ["matrices", "rows"]
+        assert [f.name for f in dataclasses.fields(Povm) if f.init] == ["matrices"]
 
     def test_sequence_and_stack_give_equal_matrices(self, rng):
         for povm in (random_pvm(rng, 3), random_povm(rng, 4)):

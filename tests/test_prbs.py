@@ -150,6 +150,28 @@ def test_sequence_rejects_wrong_shape():
             PrbsSequence(3, (3, 2), shaped)
 
 
+def test_sequence_order_must_be_an_integer_in_range():
+    bits = prbs_generate(7).bits
+    with pytest.raises(TypeError, match=r"^order must be an integer, got 7\.0$"):
+        PrbsSequence(7.0, (7, 6), bits)
+    for order in (2, 24):
+        with pytest.raises(ValueError, match=f"^unsupported register length {order}: choose from 3..23$"):
+            PrbsSequence(order, (order, 1), bits)
+    seq = PrbsSequence(np.int64(7), [np.int8(7), 6], bits)
+    assert type(seq.order) is int and seq.period == 127 and seq.taps == (7, 6)
+
+
+@pytest.mark.parametrize(
+    "taps",
+    [(9, 9, 9), (3, 3), (2,), (3, 0), (3, -1), (3, 2.0), (), 3, "32"],
+    ids=["past-order", "repeated", "largest-not-order", "zero", "negative", "float", "empty", "scalar", "string"],
+)
+def test_sequence_taps_must_be_distinct_lags_up_to_order(taps):
+    bits = prbs_generate(3).bits
+    with pytest.raises(ValueError, match=r"^taps must be distinct integers in 1\.\.3, the largest 3, got "):
+        PrbsSequence(3, taps, bits)
+
+
 def test_sequence_accepts_any_bit_dtype():
     bits = prbs_generate(3).bits
     for dtype in (bool, np.int8, np.int64, float):

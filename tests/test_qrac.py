@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qracsim import (
+    Basis,
     MeasurementPair,
     Message,
     Povm,
@@ -41,6 +42,7 @@ from conftest import (
     DensityMatrix,
     born_probability,
     depolarize_state,
+    haar_unitary,
     random_density_matrix,
     random_measurement_pair,
     random_povm,
@@ -123,6 +125,23 @@ class TestMeasurementPair:
         z = pauli_mub_pair().first.to_povm()
         with pytest.raises(TypeError, match=r"^m1 and m2 must be Povms, got Povm, list$"):
             MeasurementPair(z, [np.eye(2)])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Message((0.5, 0), 2), "digits must be an integer, got 0.5"),
+        (lambda: Message((0, 0), 2.0), "alphabet must be an integer, got 2.0"),
+        (lambda: all_messages(2.5), "alphabet must be an integer, got 2.5"),
+        (lambda: classical_bound(2.0), "d must be an integer, got 2.0"),
+        (lambda: quantum_bound("4"), "d must be an integer, got '4'"),
+        (lambda: measurement_pair_from_mub(pauli_mub_pair()).measurement(1.0), "k must be an integer, got 1.0"),
+    ],
+    ids=["Message-digits", "Message-alphabet", "all_messages", "classical_bound", "quantum_bound", "measurement"],
+)
+def test_non_integer_argument_is_named(call, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def qubit_table_and_pair():
@@ -357,6 +376,12 @@ def stacked_engine_pairs():
     return cases
 
 
+def eigh_path(pair):
+    """The same pair rebuilt from plain effect stacks, which carry no basis
+    rows, so ``spectra`` solves it by capped ``eigh`` stacks."""
+    return MeasurementPair(Povm(pair.m1.matrices), Povm(pair.m2.matrices))
+
+
 def degenerate_pair(d):
     """M1 = M2: every x1 != x2 sum is a rank-2 projector, a two-fold top."""
     first = measurement_pair_from_mub(fourier_mub_pair(d)).m2
@@ -393,7 +418,7 @@ def first_error(function, pair):
 class TestStackedEngine:
     @pytest.mark.parametrize("build", stacked_engine_pairs())
     def test_matches_per_message_oracle(self, build):
-        pair = build()
+        pair = eigh_path(build())
         table = encoding_table(pair)
         norms = 0.0
         born = 0.0
@@ -411,7 +436,7 @@ class TestStackedEngine:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
     def test_degenerate_tops_take_the_svd_rule(self, d):
-        pair = degenerate_pair(d)
+        pair = eigh_path(degenerate_pair(d))
         table = encoding_table(pair)
         for message in all_messages(d):
             expected, multiplicity = per_message_encoding(effect_sum(pair, message))
@@ -421,9 +446,10 @@ class TestStackedEngine:
             assert np.array_equal(solved_alone(effect_sum(pair, message)), expected)
 
     def test_zz_pair_takes_the_svd_rule(self, zz_pair):
-        table = encoding_table(zz_pair)
+        pair = eigh_path(zz_pair)
+        table = encoding_table(pair)
         for message in all_messages(2):
-            expected, multiplicity = per_message_encoding(effect_sum(zz_pair, message))
+            expected, multiplicity = per_message_encoding(effect_sum(pair, message))
             assert multiplicity == (1 if message.digits[0] == message.digits[1] else 2)
             assert np.array_equal(table[message], expected)
 
@@ -547,8 +573,9 @@ def assert_spectra_match_loop(pair):
 
 
 class TestCappedSpectra:
-    """``spectra`` solves its sums in as few checked eigh stacks of at most 4096
-    entries as it can, and LAPACK gives each sum the bits it gives it alone."""
+    """Without basis rows, ``spectra`` solves its sums in as few checked eigh
+    stacks of at most 4096 entries as it can, and LAPACK gives each sum the
+    bits it gives it alone."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(d=st.integers(2, 8), kind=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
@@ -557,11 +584,11 @@ class TestCappedSpectra:
 
     @pytest.mark.parametrize("d", range(2, 17))
     def test_fourier_pairs_match_the_loop(self, d):
-        assert_spectra_match_loop(measurement_pair_from_mub(fourier_mub_pair(d)))
+        assert_spectra_match_loop(eigh_path(measurement_pair_from_mub(fourier_mub_pair(d))))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_pauli_pairs_and_their_reductions_match_the_loop(self, n):
-        pair = measurement_pair_from_mub(product_mub_pair(pauli_mub_pair(), n))
+        pair = eigh_path(measurement_pair_from_mub(product_mub_pair(pauli_mub_pair(), n)))
         assert_spectra_match_loop(pair)
         if n > 1:
             dims = (2 ** (n // 2), 2 ** (n - n // 2))
@@ -570,7 +597,7 @@ class TestCappedSpectra:
 
     @pytest.mark.parametrize("d", range(2, 17))
     def test_stacks_stay_under_the_cap(self, d, monkeypatch):
-        pair = measurement_pair_from_mub(fourier_mub_pair(d))
+        pair = eigh_path(measurement_pair_from_mub(fourier_mub_pair(d)))
         shapes = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda m: shapes.append(m.shape) or eigh(m))
@@ -582,6 +609,92 @@ class TestCappedSpectra:
             assert shapes == [(d * d, d, d)]
         if d == 16:
             assert shapes == [(16, 16, 16)] * 16
+
+
+def basis_pair(rng, d, kind):
+    """Two Haar bases as measurements that carry their rows: independent
+    (kind 0), the same basis twice (1), or the second a re-phased permutation
+    of the first (2).  Kinds 1 and 2 are compatible, and every sum of two
+    orthogonal rows has a two-fold top."""
+    first = haar_unitary(rng, d)
+    if kind == 0:
+        second = haar_unitary(rng, d)
+    elif kind == 1:
+        second = first
+    else:
+        second = first[:, rng.permutation(d)] * np.exp(2j * np.pi * rng.random(d))
+    return MeasurementPair(Basis(first.T).to_povm(), Basis(second.T).to_povm())
+
+
+def mub_pairs():
+    cases = [
+        pytest.param(lambda d=d: measurement_pair_from_mub(fourier_mub_pair(d)), id=f"fourier-d{d}")
+        for d in range(2, 17)
+    ]
+    cases += [
+        pytest.param(lambda n=n: measurement_pair_from_mub(product_mub_pair(pauli_mub_pair(), n)),
+                     id=f"pauli-d{2**n}")
+        for n in (1, 2, 3, 4)
+    ]
+    return cases
+
+
+class TestOverlapSpectra:
+    """Pairs of measurements that carry basis rows are solved from their
+    overlaps; the eigh path on the same effects is their oracle."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(d=st.integers(2, 16), kind=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+    def test_random_pairs_match_the_eigh_path(self, d, kind, seed):
+        pair = basis_pair(np.random.default_rng(seed), d, kind)
+        eigenvalues, tops = pair.spectra
+        expected_eigenvalues, expected_tops = eigh_path(pair).spectra
+        assert np.max(np.abs(eigenvalues - expected_eigenvalues)) <= 1e-13
+        # a top state moves by about the rounding over the top gap 2|c|; a
+        # degenerate top is narrowed to one vector by the same rule on both paths
+        size = np.abs(pair.m1.rows.conj() @ pair.m2.rows.T)
+        gap = np.max(np.abs(tops - expected_tops), axis=-1)
+        tied = 2.0 * size < TOL.cluster_gap
+        assert np.all(gap[tied] <= 1e-12)
+        assert np.all(gap[~tied] * np.minimum(1.0, 2.0 * size[~tied]) <= 1e-13)
+        if kind:
+            assert np.count_nonzero(tied) == d * (d - 1)
+
+    @pytest.mark.parametrize("build", mub_pairs())
+    def test_mub_pairs_meet_the_closed_forms(self, build):
+        pair = build()
+        d = pair.dim
+        assert pair.m1.rows is not None and pair.m2.rows is not None
+        assert np.max(np.abs(pair.spectra[0][..., -1] - (1.0 + 1.0 / math.sqrt(d)))) <= 1e-14
+        assert abs(advantage(pair).value - (math.sqrt(d) - 1.0) / d) <= 1e-14
+
+    @pytest.mark.parametrize("d", [2, 7, 16])
+    def test_no_eigh_call(self, d, monkeypatch):
+        pairs = [measurement_pair_from_mub(fourier_mub_pair(d)), basis_pair(np.random.default_rng(d), d, 1)]
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+        for pair in pairs:
+            encoding_table(pair)
+            advantage(pair)
+        assert calls == []
+        eigh_path(pairs[0]).spectra
+        assert calls  # the counter sees the eigh path
+
+    def test_foreign_rows_fail_the_reconstruction_check(self):
+        pair = measurement_pair_from_mub(fourier_mub_pair(4))
+        object.__setattr__(pair.m2, "rows", product_mub_pair(pauli_mub_pair(), 2).second.vectors)
+        for call in (lambda: pair.spectra, lambda: encoding_table(pair), lambda: advantage(pair)):
+            with pytest.raises(RuntimeError, match="^eigendecomposition failed the reconstruction check$"):
+                call()
+        assert "spectra" not in vars(pair)  # a failure caches nothing
+
+    def test_derived_measurements_carry_no_rows(self, ququart_pair):
+        povm = ququart_pair.m2
+        assert povm.rows is not None
+        reduced = reduce_pair(ququart_pair, (2, 2), 1)
+        derived = [Povm(povm.matrices), depolarize(povm, 1.0), coarse_grain(povm, 0), reduced.m1, reduced.m2]
+        assert all(m.rows is None for m in derived)
 
 
 # Per-effect loops, kept as exact oracles for the stack operations of
@@ -715,7 +828,7 @@ class TestBounds:
         with pytest.raises(ValueError):
             quantum_bound(1)
         for bound in (classical_bound, quantum_bound):
-            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            with pytest.raises(TypeError, match=r"^d must be an integer, got 2\.5$"):
                 bound(2.5)
 
 
