@@ -1,12 +1,12 @@
 """Exact dense complex linear algebra for small quantum systems.
 
-A state is an amplitude row, or a row of a stack, normalised and
-phase-fixed by the one rule ``_unit_rows``.  A basis is one read-only stack of
-unit rows and a measurement one read-only stack of effects, each checked on
-construction.  Spectra come from LAPACK, one call per matrix
-or per (..., d, d) stack, through the one checked ``eigh``, ``hermitian_eig``;
-only sums of two rank-one projectors, whose spectra are closed forms, are
-solved without it (``qrac.MeasurementPair.spectra``).
+A state is an amplitude row, or a row of a stack, normalised and phase-fixed
+by the one rule ``_unit_rows``.  A basis is one read-only stack of unit rows,
+a measurement one of effects; each check on them is one reduction over the
+stack, and the first failing entry, in C order, is located only on the error
+path.  Spectra come from LAPACK, one call per matrix or (..., d, d) stack,
+through the one checked ``eigh``, ``hermitian_eig``, except for sums of two
+rank-one projectors, solved in closed form (``qrac.MeasurementPair.spectra``).
 The top vector picked from a degenerate eigenspace depends on the eigenspace
 alone, so optimal encodings do not depend on the basis LAPACK returns: reruns
 on one build are bit-identical, and LAPACK builds differ only by rounding.
@@ -40,6 +40,11 @@ def _integer(value, name: str) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _first_failing(bad: np.ndarray) -> int | None:
+    """Flat C-order index of the first True in ``bad``, or None; ``flatnonzero`` runs on failure only."""
+    return int(np.flatnonzero(bad)[0]) if np.count_nonzero(bad) else None
+
+
 def _as_square_matrix(value, name: str, stack: bool = False) -> np.ndarray:
     m = np.asarray(value, dtype=complex)
     if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
@@ -59,10 +64,8 @@ def _checked_hermitian(value, name: str, not_hermitian: str) -> np.ndarray:
     m = _as_square_matrix(value, name, stack=True)
     with np.errstate(invalid="ignore"):  # inf - inf gives NaN, which is rejected
         defects = np.abs(m - _adjoint(m)).max(axis=(-2, -1)).ravel()
-    failing = np.flatnonzero(~(defects <= TOL.hermitian))  # NaN and inf fail too
-    if failing.size:
-        index, defect = int(failing[0]), float(defects[failing[0]])
-        raise ValueError(not_hermitian.format(name=name, index=index, defect=defect, tol=TOL.hermitian))
+    if (index := _first_failing(~(defects <= TOL.hermitian))) is not None:  # NaN and inf fail too
+        raise ValueError(not_hermitian.format(name=name, index=index, defect=defects[index], tol=TOL.hermitian))
     if m.shape[-1] > TOL.dim_cap:
         raise ValueError(f"dimension {m.shape[-1]} exceeds the exact-solver cap {TOL.dim_cap}")
     return m
@@ -76,21 +79,20 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def _norms_sq(v: np.ndarray) -> np.ndarray:
     """Squared norms of the rows (last axis) of ``v``, keeping that axis, once
     each is within ``TOL.norm`` of 1; the first that is not, in C order, is named."""
-    norm_sq = np.sum(np.abs(v) ** 2, axis=-1, keepdims=True)
+    norm_sq = (np.abs(v) ** 2).sum(axis=-1, keepdims=True)
     defects = np.abs(norm_sq - 1.0).ravel()
-    failing = np.flatnonzero(~(defects <= TOL.norm))  # NaN and inf fail too
-    if failing.size:
-        raise ValueError(f"state is not normalized: |norm^2 - 1| = {defects[failing[0]]:.3e}")
+    if (index := _first_failing(~(defects <= TOL.norm))) is not None:  # NaN and inf fail too
+        raise ValueError(f"state is not normalized: |norm^2 - 1| = {defects[index]:.3e}")
     return norm_sq
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
-    """Rows (last axis) of ``v`` normalised, each first component of modulus
-    above ``TOL.phase_pivot`` made real and nonnegative.  The pivot's modulus
-    is ``hypot``, which rounds as one vector's scalar ``abs``; ``np.abs`` may not."""
+    """Rows (last axis) of ``v`` normalised, each first component of modulus above
+    ``TOL.phase_pivot`` (the pivot, read by one flat index into the rows) made real
+    and nonnegative; its modulus is ``hypot``, which rounds as one vector's ``abs``."""
     v = v / np.sqrt(_norms_sq(v))
-    first = np.argmax(np.abs(v) > TOL.phase_pivot, axis=-1)[..., None]
-    pivot = np.take_along_axis(v, first, axis=-1)
+    first = np.argmax(np.abs(v) > TOL.phase_pivot, axis=-1)
+    pivot = v.reshape(-1)[np.arange(0, v.size, v.shape[-1]) + first.ravel()].reshape(*first.shape, 1)
     return v * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
 
 
@@ -119,11 +121,9 @@ class Povm:
         if len(m) < 2:
             raise ValueError("a POVM needs at least two outcomes")
         eigs = np.linalg.eigvalsh(m)
-        leaving = np.flatnonzero((eigs[:, 0] < -TOL.psd) | (eigs[:, -1] > 1.0 + TOL.effect_upper))
-        if leaving.size:
-            k = leaving[0]
+        if (k := _first_failing((eigs[:, 0] < -TOL.psd) | (eigs[:, -1] > 1.0 + TOL.effect_upper))) is not None:
             raise ValueError(f"effect {k} spectrum [{eigs[k, 0]:.3e}, {eigs[k, -1]:.12g}] leaves [0, 1]")
-        if np.max(np.abs(m.sum(axis=0) - np.eye(m.shape[-1]))) > TOL.completeness:
+        if np.abs(m.sum(axis=0) - np.eye(m.shape[-1])).max() > TOL.completeness:
             raise ValueError("effects do not resolve the identity")
         object.__setattr__(self, "matrices", _frozen(m.copy()))
 
@@ -153,7 +153,7 @@ class Basis:
         except ValueError:  # ragged, empty or scalar input, or d rows not of dimension d
             raise ValueError("a basis needs exactly dim vectors of matching dimension") from None
         stack = _unit_rows(rows)
-        off = np.max(np.abs(stack @ stack.conj().T - np.eye(len(stack))))
+        off = np.abs(stack @ stack.conj().T - np.eye(len(stack))).max()
         if off > TOL.orthonormal:
             raise ValueError(f"basis is not orthonormal: overlap defect {off:.3e}")
         object.__setattr__(self, "vectors", _frozen(stack))
@@ -179,28 +179,30 @@ def _canonical_tops(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     eigenvalues ``w`` (n, k) with their orthonormal eigenvector columns ``v``
     (n, d, k): all d of an ``eigh``, or the two of a rank-one projector pair.
 
-    An eigenspace is spanned by its row's top cluster (consecutive gaps below
-    ``TOL.cluster_gap``).  Its unit vector with the most leading zeros is
-    unique up to phase; phase-fixed, it is the lexicographically smallest
-    one.  It depends on the eigenspace alone, not on the basis of it that
-    the solver returned.  A simple top eigenvalue's column is taken as it
-    is; only a degenerate cluster is narrowed, one SVD per component.
+    A row is tied when its top gap w[-1] - w[-2] is below ``TOL.cluster_gap``
+    (k >= 2); only a tied row's top cluster (consecutive gaps below it) is
+    found, and narrowed, one SVD per component, to the eigenspace's unit vector
+    with the most leading zeros: unique up to phase and, phase-fixed, the
+    lexicographically smallest.  It depends on the eigenspace alone, not on
+    the basis of it the solver returned; an untied row keeps its top column.
     """
-    k = w.shape[-1]
-    close = np.diff(w, axis=-1) < TOL.cluster_gap
-    starts = k - 1 - np.cumprod(close[:, ::-1], axis=-1).sum(axis=-1)
     tops = v[..., -1].copy()
-    for row in np.flatnonzero(starts < k - 1).tolist():
-        # Fortran order: the SVD rule's products round differently in C
-        # order, which would move the encodings' last bits
-        basis = np.asfortranarray(v[row, :, starts[row] :])
-        for i in range(v.shape[1]):
-            if basis.shape[1] == 1:
-                break
-            if np.linalg.norm(basis[i]) > TOL.phase_pivot:
-                # keep the orthonormal combinations that vanish on component i
-                basis = basis @ np.linalg.svd(basis[i : i + 1])[2][1:].conj().T
-        tops[row] = basis[:, 0]
+    tied = w[:, -1] - w[:, -2] < TOL.cluster_gap
+    if np.count_nonzero(tied):
+        tied = np.flatnonzero(tied)
+        close = np.diff(w[tied], axis=-1) < TOL.cluster_gap
+        starts = w.shape[-1] - 1 - np.cumprod(close[:, ::-1], axis=-1).sum(axis=-1)
+        for row, start in zip(tied.tolist(), starts.tolist()):
+            # Fortran order: the SVD rule's products round differently in C
+            # order, which would move the encodings' last bits
+            basis = np.asfortranarray(v[row, :, start:])
+            for i in range(v.shape[1]):
+                if basis.shape[1] == 1:
+                    break
+                if np.linalg.norm(basis[i]) > TOL.phase_pivot:
+                    # keep the orthonormal combinations that vanish on component i
+                    basis = basis @ np.linalg.svd(basis[i : i + 1])[2][1:].conj().T
+            tops[row] = basis[:, 0]
     return _frozen(_unit_rows(tops))
 
 
@@ -219,19 +221,17 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     m = _checked_hermitian(h, "input", _SOLVER_NOT_HERMITIAN)
     m = (m + _adjoint(m)) / 2.0
     w, v = np.linalg.eigh(m)
-    if not np.max(np.abs((v * w[..., None, :]) @ _adjoint(v) - m), initial=0.0) <= TOL.reconstruction:
+    if not np.abs((v * w[..., None, :]) @ _adjoint(v) - m).max(initial=0.0) <= TOL.reconstruction:
         raise RuntimeError(_NOT_RECONSTRUCTED)
-    if np.max(np.abs(_adjoint(v) @ v - np.eye(m.shape[-1])), initial=0.0) > TOL.orthonormal:
+    if np.abs(_adjoint(v) @ v - np.eye(m.shape[-1])).max(initial=0.0) > TOL.orthonormal:
         raise ValueError("eigenvectors are not orthonormal")
     return _frozen(w), _frozen(v)
 
 
 def _psd_norms(eigs: np.ndarray) -> np.ndarray:
     """Top eigenvalues of ascending rows ``eigs``, clamped at 0; names the first row below -TOL.psd."""
-    low = eigs[..., 0].ravel()
-    negative = np.flatnonzero(low < -TOL.psd)
-    if negative.size:
-        raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {low[negative[0]]:.3e}")
+    if (index := _first_failing(eigs[..., 0] < -TOL.psd)) is not None:
+        raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {eigs[..., 0].flat[index]:.3e}")
     return np.maximum(eigs[..., -1], 0.0)
 
 
@@ -276,11 +276,10 @@ def partial_trace(operator, dims: tuple[int, int], keep: int) -> np.ndarray:
 def _clipped_probabilities(values):
     """Born values clipped into [0, 1], once none strays outside it by more
     than ``TOL.probability_slack``; the first stray one, in C order, is named."""
-    outside = np.flatnonzero((values < -TOL.probability_slack) | (values > 1.0 + TOL.probability_slack))
-    if outside.size:
-        value = np.ravel(values)[outside[0]]
-        raise ValueError(f"Born probability {value:.12g} is outside [0, 1] beyond tolerance")
-    return np.clip(values, 0.0, 1.0)
+    outside = (values < -TOL.probability_slack) | (values > 1.0 + TOL.probability_slack)
+    if (index := _first_failing(outside)) is not None:
+        raise ValueError(f"Born probability {values.flat[index]:.12g} is outside [0, 1] beyond tolerance")
+    return values.clip(0.0, 1.0)
 
 
 def born_probabilities(amplitudes: np.ndarray, effects: np.ndarray) -> np.ndarray:

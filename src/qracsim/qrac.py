@@ -10,6 +10,7 @@ subsystems, and depolarizing noise as a map on the measurements.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -157,7 +158,7 @@ def _overlap_spectra(m1: Povm, m2: Povm, x1: np.ndarray, x2: np.ndarray) -> tupl
     first = np.matmul(m1.matrices, grid.transpose(0, 2, 1)).transpose(0, 2, 1)
     second = np.matmul(m2.matrices, grid.transpose(1, 2, 0)).transpose(2, 0, 1)
     residual = first + second - eigenvalues[:, -1].reshape(d, d, 1) * grid
-    if not np.max(np.abs(residual)) <= TOL.reconstruction:
+    if not np.abs(residual).max() <= TOL.reconstruction:
         raise RuntimeError(_NOT_RECONSTRUCTED)
     return eigenvalues, tops
 
@@ -247,7 +248,7 @@ def max_success_probability(pair: MeasurementPair) -> float:
     _require_type(pair, MeasurementPair, "pair")
     d = pair.dim
     norms = _psd_norms(pair.spectra[0])
-    return sum(float(row.sum()) for row in norms) / (2.0 * d * d)
+    return sum(norms.sum(axis=-1).tolist()) / (2.0 * d * d)
 
 
 def classical_bound(d: int) -> float:
@@ -279,8 +280,17 @@ def advantage(pair: MeasurementPair) -> AdvantageValue:
     return AdvantageValue(bound, 2.0 * (max_success_probability(pair) - bound))
 
 
+def _require_real(value, name: str) -> None:
+    """A TypeError naming argument ``name`` unless ``value`` is a real number.
+    ``float`` is tested first: a float skips the ``numbers.Real`` ABC lookup."""
+    if not isinstance(value, (float, numbers.Real)):
+        raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
+
+
 def empirical_advantage(p: float, bound: float) -> AdvantageValue:
     """Advantage of a measured success probability over a classical bound."""
+    _require_real(p, "p")
+    _require_real(bound, "bound")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"success probability must lie in [0, 1], got {p}")
     if not 0.0 <= bound <= 1.0:
@@ -297,7 +307,8 @@ def coarse_grain(povm: Povm, bit: int) -> Povm:
     _require_type(povm, Povm, "povm")
     if povm.outcomes != 4:
         raise ValueError("coarse graining is defined for four-outcome measurements")
-    if operator.index(bit) not in (0, 1):
+    bit = _integer(bit, "bit")
+    if bit not in (0, 1):
         raise ValueError("bit must be 0 or 1")
     d = povm.dim
     return Povm(povm.matrices.reshape(2, 2, d, d).sum(axis=1 - bit))
@@ -385,6 +396,7 @@ def depolarize(povm: Povm, visibility: float, dims: tuple[int, ...] | None = Non
     per-qubit noise: fixed encodings give 1/4 + v/3 + v^2/6, under
     ``classical_bound(4)`` below v = sqrt(13)/2 - 1; re-optimised ones do better."""
     _require_type(povm, Povm, "povm")
+    _require_real(visibility, "visibility")
     if not 0.0 <= visibility <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
     try:

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from qracsim import linalg
 from qracsim.linalg import born_probabilities
+from qracsim.tolerances import TOL
 from qracsim import (
     Basis,
+    EncodingMap,
     Povm,
     hermitian_eig,
     operator_norm,
@@ -530,3 +532,161 @@ class TestNonFiniteInput:
             Basis((amplitudes, [0.0, 1.0]))
         with pytest.raises(ValueError, match="not normalized"):
             linalg._unit_rows(np.array(amplitudes, dtype=complex))
+
+
+# The kernels' bodies before they read ties off the top gap and pivots by one
+# flat index, kept as bitwise oracles for the rewritten kernels.
+def unit_rows_oracle(v):
+    """``_unit_rows`` with ``take_along_axis`` pivots."""
+    v = v / np.sqrt(np.sum(np.abs(v) ** 2, axis=-1, keepdims=True))
+    first = np.argmax(np.abs(v) > TOL.phase_pivot, axis=-1)[..., None]
+    pivot = np.take_along_axis(v, first, axis=-1)
+    return v * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
+
+
+def canonical_tops_oracle(w, v):
+    """``_canonical_tops`` with every row's cluster start from ``diff`` and ``cumprod``."""
+    k = w.shape[-1]
+    close = np.diff(w, axis=-1) < TOL.cluster_gap
+    starts = k - 1 - np.cumprod(close[:, ::-1], axis=-1).sum(axis=-1)
+    tops = v[..., -1].copy()
+    for row in np.flatnonzero(starts < k - 1).tolist():
+        basis = np.asfortranarray(v[row, :, starts[row] :])
+        for i in range(v.shape[1]):
+            if basis.shape[1] == 1:
+                break
+            if np.linalg.norm(basis[i]) > TOL.phase_pivot:
+                basis = basis @ np.linalg.svd(basis[i : i + 1])[2][1:].conj().T
+        tops[row] = basis[:, 0]
+    return unit_rows_oracle(tops)
+
+
+# gaps between consecutive eigenvalues: exact ties, ties inside the cluster
+# gap (one just below it), and clear gaps
+PLANTED_GAPS = (0.0, 0.25 * TOL.cluster_gap, 0.9 * TOL.cluster_gap, 1e-3, 0.5)
+
+
+class TestKernelOracles:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        shape=st.sampled_from([(), (1,), (5,), (2, 3), (3, 1), (1, 4)]),
+        d=st.integers(1, 16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_unit_rows_match_take_along_axis(self, shape, d, seed):
+        gen = np.random.default_rng(seed)
+        v = gen.normal(size=(*shape, d)) + 1j * gen.normal(size=(*shape, d))
+        # leading zeros, then a component too small to fix the phase
+        leads = gen.integers(0, d, size=(*shape, 1))
+        v[np.arange(d) < leads] = 0.0
+        small = np.arange(d) == leads - 1
+        v[small] = 1e-13 * gen.normal(size=np.count_nonzero(small))
+        v /= np.linalg.norm(v, axis=-1, keepdims=True)
+        assert linalg._unit_rows(v).tobytes() == unit_rows_oracle(v).tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        d=st.integers(2, 8),
+        n=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_canonical_tops_match_cumprod_clusters(self, data, d, n, seed):
+        """Rows with a tied top, ties below the top only, several clusters
+        or none; eigenvector columns are the last k of a Haar unitary."""
+        k = data.draw(st.integers(2, d), label="k")
+        gaps = data.draw(st.lists(st.lists(st.sampled_from(PLANTED_GAPS), min_size=k - 1, max_size=k - 1),
+                                  min_size=n, max_size=n), label="gaps")
+        gen = np.random.default_rng(seed)
+        w = gen.uniform(-1.0, 0.0, size=(n, 1)) + np.concatenate([np.zeros((n, 1)), np.cumsum(gaps, axis=1)], axis=1)
+        v = np.stack([haar_unitary(gen, d)[:, d - k :] for _ in range(n)])
+        tops = linalg._canonical_tops(w, v)
+        assert tops.tobytes() == canonical_tops_oracle(w, v).tobytes()
+        assert not tops.flags.writeable
+
+
+def _eye_with(index, entries, d=2):
+    """A stack of identities, ``entries`` (position -> value) set in matrix ``index``."""
+    stack = np.stack([np.eye(d, dtype=complex)] * 3)
+    for position, value in entries.items():
+        stack[(index, *position)] = value
+    return stack
+
+
+def _shear_stack(first, second):
+    """Three 2 x 2 effects: the identity, then two shears whose (0, 1) entries are given."""
+    stack = np.zeros((3, 2, 2), dtype=complex)
+    stack[0] = np.eye(2)
+    stack[1, 0, 1], stack[2, 0, 1] = first, second
+    return stack
+
+
+class TestFirstFailureNamed:
+    """With several failing entries in one stack, each check names the first
+    in C order; NaN and inf are rejected or let through as each predicate says."""
+
+    @pytest.mark.parametrize(
+        "first, second, defect",
+        [(1.0, 2.0, "1.000e+00"), (2.0, 1.0, "2.000e+00"), (math.nan, 1.0, "nan"), (1.0, math.nan, "1.000e+00"),
+         (math.inf, 1.0, "inf"), (-math.inf, math.nan, "inf")],
+    )
+    def test_hermitian(self, first, second, defect):
+        stack = _shear_stack(first, second)
+        with pytest.raises(ValueError, match=f"^effect 1 is not Hermitian: deviation {re.escape(defect)}$"):
+            Povm(stack)
+        with pytest.raises(ValueError, match=rf"^matrix is not Hermitian: max \|H - H\^dag\| = {re.escape(defect)} exceeds"):
+            hermitian_eig(stack)
+
+    @pytest.mark.parametrize(
+        "first, second, defect",
+        [(2.0, 3.0, "3.000e+00"), (3.0, 2.0, "8.000e+00"), (math.nan, 2.0, "nan"), (2.0, math.nan, "3.000e+00"),
+         (math.inf, 2.0, "inf")],
+    )
+    def test_norms(self, first, second, defect):
+        rows = np.eye(3, dtype=complex)
+        rows[1, 1], rows[2, 2] = first, second
+        message = rf"^state is not normalized: \|norm\^2 - 1\| = {re.escape(defect)}$"
+        with pytest.raises(ValueError, match=message):
+            Basis(rows)
+        amplitudes = np.zeros((2, 2, 3), dtype=complex)
+        amplitudes[..., 0] = 1.0
+        amplitudes[0, 1], amplitudes[1, 0] = rows[1], rows[2]
+        with pytest.raises(ValueError, match=message):
+            EncodingMap(amplitudes)
+
+    @pytest.mark.parametrize(
+        "effects, message",
+        [
+            ((np.diag([-0.5, 0.25]), np.diag([0.25, 1.5]), np.diag([1.0, -0.75])), r"effect 0 spectrum \[-5\.000e-01, 0\.25\]"),
+            ((np.diag([1.0, 0.0]), np.diag([0.0, 1.5]), np.diag([-0.25, 0.0])), r"effect 1 spectrum \[0\.000e\+00, 1\.5\]"),
+            ((np.diag([1.0, 0.5]), np.diag([-0.25, 0.5]), np.diag([0.0, 1.5])), r"effect 1 spectrum \[-2\.500e-01, 0\.5\]"),
+        ],
+        ids=["first-low", "high-then-low", "low-then-high"],
+    )
+    def test_effect_spectrum(self, effects, message):
+        with pytest.raises(ValueError, match=f"^{message} leaves \\[0, 1\\]$"):
+            Povm(effects)
+
+    def test_psd(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, -2e-10]), np.diag([-3e-10, 1.0]), np.eye(2)]).reshape(2, 2, 2, 2)
+        with pytest.raises(ValueError, match=r"^matrix is not positive semidefinite: min eigenvalue -2\.000e-10$"):
+            operator_norm(stack)
+        eigs = np.array([[[math.nan, 1.0], [-1e-9, 1.0]], [[-2e-9, 1.0], [0.0, math.nan]]])
+        with pytest.raises(ValueError, match=r"min eigenvalue -1\.000e-09$"):
+            linalg._psd_norms(eigs)
+        # NaN is not below -TOL.psd: a NaN row passes, and its top stays NaN
+        norms = linalg._psd_norms(np.array([[[math.nan, 1.0]], [[0.0, math.nan]]]))
+        assert norms.shape == (2, 1) and norms[0, 0] == 1.0 and math.isnan(norms[1, 0])
+
+    def test_born_values(self):
+        amplitudes = np.stack([KET0, PLUS])
+        effects = np.stack([np.eye(2) / 2, 2.0 * np.eye(2), -np.eye(2)])[:, None]
+        with pytest.raises(ValueError, match=r"^Born probability 2 is outside \[0, 1\] beyond tolerance$"):
+            born_probabilities(amplitudes, effects)
+        values = np.array([[0.5, math.nan], [-0.5, 1.5]])
+        with pytest.raises(ValueError, match=r"^Born probability -0\.5 is outside"):
+            linalg._clipped_probabilities(values)
+        # NaN is neither below 0 nor above 1 and is let through; -0.0 keeps its sign
+        clipped = linalg._clipped_probabilities(np.array([math.nan, -0.0, 1.0 + 1e-11, -1e-11]))
+        assert math.isnan(clipped[0]) and math.copysign(1.0, clipped[1]) == -1.0
+        assert clipped[2:].tolist() == [1.0, 0.0]

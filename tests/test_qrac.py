@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from qracsim import (
     quantum_bound,
     reduce_pair,
 )
-from qracsim.linalg import _canonical_tops
+from qracsim.linalg import _canonical_tops, _psd_norms
 from qracsim.tolerances import TOL
 from conftest import (
     DensityMatrix,
@@ -136,12 +137,37 @@ class TestMeasurementPair:
         (lambda: classical_bound(2.0), "d must be an integer, got 2.0"),
         (lambda: quantum_bound("4"), "d must be an integer, got '4'"),
         (lambda: measurement_pair_from_mub(pauli_mub_pair()).measurement(1.0), "k must be an integer, got 1.0"),
+        (lambda: coarse_grain(measurement_pair_from_mub(product_mub_pair(pauli_mub_pair(), 2)).m1, 0.5),
+         "bit must be an integer, got 0.5"),
     ],
-    ids=["Message-digits", "Message-alphabet", "all_messages", "classical_bound", "quantum_bound", "measurement"],
+    ids=["Message-digits", "Message-alphabet", "all_messages", "classical_bound", "quantum_bound", "measurement",
+         "coarse_grain"],
 )
 def test_non_integer_argument_is_named(call, message):
     with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: depolarize(pauli_mub_pair().first.to_povm(), "0.5"), "visibility must be a real number, got str"),
+        (lambda: empirical_advantage("0.7", 0.75), "p must be a real number, got str"),
+        (lambda: empirical_advantage(0.7, "0.75"), "bound must be a real number, got str"),
+    ],
+    ids=["depolarize-visibility", "empirical_advantage-p", "empirical_advantage-bound"],
+)
+def test_non_real_argument_is_named(call, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_real_arguments_of_any_real_type_accepted():
+    assert empirical_advantage(np.float32(0.875), Fraction(3, 4)).raw_excess == 0.125
+    assert empirical_advantage(1, True).raw_excess == 0
+    povm = pauli_mub_pair().first.to_povm()
+    assert np.array_equal(depolarize(povm, np.float64(0.5)).matrices, depolarize(povm, 0.5).matrices)
+    assert np.array_equal(depolarize(povm, 1).matrices, depolarize(povm, 1.0).matrices)
 
 
 def qubit_table_and_pair():
@@ -808,6 +834,39 @@ class TestStackOracles:
                 povm.matrices[0, 0, 0] = 2.0
 
 
+def looped_max_success_probability(pair):
+    """``max_success_probability`` summing one Python float per row of norms,
+    as it did before one ``sum(axis=-1)``: its bitwise oracle."""
+    d = pair.dim
+    return sum(float(row.sum()) for row in _psd_norms(pair.spectra[0])) / (2.0 * d * d)
+
+
+def success_oracle_pairs():
+    cases = [
+        pytest.param(lambda d=d: measurement_pair_from_mub(fourier_mub_pair(d)), id=f"fourier-d{d}")
+        for d in range(2, 17)
+    ]
+    cases += [
+        pytest.param(lambda n=n: measurement_pair_from_mub(product_mub_pair(pauli_mub_pair(), n)),
+                     id=f"pauli-d{2**n}")
+        for n in (1, 2, 3, 4)
+    ]
+    cases += [
+        pytest.param(lambda d=d, kind=kind, seed=seed: random_measurement_pair(
+            np.random.default_rng(8192 + 100 * seed + 10 * d + kind), d, kind), id=f"{name}-d{d}-{seed}")
+        for d in (2, 3, 4, 6, 8)
+        for kind, name in enumerate(("projective", "smeared", "povm"))
+        for seed in range(3)
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("build", success_oracle_pairs())
+def test_max_success_probability_matches_row_sums(build):
+    pair = build()
+    assert max_success_probability(pair).hex() == looped_max_success_probability(pair).hex()
+
+
 class TestBounds:
     def test_values(self):
         assert classical_bound(2) == pytest.approx(0.75, abs=1e-12)
@@ -901,7 +960,7 @@ class TestCoarseGrain:
         with pytest.raises(ValueError, match="bit must be 0 or 1"):
             coarse_grain(ququart_pair.m1, 2)
         for bit in (1.0, 0.5):
-            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            with pytest.raises(TypeError, match=f"^bit must be an integer, got {re.escape(repr(bit))}$"):
                 coarse_grain(ququart_pair.m1, bit)
 
 
