@@ -282,12 +282,15 @@ def _clipped_probabilities(values):
     return values.clip(0.0, 1.0)
 
 
-def born_probabilities(amplitudes: np.ndarray, effects: np.ndarray) -> np.ndarray:
+def _born_probabilities(amplitudes: np.ndarray, effects: np.ndarray) -> np.ndarray:
     """Born-rule probabilities of pure-state amplitude rows (..., d) against
     effect matrices (..., d, d), broadcast over the leading axes, each
     checked to lie in [0, 1] within ``TOL.probability_slack`` and clipped
-    into it.  Each value is a row-times-column product, which rounds as one
-    state's ``vdot`` does; a sum of elementwise products would not."""
+    into it.  The rows must already be checked finite unit rows, such as an
+    ``EncodingMap``'s or ``hermitian_eig``'s eigenvectors: they are not
+    checked here, so an unnormalised or NaN row gives a wrong value or NaN.
+    Each value is a row-times-column product, which rounds as one state's
+    ``vdot`` does; a sum of elementwise products would not."""
     if amplitudes.shape[-1] != effects.shape[-1]:
         raise ValueError("state and effect dimensions differ")
     values = np.real((amplitudes.conj()[..., None, :] @ (effects @ amplitudes[..., None]))[..., 0, 0])

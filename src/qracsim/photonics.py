@@ -26,11 +26,16 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .mub import pauli_mub_pair, product_mub_pair
-from .qrac import Message, encoding_table, measurement_pair_from_mub
+from .qrac import Message, classical_bound, encoding_table, measurement_pair_from_mub
 
 PROTOCOLS = ("2,2", "2,4")
 _FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 _MAX_ROUNDS = 2**63 - 1
+BIN_SPACING_PS = 800.0   # time between adjacent bins of a train
+
+# calibrate_raman_coefficient(), stored as a literal so that importing the
+# package runs no calibration; a test recomputes it.
+DEFAULT_RAMAN_COEFFICIENT = 325880067373.3531
 
 
 def _require(valid: bool, key: str, domain: str, value) -> None:
@@ -61,12 +66,10 @@ class ChannelModel:
     """
 
     loss_db: float = 10.0
-    raman_coefficient: float | None = None   # None picks the calibrated default
+    raman_coefficient: float = DEFAULT_RAMAN_COEFFICIENT
     classical_power_dbm: float | None = None   # None means the classical laser is off
 
     def __post_init__(self):
-        if self.raman_coefficient is None:
-            object.__setattr__(self, "raman_coefficient", DEFAULT_RAMAN_COEFFICIENT)
         for attr in ("loss_db", "raman_coefficient"):
             value = getattr(self, attr)
             _require(0.0 <= value < math.inf, f"channel.{attr}", "nonnegative and finite", value)
@@ -122,14 +125,14 @@ class DliModel:
 
 @dataclass(frozen=True, eq=False)
 class PulseTrain:
-    """Amplitudes and relative phases of one encoded train.
+    """Amplitudes and relative phases of one encoded train, its bins
+    ``BIN_SPACING_PS`` apart.
 
     The click models take the mean photon number from the SourceModel they
     are given.
     """
 
     bins: tuple
-    bin_spacing_ps: float = 800.0
 
     def __post_init__(self):
         bins = tuple((float(a), float(p)) for a, p in self.bins)
@@ -285,14 +288,14 @@ def cross_bin_leak_fraction(sigma_ps: float, spacing_ps: float) -> float:
     return 0.5 * math.erfc((spacing_ps / 2.0) / (sigma_ps * math.sqrt(2.0)))
 
 
-def _jitter_weights(intensities: np.ndarray, spacing_ps: float, sigma_ps: float) -> np.ndarray:
+def _jitter_weights(intensities: np.ndarray, sigma_ps: float) -> np.ndarray:
     """Redistribute bin intensities (last axis) by cross-bin leakage.
 
     Leakage only reaches adjacent bins (further tails are negligible at
     these spacings); mass leaked past the outer edges leaves the analysis
     gate and is lost.
     """
-    leak = cross_bin_leak_fraction(sigma_ps, spacing_ps)
+    leak = cross_bin_leak_fraction(sigma_ps, BIN_SPACING_PS)
     if leak == 0.0:
         return intensities.copy()
     weights = intensities * (1.0 - 2.0 * leak)
@@ -367,19 +370,14 @@ def _checked_scale(bin_intensity_scale, n_bins: int) -> tuple:
     return scale
 
 
-def _z_cumulative(
-    amplitudes: np.ndarray,
-    spacing_ps: float,
-    sigma_ps: float,
-    bin_intensity_scale: tuple | None,
-) -> np.ndarray:
+def _z_cumulative(amplitudes: np.ndarray, sigma_ps: float, bin_intensity_scale: tuple | None) -> np.ndarray:
     """Running sums of the arrival-time arm's signal weights for trains
     given by their bin amplitudes (last axis)."""
     intensities = amplitudes**2
     if bin_intensity_scale is not None:
         intensities = intensities * np.asarray(_checked_scale(bin_intensity_scale, amplitudes.shape[-1]))
         intensities /= intensities.sum(axis=-1, keepdims=True)
-    return np.cumsum(_jitter_weights(intensities, spacing_ps, sigma_ps), axis=-1)
+    return np.cumsum(_jitter_weights(intensities, sigma_ps), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -409,9 +407,7 @@ def z_click_distribution(
     per-bin preparation imbalance: the bin intensities are multiplied by it
     and renormalized before the jitter leakage.
     """
-    cumulative = _z_cumulative(
-        train.amplitudes, train.bin_spacing_ps, detector.jitter_sigma_ps, bin_intensity_scale
-    )
+    cumulative = _z_cumulative(train.amplitudes, detector.jitter_sigma_ps, bin_intensity_scale)
     return ZClickDistribution(*_arm_click_probabilities(cumulative, 0.5, source, channel, detector))
 
 
@@ -421,14 +417,12 @@ def z_click_distribution(
 X_CELLS = 6
 
 
-def _x_cumulative(
-    amplitudes: np.ndarray, phases: np.ndarray, spacing_ps: float, dli: DliModel
-) -> np.ndarray:
+def _x_cumulative(amplitudes: np.ndarray, phases: np.ndarray, dli: DliModel) -> np.ndarray:
     """Running sums of the phase arm's signal weights for two-bin trains
     given by their bin amplitudes and relative phases (last axis)."""
-    if abs(dli.delay_ps - spacing_ps) > 1e-9:
+    if abs(dli.delay_ps - BIN_SPACING_PS) > 1e-9:
         raise ValueError(
-            f"dli.delay_ps must equal the bin spacing ({spacing_ps:g} ps), got {dli.delay_ps:g}"
+            f"dli.delay_ps must equal the bin spacing ({BIN_SPACING_PS:g} ps), got {dli.delay_ps:g}"
         )
     a, b = amplitudes[..., 0], amplitudes[..., 1]
     fringe = 2.0 * a * b * dli.visibility * np.cos(phases[..., 1] - phases[..., 0])
@@ -474,7 +468,7 @@ def x_click_distribution(
     if train.n_bins != 2:
         raise ValueError("the phase measurement reads two-bin trains only")
     amplitudes, phases = np.array(train.bins).T
-    cumulative = _x_cumulative(amplitudes, phases, train.bin_spacing_ps, dli)
+    cumulative = _x_cumulative(amplitudes, phases, dli)
     return XClickDistribution(*_arm_click_probabilities(cumulative, 0.25, source, channel, detector))
 
 
@@ -522,6 +516,16 @@ class BasisTally:
     @property
     def total(self) -> int:
         return self.conclusive + self.inconclusive
+
+
+def _require_conclusive_mass(name: str, conclusive: float) -> None:
+    """Reject an estimand whose conclusive cells have probability 0: noise
+    fires before them in every round, so no count of rounds estimates it."""
+    if conclusive == 0.0:
+        raise ValueError(
+            f"{name} can never be conclusive (conclusive probability 0): noise clicks first in every "
+            "round; lower detector.dark_rate_hz or channel.classical_power_dbm"
+        )
 
 
 def _estimate(correct: float, conclusive: float) -> tuple[float, float]:
@@ -617,8 +621,7 @@ def _trial_z_cumulative(protocol: str, sigma_ps: float, bin_intensity_scale: tup
     """Read-only running sums of the arrival-time weights of every message
     of the protocol: the part of a trial's z arm that neither the source
     nor the channel enters, so a sweep over classical power builds it once."""
-    record = _protocol(protocol)
-    cumulative = _z_cumulative(record.amplitudes, record.trains[0].bin_spacing_ps, sigma_ps, bin_intensity_scale)
+    cumulative = _z_cumulative(_protocol(protocol).amplitudes, sigma_ps, bin_intensity_scale)
     cumulative.flags.writeable = False
     return cumulative
 
@@ -628,7 +631,7 @@ def _trial_x_cumulative(dli: DliModel) -> np.ndarray:
     """Read-only running sums of the phase-arm weights of every 2,2 message,
     which depend on the interferometer alone."""
     record = _protocol("2,2")
-    cumulative = _x_cumulative(record.amplitudes, record.phases, record.trains[0].bin_spacing_ps, dli)
+    cumulative = _x_cumulative(record.amplitudes, record.phases, dli)
     cumulative.flags.writeable = False
     return cumulative
 
@@ -705,6 +708,8 @@ def simulate_trial(config: SimulationConfig) -> TrialResult:
     totals = record.masks.reshape(-1, cells.size) @ counts
     estimates = {}
     for name, (correct, conclusive) in zip(record.estimands, totals.reshape(-1, 2).tolist()):
+        if conclusive == 0:
+            _require_conclusive_mass(name, (p * record.masks[record.estimands.index(name), 1]).sum())
         estimates[name], estimates[name + "_err"] = _estimate(correct, conclusive)
     return TrialResult(
         protocol=config.protocol,
@@ -726,14 +731,15 @@ def expected_estimates(config: SimulationConfig) -> dict:
     masks the estimator applies to the counts: the value the estimate
     converges to.  Keys are the measured estimate names (``p_z``, ``p_x``, or
     ``p_m1``, ``p_m2``, ``p_m12``), plus ``state_p_z`` (and ``state_p_x``)
-    mapping each state label to its per-state closed form.  No conclusive
-    probability reads NaN, as for the estimate.  Rounds, seed and workers
-    are ignored.
+    mapping each state label to its per-state closed form.  An estimand
+    whose conclusive probability is 0 raises a ValueError, as the trial
+    does; a state with none reads NaN.  Rounds, seed and workers are ignored.
     """
     record = _protocol(config.protocol)
     p, _, _ = _trial_distribution(config)
     result: dict = {}
     for name, (correct, conclusive) in zip(record.estimands, (p * record.masks).sum(axis=-1)):
+        _require_conclusive_mass(name, conclusive.sum())
         result[name] = float(_estimate(correct.sum(), conclusive.sum())[0])
         if name in ("p_z", "p_x"):
             result["state_" + name] = {
@@ -766,25 +772,18 @@ def expected_p_x(
     return expected_estimates(config)["p_x"]
 
 
-def calibrate_raman_coefficient(
-    crossing_power_dbm: float = -25.0,
-    threshold: float = 0.75,
-    source: SourceModel | None = None,
-    loss_db: float = 10.0,
-    detector: DetectorModel | None = None,
-) -> float:
-    """Noise coefficient placing the time-basis classical-bound crossing at
-    the given classical power, by bisection on the closed-form mean."""
-    source = source or SourceModel()
-    detector = detector or DetectorModel()
+def calibrate_raman_coefficient() -> float:
+    """Noise coefficient placing the classical-bound crossing of the mean
+    time-basis success probability at -25 dBm, by bisection on its closed form."""
+    threshold = classical_bound(2)
+    masks = _protocol("2,2").masks[0]
 
     def mean_p_z(coefficient: float) -> float:
-        channel = ChannelModel(
-            loss_db=loss_db,
-            raman_coefficient=coefficient,
-            classical_power_dbm=crossing_power_dbm,
-        )
-        return expected_p_z("2,2", source, channel, detector)
+        # expected_estimates(...)["p_z"], which cannot be called here: at the
+        # bracket's top the noise saturates the phase arm, whose p_x it refuses
+        channel = ChannelModel(raman_coefficient=coefficient, classical_power_dbm=-25.0)
+        correct, conclusive = (_trial_distribution(SimulationConfig(channel=channel))[0] * masks).sum(axis=-1)
+        return correct.sum() / conclusive.sum()
 
     low, high = 1e6, 1e18
     if not (mean_p_z(low) > threshold > mean_p_z(high)):
@@ -796,8 +795,3 @@ def calibrate_raman_coefficient(
         else:
             high = mid
     return math.sqrt(low * high)
-
-
-# calibrate_raman_coefficient() at its defaults, stored as a literal so that
-# importing the package runs no calibration; a test recomputes it.
-DEFAULT_RAMAN_COEFFICIENT = 325880067373.3531

@@ -64,26 +64,14 @@ class PrbsAlignmentError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class PrbsSequence:
-    """One period of a maximal-length sequence with its generator metadata:
-    an integer ``order`` in 3..23 and distinct integer ``taps`` in 1..order,
-    the largest ``order``, both kept as Python ints."""
+    """One period of a maximal-length sequence of register ``order``, an
+    integer in 3..23 kept as a Python int."""
 
     order: int
-    taps: tuple[int, ...]
     bits: np.ndarray
 
     def __post_init__(self):
-        order = _checked_order(self.order)
-        try:
-            taps = tuple(_integer(t, "taps") for t in self.taps)
-        except TypeError:  # not a sequence, or a tap that is not an integer
-            taps = None
-        if not taps or len(set(taps)) != len(taps) or min(taps) < 1 or max(taps) != order:
-            raise ValueError(
-                f"taps must be distinct integers in 1..{order}, the largest {order}, got {self.taps!r}"
-            )
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "taps", taps)
+        object.__setattr__(self, "order", _checked_order(self.order))
         raw = np.asarray(self.bits)
         if raw.shape != (self.period,):
             raise ValueError(f"bits must be a 1-d array of {self.period} bits, got shape {raw.shape}")
@@ -158,7 +146,7 @@ def prbs_generate(order: int, seed: int | None = None) -> PrbsSequence:
         lo = hi
     if not np.array_equal(bits[period:], bits[:order]):
         raise RuntimeError(f"register failed to close its cycle for taps {taps}")
-    return PrbsSequence(order, taps, bits[:period])
+    return PrbsSequence(order, bits[:period])
 
 
 def prbs_align(observed, reference: PrbsSequence, min_agreement: float = 0.6) -> int:

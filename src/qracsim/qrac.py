@@ -19,6 +19,7 @@ import numpy as np
 
 from .linalg import (
     _NOT_RECONSTRUCTED,
+    _born_probabilities,
     _canonical_tops,
     _checked_split,
     _frozen,
@@ -29,7 +30,6 @@ from .linalg import (
 )
 from .linalg import (  # hermitian_eig, operator_norm: names bench/spans.py traces here
     Povm,
-    born_probabilities,
     hermitian_eig,
     operator_norm,
     partial_trace,
@@ -236,8 +236,8 @@ def average_success_probability(encoding: EncodingMap, pair: MeasurementPair) ->
     d = pair.dim
     if encoding.alphabet != d:
         raise ValueError("encoding and measurements have mismatched alphabets")
-    first = born_probabilities(encoding.amplitudes, pair.m1.matrices[:, None])
-    second = born_probabilities(encoding.amplitudes, pair.m2.matrices[None])
+    first = _born_probabilities(encoding.amplitudes, pair.m1.matrices[:, None])
+    second = _born_probabilities(encoding.amplitudes, pair.m2.matrices[None])
     return float(first.sum() + second.sum()) / (2.0 * d * d)
 
 
@@ -426,9 +426,9 @@ def one_bit_success_probabilities(pair: MeasurementPair) -> dict[str, float]:
         raise ValueError("defined for the four-dimensional protocol")
     # the encodings of messages (q, 0), read off the pair's shared spectra
     amplitudes = pair.spectra[1][:, 0]
-    exact = born_probabilities(amplitudes, pair.m1.matrices)
+    exact = _born_probabilities(amplitudes, pair.m1.matrices)
     # states q < 2 are scored against the first-bit effect 0, the rest against 1
-    halves = born_probabilities(amplitudes, coarse_grain(pair.m1, 0).matrices[[0, 0, 1, 1]])
+    halves = _born_probabilities(amplitudes, coarse_grain(pair.m1, 0).matrices[[0, 0, 1, 1]])
     return {
         "two_bit": sum(exact.tolist()) / 4.0,
         "first_half": sum(halves[:2].tolist()) / 2.0,

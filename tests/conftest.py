@@ -117,7 +117,7 @@ def depolarize_state(rho: DensityMatrix, visibility: float) -> DensityMatrix:
 def born_probability(state, effect) -> float:
     """Born-rule probability of one effect matrix on a pure state (a 1-d
     amplitude row) or a mixed one (a 2-d density matrix), one ``vdot`` or
-    trace at a time: the oracle that ``linalg.born_probabilities`` is
+    trace at a time: the oracle that ``linalg._born_probabilities`` is
     checked against."""
     e = np.asarray(effect, dtype=complex)
     state = np.asarray(state, dtype=complex)

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -89,6 +90,22 @@ class TestConfigParsing:
         assert config_to_mapping(load_config(str(mirror))) == mapping
         with pytest.raises(ConfigError, match="source.rep_period_ns"):
             config_from_mapping({"source.rep_period_ns": "slow"})
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("run.rounds = 1.5\n", "expected an integer, got '1.5'"),
+            (" = 5\n", "empty key"),
+            ('{"run.rounds": }', "invalid JSON config"),
+            ('{"config": [1]}', "JSON config must be an object of key-value pairs"),
+        ],
+        ids=["non-integer", "empty-key", "malformed-json", "non-object-json"],
+    )
+    def test_malformed_file_diagnosed(self, tmp_path, text, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(str(path))
 
     def test_load_flat_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -213,6 +230,11 @@ class TestSweepCommand:
         assert code == 2
         assert out == ""
         assert "channel.loss_db" in err and "detector.dark_rate_hz" in err
+        # a saturated phase arm is blamed on the noise, not on run.rounds
+        code, out, err = run_cli(["sweep", "--power", "40", "--rounds", "200000"])
+        assert code == 2
+        assert out == ""
+        assert "detector.dark_rate_hz or channel.classical_power_dbm" in err and "run.rounds" not in err
 
     def test_delay_mismatch_names_key_and_exits_2(self, tmp_path):
         cfg = tmp_path / "dli.cfg"
@@ -258,6 +280,14 @@ class TestReproduceMonteCarlo:
         assert code == 3
         assert "acceptance band failed" in err
         assert (tmp_path / "t.csv").exists()  # files written even on band failure
+        cfg.write_text("band.quart_tolerance = 0.000001\n")
+        code, _, err = run_cli(
+            ["reproduce", "table4", "--rounds", "50000", "--seed", "3", "--config", str(cfg),
+             "--out", str(tmp_path / "t4.csv")]
+        )
+        assert code == 3
+        assert "acceptance band failed: deviations from ideal" in err
+        assert (tmp_path / "t4.csv").exists()
 
     def test_fig4_small_sweep(self, tmp_path):
         out_path = tmp_path / "f4.csv"

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qracsim import linalg
-from qracsim.linalg import born_probabilities
+from qracsim.linalg import _born_probabilities
 from qracsim.tolerances import TOL
 from qracsim import (
     Basis,
@@ -307,13 +307,13 @@ class TestStacks:
     def test_born_probabilities_broadcast_and_check(self):
         amplitudes = np.stack([KET0, PLUS])
         effects = np.stack([projector(KET0), projector(KET1)])[:, None]
-        values = born_probabilities(amplitudes, effects)
+        values = _born_probabilities(amplitudes, effects)
         assert values.shape == (2, 2)
         assert np.allclose(values, [[1.0, 0.5], [0.0, 0.5]], atol=1e-15)
         with pytest.raises(ValueError, match=r"^Born probability 2 is outside"):
-            born_probabilities(amplitudes, np.stack([np.eye(2) / 2, 2 * np.eye(2), 3 * np.eye(2)])[:, None])
+            _born_probabilities(amplitudes, np.stack([np.eye(2) / 2, 2 * np.eye(2), 3 * np.eye(2)])[:, None])
         with pytest.raises(ValueError, match="dimensions differ"):
-            born_probabilities(amplitudes, np.eye(3))
+            _born_probabilities(amplitudes, np.eye(3))
 
 
 class TestPartialTrace:
@@ -682,7 +682,7 @@ class TestFirstFailureNamed:
         amplitudes = np.stack([KET0, PLUS])
         effects = np.stack([np.eye(2) / 2, 2.0 * np.eye(2), -np.eye(2)])[:, None]
         with pytest.raises(ValueError, match=r"^Born probability 2 is outside \[0, 1\] beyond tolerance$"):
-            born_probabilities(amplitudes, effects)
+            _born_probabilities(amplitudes, effects)
         values = np.array([[0.5, math.nan], [-0.5, 1.5]])
         with pytest.raises(ValueError, match=r"^Born probability -0\.5 is outside"):
             linalg._clipped_probabilities(values)

@@ -34,7 +34,7 @@ from qracsim import (
     z_click_distribution,
     DEFAULT_RAMAN_COEFFICIENT,
 )
-from qracsim.photonics import protocol_messages
+from qracsim.photonics import BIN_SPACING_PS, protocol_messages
 
 SQRT2 = math.sqrt(2.0)
 A1 = math.sqrt(2 + SQRT2) / 2
@@ -84,6 +84,10 @@ class TestBuildPulseTrain:
     def test_alphabet_mismatch(self):
         with pytest.raises(ValueError, match="alphabet"):
             build_pulse_train(Message((0, 1), 2), "2,4")
+
+    def test_unknown_protocol(self):
+        with pytest.raises(ValueError, match=r"^unknown protocol '2,3'$"):
+            protocol_messages("2,3")
 
     def test_matches_engine_encoding(self):
         from qracsim import encoding_table, measurement_pair_from_mub, pauli_mub_pair
@@ -582,18 +586,27 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             SimulationConfig(rounds=0)
 
+    UNCLICKABLE = r"channel\.loss_db.*detector\.dark_rate_hz"
+    SATURATED = r"^p_x can never be conclusive .*detector\.dark_rate_hz or channel\.classical_power_dbm$"
+
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("protocol", ["2,2", "2,4"])
-    def test_unclickable_receiver_rejected(self, protocol):
-        # no signal survives 4000 dB and nothing else fires: no estimate exists
-        cfg = SimulationConfig(
-            protocol=protocol,
-            channel=ChannelModel(loss_db=4000),
-            detector=DetectorModel(dark_rate_hz=0),
-            rounds=1_000,
-        )
-        with pytest.raises(ValueError, match=r"channel\.loss_db.*detector\.dark_rate_hz"):
-            simulate_trial(cfg)
+    @pytest.mark.parametrize(
+        "protocol, channel, detector, entry, message",
+        [
+            # no signal survives 4000 dB and nothing else fires: no estimate exists
+            ("2,2", ChannelModel(loss_db=4000), DetectorModel(dark_rate_hz=0), simulate_trial, UNCLICKABLE),
+            ("2,4", ChannelModel(loss_db=4000), DetectorModel(dark_rate_hz=0), simulate_trial, UNCLICKABLE),
+            # noise fires in the first phase-arm slot of every round, so the
+            # interfering slot is never reached: p_x has no conclusive mass
+            ("2,2", ChannelModel(classical_power_dbm=30.0), DetectorModel(), simulate_trial, SATURATED),
+            ("2,2", ChannelModel(), DetectorModel(dark_rate_hz=1e11), expected_estimates, SATURATED),
+        ],
+        ids=["2,2", "2,4", "saturated-simulate_trial", "saturated-expected_estimates"],
+    )
+    def test_unclickable_receiver_rejected(self, protocol, channel, detector, entry, message):
+        cfg = SimulationConfig(protocol=protocol, channel=channel, detector=detector, rounds=1_000)
+        with pytest.raises(ValueError, match=message):
+            entry(cfg)
 
     @pytest.mark.filterwarnings("error")
     def test_unclickable_phase_arm_rejected(self):
@@ -683,7 +696,7 @@ def looped_trial_distribution(cfg):
         if cfg.bin_intensity_scale is not None:
             intensities = intensities * np.asarray(cfg.bin_intensity_scale)
             intensities /= intensities.sum()
-        leak = cross_bin_leak_fraction(cfg.detector.jitter_sigma_ps, train.bin_spacing_ps)
+        leak = cross_bin_leak_fraction(cfg.detector.jitter_sigma_ps, BIN_SPACING_PS)
         weights = intensities.copy()
         if leak != 0.0:
             weights = intensities * (1.0 - 2.0 * leak)

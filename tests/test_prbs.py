@@ -101,6 +101,12 @@ def test_align_requires_full_period():
         prbs_align(ref.bits[:100], ref)
 
 
+def test_align_requires_a_1d_stream():
+    ref = prbs_generate(3)
+    with pytest.raises(ValueError, match="^observed must be a 1-d bit stream$"):
+        prbs_align(np.tile(ref.bits, (2, 1)), ref)
+
+
 def test_align_validates_symbols():
     ref = prbs_generate(7)
     bad = np.full(ref.period, 2, dtype=np.int64)
@@ -139,7 +145,7 @@ def test_align_rejects_non_sequence_reference():
 def test_sequence_rejects_non_bits(bits):
     # cast to uint8 first, -1 would wrap to 255, 256 to 0 and 0.5 truncate to 0
     with pytest.raises(ValueError, match="^bits must hold only 0 and 1$"):
-        PrbsSequence(3, (3, 2), bits)
+        PrbsSequence(3, bits)
 
 
 def test_sequence_rejects_wrong_shape():
@@ -147,35 +153,24 @@ def test_sequence_rejects_wrong_shape():
     for shaped in (bits[:6], np.tile(bits, 2), bits.reshape(7, 1)):
         message = re.escape(f"bits must be a 1-d array of 7 bits, got shape {shaped.shape}")
         with pytest.raises(ValueError, match=message):
-            PrbsSequence(3, (3, 2), shaped)
+            PrbsSequence(3, shaped)
 
 
 def test_sequence_order_must_be_an_integer_in_range():
     bits = prbs_generate(7).bits
     with pytest.raises(TypeError, match=r"^order must be an integer, got 7\.0$"):
-        PrbsSequence(7.0, (7, 6), bits)
+        PrbsSequence(7.0, bits)
     for order in (2, 24):
         with pytest.raises(ValueError, match=f"^unsupported register length {order}: choose from 3..23$"):
-            PrbsSequence(order, (order, 1), bits)
-    seq = PrbsSequence(np.int64(7), [np.int8(7), 6], bits)
-    assert type(seq.order) is int and seq.period == 127 and seq.taps == (7, 6)
-
-
-@pytest.mark.parametrize(
-    "taps",
-    [(9, 9, 9), (3, 3), (2,), (3, 0), (3, -1), (3, 2.0), (), 3, "32"],
-    ids=["past-order", "repeated", "largest-not-order", "zero", "negative", "float", "empty", "scalar", "string"],
-)
-def test_sequence_taps_must_be_distinct_lags_up_to_order(taps):
-    bits = prbs_generate(3).bits
-    with pytest.raises(ValueError, match=r"^taps must be distinct integers in 1\.\.3, the largest 3, got "):
-        PrbsSequence(3, taps, bits)
+            PrbsSequence(order, bits)
+    seq = PrbsSequence(np.int64(7), bits)
+    assert type(seq.order) is int and seq.period == 127
 
 
 def test_sequence_accepts_any_bit_dtype():
     bits = prbs_generate(3).bits
     for dtype in (bool, np.int8, np.int64, float):
-        seq = PrbsSequence(3, (3, 2), bits.astype(dtype))
+        seq = PrbsSequence(3, bits.astype(dtype))
         assert seq.bits.dtype == np.uint8 and np.array_equal(seq.bits, bits)
 
 

@@ -162,6 +162,31 @@ def test_non_real_argument_is_named(call, message):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Message((0, 0), 1), "alphabet must be at least 2"),
+        (lambda: MeasurementPair(
+            pauli_mub_pair().first.to_povm(), product_mub_pair(pauli_mub_pair(), 2).first.to_povm()
+        ), "measurements must act on the same dimension"),
+        (lambda: MeasurementPair(*[coarse_grain(product_mub_pair(pauli_mub_pair(), 2).first.to_povm(), 0)] * 2),
+         "each measurement needs exactly d outcomes"),
+        (lambda: measurement_pair_from_mub(pauli_mub_pair()).measurement(3), "measurement index must be 1 or 2"),
+        (lambda: average_success_probability(
+            encoding_table(measurement_pair_from_mub(pauli_mub_pair())),
+            measurement_pair_from_mub(product_mub_pair(pauli_mub_pair(), 2)),
+        ), "encoding and measurements have mismatched alphabets"),
+        (lambda: one_bit_success_probabilities(measurement_pair_from_mub(pauli_mub_pair())),
+         "defined for the four-dimensional protocol"),
+    ],
+    ids=["Message-alphabet", "MeasurementPair-dim", "MeasurementPair-outcomes", "measurement",
+         "average_success_probability", "one_bit_success_probabilities"],
+)
+def test_invalid_argument_value_is_named(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_real_arguments_of_any_real_type_accepted():
     assert empirical_advantage(np.float32(0.875), Fraction(3, 4)).raw_excess == 0.125
     assert empirical_advantage(1, True).raw_excess == 0
