@@ -724,6 +724,13 @@ def simulate_trial(config: SimulationConfig) -> TrialResult:
     )
 
 
+def _closed_form(name: str, correct: np.ndarray, conclusive: np.ndarray) -> float:
+    """Pooled closed form of one estimand from its per-message correct and
+    conclusive probabilities; raises if it can never be conclusive."""
+    _require_conclusive_mass(name, conclusive.sum())
+    return float(_estimate(correct.sum(), conclusive.sum())[0])
+
+
 def expected_estimates(config: SimulationConfig) -> dict:
     """Closed forms of the estimates ``simulate_trial(config)`` reports.
 
@@ -739,8 +746,7 @@ def expected_estimates(config: SimulationConfig) -> dict:
     p, _, _ = _trial_distribution(config)
     result: dict = {}
     for name, (correct, conclusive) in zip(record.estimands, (p * record.masks).sum(axis=-1)):
-        _require_conclusive_mass(name, conclusive.sum())
-        result[name] = float(_estimate(correct.sum(), conclusive.sum())[0])
+        result[name] = _closed_form(name, correct, conclusive)
         if name in ("p_z", "p_x"):
             result["state_" + name] = {
                 label: float(_estimate(c, k)[0]) for label, c, k in zip(record.labels, correct, conclusive)
@@ -755,9 +761,12 @@ def expected_p_z(
     detector: DetectorModel,
 ) -> float:
     """Closed-form pooled time-basis success probability over the protocol's
-    message set, conditioned on a click."""
+    message set, conditioned on a click.  Unlike ``expected_estimates`` it
+    checks p_z alone, so it stays defined where noise saturates the phase arm."""
     config = SimulationConfig(protocol=protocol, source=source, channel=channel, detector=detector)
-    return expected_estimates(config)["p_z"]
+    masks = _protocol(protocol).masks[0]   # p_z is every protocol's first estimand
+    correct, conclusive = (_trial_distribution(config)[0] * masks).sum(axis=-1)
+    return _closed_form("p_z", correct, conclusive)
 
 
 def expected_p_x(
@@ -776,14 +785,10 @@ def calibrate_raman_coefficient() -> float:
     """Noise coefficient placing the classical-bound crossing of the mean
     time-basis success probability at -25 dBm, by bisection on its closed form."""
     threshold = classical_bound(2)
-    masks = _protocol("2,2").masks[0]
 
     def mean_p_z(coefficient: float) -> float:
-        # expected_estimates(...)["p_z"], which cannot be called here: at the
-        # bracket's top the noise saturates the phase arm, whose p_x it refuses
         channel = ChannelModel(raman_coefficient=coefficient, classical_power_dbm=-25.0)
-        correct, conclusive = (_trial_distribution(SimulationConfig(channel=channel))[0] * masks).sum(axis=-1)
-        return correct.sum() / conclusive.sum()
+        return expected_p_z("2,2", SourceModel(), channel, DetectorModel())
 
     low, high = 1e6, 1e18
     if not (mean_p_z(low) > threshold > mean_p_z(high)):

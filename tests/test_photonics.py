@@ -560,6 +560,14 @@ class TestClosedFormCurves:
             np.mean(ratios), abs=1e-8
         )
 
+    def test_p_z_stays_defined_where_phase_arm_saturates(self):
+        # noise fires in the first bin and the first phase-arm slot of every
+        # round: p_z is a coin flip, p_x has no conclusive mass
+        channel = ChannelModel(classical_power_dbm=30.0)
+        assert expected_p_z("2,2", SOURCE, channel, DetectorModel()) == 0.5
+        with pytest.raises(ValueError, match=r"^p_x can never be conclusive"):
+            expected_p_x(SOURCE, channel, DetectorModel(), DliModel())
+
     def test_calibrator_is_reproducible(self):
         again = calibrate_raman_coefficient()
         assert again == pytest.approx(DEFAULT_RAMAN_COEFFICIENT, rel=1e-9)
