@@ -12,6 +12,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -108,9 +109,13 @@ def _run_sweep(config: RunConfig) -> list[dict]:
     return rows
 
 
+def _csv(header: str, rows) -> str:
+    """CSV text: the header line, then one line per row of cell strings."""
+    return "\n".join([header, *(",".join(row) for row in rows)]) + "\n"
+
+
 def _sweep_csv(rows: list[dict]) -> str:
-    lines = [SWEEP_HEADER] + [",".join(_fmt(row[c]) for c in SWEEP_COLUMNS) for row in rows]
-    return "\n".join(lines) + "\n"
+    return _csv(SWEEP_HEADER, ([_fmt(row[c]) for c in SWEEP_COLUMNS] for row in rows))
 
 
 def _sweep_json(config: RunConfig, rows: list[dict]) -> str:
@@ -122,18 +127,19 @@ def _sweep_json(config: RunConfig, rows: list[dict]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _emit(config: RunConfig, rows: list[dict], out_path: str | None, stdout) -> None:
-    csv_text = _sweep_csv(rows)
-    json_text = _sweep_json(config, rows)
-    if out_path:
-        path = Path(out_path)
-        path.write_text(csv_text, encoding="utf-8", newline="\n")
-        path.with_suffix(".json").write_text(json_text, encoding="utf-8", newline="\n")
-        print(f"wrote {path} and {path.with_suffix('.json')}", file=stdout)
-    elif config.fmt == "json":
-        stdout.write(json_text)
-    else:
-        stdout.write(csv_text)
+def _emit(config: RunConfig, csv_text: str, json_text: str | None, stdout) -> None:
+    """Write the CSV to `out`, and the JSON mirror, if there is one, beside
+    it; without `out`, print the mirror under the json format, else the CSV."""
+    if not config.out:
+        stdout.write(json_text if json_text is not None and config.fmt == "json" else csv_text)
+        return
+    path = Path(config.out)
+    written = []
+    for dest, text in ((path, csv_text), (path.with_suffix(".json"), json_text)):
+        if text is not None:
+            dest.write_text(text, encoding="utf-8", newline="\n")
+            written.append(str(dest))
+    print("wrote " + " and ".join(written), file=stdout)
 
 
 def cmd_bounds(args, stdout, stderr) -> int:
@@ -148,77 +154,49 @@ def cmd_bounds(args, stdout, stderr) -> int:
     return 0
 
 
-def _write_table(path: str | None, text: str, stdout) -> None:
-    if path:
-        Path(path).write_text(text, encoding="utf-8", newline="\n")
-        print(f"wrote {path}", file=stdout)
-    else:
-        stdout.write(text)
+Outputs = tuple[str, str | None, list[str]]  # what a reproduce target returns: see TARGETS
 
 
-def _reproduce_encodings(target: str, config: RunConfig, stdout) -> int:
-    protocol = "2,2" if target == "table1" else "2,4"
+def _encodings(protocol: str, config: RunConfig) -> Outputs:
     pair = pauli_mub_pair() if protocol == "2,2" else product_mub_pair(pauli_mub_pair(), 2)
     table = encoding_table(measurement_pair_from_mub(pair))
     messages = protocol_messages(protocol)
-    lines = ["message," + ",".join(f"component_{i}" for i in range(messages[0].alphabet))]
-    for m in messages:
-        lines.append(m.label + "," + ",".join(f"{c:.6f}" for c in table[m].real))
-    _write_table(config.out, "\n".join(lines) + "\n", stdout)
-    return 0
+    header = "message," + ",".join(f"component_{i}" for i in range(messages[0].alphabet))
+    return _csv(header, ([m.label, *(f"{c:.6f}" for c in table[m].real)] for m in messages)), None, []
 
 
-def _reproduce_table2(config: RunConfig, stdout, stderr) -> int:
+def _table2(config: RunConfig) -> Outputs:
     trial = simulate_trial(replace(config, protocol="2,2"))
-    lines = ["state,p_z,p_z_ref,p_z_dev,p_x,p_x_ref,p_x_dev"]
+    rows = []
     for label in trial.state_labels:
         p_z = trial.state_p_z(label)
         p_x = trial.state_p_x(label)
         _require_conclusive({f"p_z of state {label}": p_z, f"p_x of state {label}": p_x}, trial.rounds)
         ref_z, ref_x = REFERENCE_TABLE2[label]
-        lines.append(
-            ",".join(
-                [label]
-                + [_fmt(v) for v in (p_z, ref_z, p_z - ref_z, p_x, ref_x, p_x - ref_x)]
-            )
-        )
-    _write_table(config.out, "\n".join(lines) + "\n", stdout)
-
+        rows.append([label, *map(_fmt, (p_z, ref_z, p_z - ref_z, p_x, ref_x, p_x - ref_x))])
     bands = config.bands
-    mean_p_z = trial.p_z
-    ok = abs(mean_p_z - bands.p_z_reference) <= bands.p_z_tolerance
+    ok = abs(trial.p_z - bands.p_z_reference) <= bands.p_z_tolerance
     ok = ok and bands.p_x_low <= trial.p_x <= bands.p_x_high
-    if not ok:
-        print(
-            f"acceptance band failed: p_z={_fmt(mean_p_z)} p_x={_fmt(trial.p_x)}",
-            file=stderr,
-        )
-        return 3
-    return 0
+    failures = [] if ok else [f"p_z={_fmt(trial.p_z)} p_x={_fmt(trial.p_x)}"]
+    return _csv("state,p_z,p_z_ref,p_z_dev,p_x,p_x_ref,p_x_dev", rows), None, failures
 
 
-def _reproduce_table4(config: RunConfig, stdout, stderr) -> int:
+def _table4(config: RunConfig) -> Outputs:
     row = _row_from_trial(None, simulate_trial(replace(config, protocol="2,4")))
     # the 2,4 sweep row carries M12 in its z columns
     columns = {"M1": "m1", "M2": "m2", "M12": "z"}
     estimates = {name: row[f"p_{column}"] for name, column in columns.items()}
-    lines = ["measurement,p,p_ref,p_dev,advantage,advantage_ref"]
+    rows = []
     for name, column in columns.items():
         p = estimates[name]
         ref_p, ref_adv = REFERENCE_TABLE4[name]
         adv = row[f"advantage_{column}"]
-        lines.append(
-            ",".join([name] + [_fmt(v) for v in (p, ref_p, p - ref_p, adv, ref_adv)])
-        )
-    _write_table(config.out, "\n".join(lines) + "\n", stdout)
-
+        rows.append([name, *map(_fmt, (p, ref_p, p - ref_p, adv, ref_adv))])
     tol = config.bands.quart_tolerance
     ok = all(abs(estimates[k] - IDEAL_TABLE4[k]) <= tol for k in estimates)
-    if not ok:
-        devs = {k: _fmt(estimates[k] - IDEAL_TABLE4[k]) for k in estimates}
-        print(f"acceptance band failed: deviations from ideal {devs}", file=stderr)
-        return 3
-    return 0
+    devs = {k: _fmt(estimates[k] - IDEAL_TABLE4[k]) for k in estimates}
+    failures = [] if ok else [f"deviations from ideal {devs}"]
+    return _csv("measurement,p,p_ref,p_dev,advantage,advantage_ref", rows), None, failures
 
 
 def _crossing_power(rows: list[dict], threshold: float) -> float | None:
@@ -232,42 +210,48 @@ def _crossing_power(rows: list[dict], threshold: float) -> float | None:
     return None
 
 
-def _reproduce_figure(target: str, config: RunConfig, stdout, stderr) -> int:
-    protocol = "2,2" if target == "fig4" else "2,4"
-    sweep = config.sweep or DEFAULT_FIG_SWEEP
-    cfg = replace(config, protocol=protocol, sweep=sweep)
+def _figure(protocol: str, config: RunConfig) -> Outputs:
+    cfg = replace(config, protocol=protocol, sweep=config.sweep or DEFAULT_FIG_SWEEP)
     rows = _run_sweep(cfg)
-    _emit(cfg, rows, cfg.out, stdout)
-    if target == "fig4":
+    failures = []
+    # the crossing band is the qubit code's: where p_z falls to the classical bound
+    if protocol == "2,2":
         bands = cfg.bands
         crossing = _crossing_power(rows, classical_bound(2))
         if crossing is None or abs(crossing - bands.crossing_dbm) > bands.crossing_tolerance_dbm:
-            print(
-                f"acceptance band failed: classical-bound crossing at "
-                f"{_fmt(crossing)} dBm, expected {_fmt(bands.crossing_dbm)} "
-                f"+/- {_fmt(bands.crossing_tolerance_dbm)}",
-                file=stderr,
+            failures.append(
+                f"classical-bound crossing at {_fmt(crossing)} dBm, expected "
+                f"{_fmt(bands.crossing_dbm)} +/- {_fmt(bands.crossing_tolerance_dbm)}"
             )
-            return 3
-    return 0
+    return _sweep_csv(rows), _sweep_json(cfg, rows), failures
+
+
+# Each reproduce target maps the RunConfig to its CSV text, its JSON mirror
+# (None for a table) and the texts of the acceptance bands it missed; a new
+# target is one such function and one entry here.
+TARGETS = {
+    "table1": partial(_encodings, "2,2"),
+    "table2": _table2,
+    "table3": partial(_encodings, "2,4"),
+    "table4": _table4,
+    "fig4": partial(_figure, "2,2"),
+    "fig5": partial(_figure, "2,4"),
+}
 
 
 def cmd_reproduce(args, stdout, stderr) -> int:
     config = _load_run_config(args)
-    target = args.target
-    if target in ("table1", "table3"):
-        return _reproduce_encodings(target, config, stdout)
-    if target == "table2":
-        return _reproduce_table2(config, stdout, stderr)
-    if target == "table4":
-        return _reproduce_table4(config, stdout, stderr)
-    return _reproduce_figure(target, config, stdout, stderr)
+    csv_text, json_text, failures = TARGETS[args.target](config)
+    _emit(config, csv_text, json_text, stdout)
+    for failure in failures:
+        print(f"acceptance band failed: {failure}", file=stderr)
+    return 3 if failures else 0
 
 
 def cmd_sweep(args, stdout, stderr) -> int:
     config = _load_run_config(args)
     rows = _run_sweep(config)
-    _emit(config, rows, config.out, stdout)
+    _emit(config, _sweep_csv(rows), _sweep_json(config, rows), stdout)
     return 0
 
 
@@ -315,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     reproduce = sub.add_parser("reproduce", parents=[common],
                                help="regenerate a reference table or figure dataset")
-    reproduce.add_argument("target", choices=("table1", "table2", "table3", "table4", "fig4", "fig5"))
+    reproduce.add_argument("target", choices=TARGETS)
 
     sub.add_parser("sweep", parents=[common], help="run a classical-power sweep")
     return parser
