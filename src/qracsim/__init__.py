@@ -30,7 +30,6 @@ from .photonics import (
     XClickDistribution,
     build_pulse_train,
     calibrate_raman_coefficient,
-    cross_bin_leak_fraction,
     expected_estimates,
     expected_p_x,
     expected_p_z,

@@ -53,11 +53,9 @@ class BandConfig:
 class RunConfig(SimulationConfig):
     """Complete description of a CLI run: the settings of its trials, which
     ``SimulationConfig`` declares and checks, plus the power sweep, the
-    output path and format, and the acceptance bands.  A run prepares no
-    bin imbalance, so ``bin_intensity_scale`` is fixed at None."""
+    output path and format, and the acceptance bands."""
 
     rounds: int = 200_000
-    bin_intensity_scale: tuple | None = field(default=None, init=False)
     sweep: tuple = ()
     out: str | None = None
     fmt: str = "csv"
@@ -142,8 +140,7 @@ def _scan_config_text(text: str) -> tuple[dict[str, str], dict[str, int]]:
     return mapping, seen
 
 
-# key -> (target, attribute, parser kind); a None target parses the value
-# and then drops it.
+# key -> (target, attribute, parser kind)
 _SCHEMA = {
     "run.protocol": ("run", "protocol", "str"),
     "run.rounds": ("run", "rounds", "int"),
@@ -153,8 +150,6 @@ _SCHEMA = {
     "run.out": ("run", "out", "str"),
     "run.format": ("run", "fmt", "str"),
     "source.mu": ("source", "mu", "float"),
-    # No model reads the repetition period; older JSON mirrors still carry it.
-    "source.rep_period_ns": (None, None, "float"),
     "channel.loss_db": ("channel", "loss_db", "float"),
     "channel.raman_coefficient": ("channel", "raman_coefficient", "float"),
     "channel.classical_power_dbm": ("channel", "classical_power_dbm", "optional_float"),
@@ -182,9 +177,7 @@ def config_from_mapping(mapping: dict[str, str], lines: dict[str, int] | None = 
         if key not in _SCHEMA:
             raise ConfigError("unknown configuration key", line=lines.get(key), key=key)
         target, attr, kind = _SCHEMA[key]
-        parsed = _KINDS[kind][0](str(raw), key, lines.get(key))
-        if target is not None:
-            kwargs[target][attr] = parsed
+        kwargs[target][attr] = _KINDS[kind][0](str(raw), key, lines.get(key))
     try:
         return RunConfig(
             source=SourceModel(**kwargs["source"]),
@@ -203,12 +196,12 @@ def config_from_mapping(mapping: dict[str, str], lines: dict[str, int] | None = 
 def config_to_mapping(config: RunConfig) -> dict[str, str]:
     """Flat mapping that reproduces this configuration exactly.
 
-    Every schema key is echoed except the dropped ones and the output path,
-    so artifacts stay byte-identical wherever they are written.
+    Every schema key is echoed except the output path, so artifacts stay
+    byte-identical wherever they are written.
     """
     mapping = {}
     for key, (target, attr, kind) in _SCHEMA.items():
-        if target is None or key == "run.out":
+        if key == "run.out":
             continue
         holder = config if target == "run" else getattr(config, target)
         mapping[key] = _KINDS[kind][1](getattr(holder, attr))

@@ -91,8 +91,10 @@ class DetectorModel:
     """Single-photon avalanche detector.
 
     ``jitter_fwhm_ps`` is the full-width-half-maximum timing-response figure
-    quoted for such detectors; the Gaussian sigma used for cross-bin leakage
-    is fwhm / 2.3548.
+    quoted for such detectors; the Gaussian sigma of ``_jitter_window`` is
+    fwhm / 2.3548.  ``gate_width_ps`` is the window over which each cell
+    collects noise; the signal is binned at the ``BIN_SPACING_PS`` spacing
+    whatever the gate.
     """
 
     efficiency: float = 0.20
@@ -121,6 +123,10 @@ class DliModel:
     def __post_init__(self):
         _require(0.0 <= self.visibility <= 1.0, "dli.visibility", "in [0, 1]", self.visibility)
         _require(0.0 < self.delay_ps < math.inf, "dli.delay_ps", "positive and finite", self.delay_ps)
+        if abs(self.delay_ps - BIN_SPACING_PS) > 1e-9:
+            raise ValueError(
+                f"dli.delay_ps must equal the bin spacing ({BIN_SPACING_PS:g} ps), got {self.delay_ps:g}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,30 +284,19 @@ def raman_rate(power_dbm: float | None, coefficient: float) -> float:
     return coefficient * 10.0 ** ((power_dbm - 30.0) / 10.0)
 
 
-def cross_bin_leak_fraction(sigma_ps: float, spacing_ps: float) -> float:
-    """Probability of Gaussian timing noise carrying a click past the
-    half-spacing edge of its bin (per side)."""
-    _require(0.0 <= sigma_ps < math.inf, "sigma_ps", "nonnegative and finite", sigma_ps)
-    _require(0.0 < spacing_ps < math.inf, "spacing_ps", "positive and finite", spacing_ps)
-    if sigma_ps == 0.0:
-        return 0.0
-    return 0.5 * math.erfc((spacing_ps / 2.0) / (sigma_ps * math.sqrt(2.0)))
-
-
-def _jitter_weights(intensities: np.ndarray, sigma_ps: float) -> np.ndarray:
-    """Redistribute bin intensities (last axis) by cross-bin leakage.
-
-    Leakage only reaches adjacent bins (further tails are negligible at
-    these spacings); mass leaked past the outer edges leaves the analysis
-    gate and is lost.
-    """
-    leak = cross_bin_leak_fraction(sigma_ps, BIN_SPACING_PS)
-    if leak == 0.0:
-        return intensities.copy()
-    weights = intensities * (1.0 - 2.0 * leak)
-    weights[..., 1:] += intensities[..., :-1] * leak
-    weights[..., :-1] += intensities[..., 1:] * leak
-    return weights
+@lru_cache(maxsize=64)
+def _jitter_window(sigma_ps: float, n_bins: int) -> np.ndarray:
+    """Read-only (bin, bin) matrix of Gaussian timing jitter: window[i, j] =
+    Phi((j - i + 1/2) s / sigma) - Phi((j - i - 1/2) s / sigma), the chance
+    that a photon of bin i is timed in bin j, with s = ``BIN_SPACING_PS``.
+    It is the identity at sigma = 0.  Mass timed past the outer edges
+    leaves the gate, so a row sums to at most 1."""
+    scale = BIN_SPACING_PS / (sigma_ps * math.sqrt(2.0)) if sigma_ps > 0.0 else math.inf
+    tail = [math.erfc((k + 0.5) * scale) for k in range(n_bins)]   # P(|timing error| > (k + 1/2) s)
+    by_offset = np.array([1.0 - tail[0]] + [(tail[k - 1] - tail[k]) / 2.0 for k in range(1, n_bins)])
+    window = by_offset[np.abs(np.subtract.outer(range(n_bins), range(n_bins)))]
+    window.flags.writeable = False
+    return window
 
 
 def _first_click_probabilities(
@@ -362,22 +357,13 @@ def _conditional(probabilities: np.ndarray, arm: str) -> np.ndarray:
     return probabilities / total
 
 
-def _checked_scale(bin_intensity_scale, n_bins: int) -> tuple:
-    """A per-bin intensity scale as a tuple of ``n_bins`` finite positive floats."""
-    scale = tuple(float(s) for s in bin_intensity_scale)
-    valid = len(scale) == n_bins and all(0.0 < s < math.inf for s in scale)
-    _require(valid, "bin_intensity_scale", f"{n_bins} finite positive entries", scale)
-    return scale
-
-
-def _z_cumulative(amplitudes: np.ndarray, sigma_ps: float, bin_intensity_scale: tuple | None) -> np.ndarray:
+def _z_cumulative(amplitudes: np.ndarray, sigma_ps: float) -> np.ndarray:
     """Running sums of the arrival-time arm's signal weights for trains
-    given by their bin amplitudes (last axis)."""
-    intensities = amplitudes**2
-    if bin_intensity_scale is not None:
-        intensities = intensities * np.asarray(_checked_scale(bin_intensity_scale, amplitudes.shape[-1]))
-        intensities /= intensities.sum(axis=-1, keepdims=True)
-    return np.cumsum(_jitter_weights(intensities, sigma_ps), axis=-1)
+    given by their bin amplitudes (last axis): the bin intensities times
+    ``_jitter_window``, summed bin by bin so that one train and a batch of
+    them give the same bits."""
+    window = _jitter_window(sigma_ps, amplitudes.shape[-1])
+    return np.cumsum((amplitudes[..., None] ** 2 * window).sum(axis=-2), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -396,18 +382,15 @@ def z_click_distribution(
     source: SourceModel,
     channel: ChannelModel,
     detector: DetectorModel,
-    bin_intensity_scale: tuple | None = None,
 ) -> ZClickDistribution:
     """Exact per-bin click distribution in the arrival-time arm.
 
-    Signal clicks land in a bin proportionally to its intensity, smeared by
-    Gaussian jitter leakage across the half-spacing bin edges; every bin
+    Signal clicks land in a bin proportionally to its intensity, spread over
+    every bin by Gaussian timing jitter (``_jitter_window``); every bin
     additionally sees dark counts plus half the channel's scattering noise
-    (the other half goes to the phase arm).  ``bin_intensity_scale`` models a
-    per-bin preparation imbalance: the bin intensities are multiplied by it
-    and renormalized before the jitter leakage.
+    (the other half goes to the phase arm).
     """
-    cumulative = _z_cumulative(train.amplitudes, detector.jitter_sigma_ps, bin_intensity_scale)
+    cumulative = _z_cumulative(train.amplitudes, detector.jitter_sigma_ps)
     return ZClickDistribution(*_arm_click_probabilities(cumulative, 0.5, source, channel, detector))
 
 
@@ -419,11 +402,12 @@ X_CELLS = 6
 
 def _x_cumulative(amplitudes: np.ndarray, phases: np.ndarray, dli: DliModel) -> np.ndarray:
     """Running sums of the phase arm's signal weights for two-bin trains
-    given by their bin amplitudes and relative phases (last axis)."""
-    if abs(dli.delay_ps - BIN_SPACING_PS) > 1e-9:
-        raise ValueError(
-            f"dli.delay_ps must equal the bin spacing ({BIN_SPACING_PS:g} ps), got {dli.delay_ps:g}"
-        )
+    given by their bin amplitudes and relative phases (last axis).
+
+    The phase arm applies no timing jitter.  At the default 200 ps FWHM a
+    ``_jitter_window`` over its three slots would move p_x by -3.9e-7, far
+    below the sampling error of a default run, yet change the fig4
+    artifacts.  At wider jitter this p_x reads high (by 0.066 at 1000 ps)."""
     a, b = amplitudes[..., 0], amplitudes[..., 1]
     fringe = 2.0 * a * b * dli.visibility * np.cos(phases[..., 1] - phases[..., 0])
     weights = np.stack(
@@ -488,7 +472,6 @@ class SimulationConfig:
     rounds: int = 100_000
     seed: int = 1
     workers: int = 1        # stream partitions, run one after another
-    bin_intensity_scale: tuple | None = None   # optional per-bin preparation imbalance
 
     def __post_init__(self):
         _require(self.protocol in PROTOCOLS, "run.protocol", " or ".join(PROTOCOLS), repr(self.protocol))
@@ -498,9 +481,6 @@ class SimulationConfig:
             object.__setattr__(self, attr, value)
         # the counts are drawn by Generator.multinomial, which takes a C long
         _require(self.rounds <= _MAX_ROUNDS, "run.rounds", f"at most {_MAX_ROUNDS}", self.rounds)
-        if self.bin_intensity_scale is not None:
-            scale = _checked_scale(self.bin_intensity_scale, _protocol(self.protocol).n_bins)
-            object.__setattr__(self, "bin_intensity_scale", scale)
 
 
 @dataclass(frozen=True)
@@ -617,11 +597,11 @@ class TrialResult:
 
 
 @lru_cache(maxsize=64)
-def _trial_z_cumulative(protocol: str, sigma_ps: float, bin_intensity_scale: tuple | None) -> np.ndarray:
+def _trial_z_cumulative(protocol: str, sigma_ps: float) -> np.ndarray:
     """Read-only running sums of the arrival-time weights of every message
     of the protocol: the part of a trial's z arm that neither the source
     nor the channel enters, so a sweep over classical power builds it once."""
-    cumulative = _z_cumulative(_protocol(protocol).amplitudes, sigma_ps, bin_intensity_scale)
+    cumulative = _z_cumulative(_protocol(protocol).amplitudes, sigma_ps)
     cumulative.flags.writeable = False
     return cumulative
 
@@ -647,9 +627,7 @@ def _trial_distribution(config: SimulationConfig) -> tuple[np.ndarray, np.ndarra
     probabilities of each arm (none for the absent x arm of 2,4).
     """
     models = (config.source, config.channel, config.detector)
-    z_cumulative = _trial_z_cumulative(
-        config.protocol, config.detector.jitter_sigma_ps, config.bin_intensity_scale
-    )
+    z_cumulative = _trial_z_cumulative(config.protocol, config.detector.jitter_sigma_ps)
     z, no_click_z = _arm_click_probabilities(z_cumulative, 0.5, *models)
     arms = [_conditional(z, "arrival-time")]
     no_click_x = np.empty(0)

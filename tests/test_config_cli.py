@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qracsim
-from qracsim.cli import SWEEP_HEADER, _crossing_power, _sweep_json, main
+from qracsim.cli import SWEEP_HEADER, TARGETS, _crossing_power, _sweep_json, main
 from qracsim.config import (
     BandConfig,
     ConfigError,
@@ -81,15 +81,13 @@ class TestConfigParsing:
         cfg = config_from_mapping({"channel.classical_power_dbm": "-30.5"})
         assert cfg.channel.classical_power_dbm == -30.5
 
-    def test_mirror_with_repetition_period_loads(self, tmp_path):
-        # mirrors written while SourceModel carried rep_period_ns still load;
-        # the key is parsed, then dropped
+    def test_mirror_with_repetition_period_rejected(self, tmp_path):
+        # no model reads a repetition period, so the key is unknown like any other
         mapping = config_to_mapping(RunConfig(seed=5))
         mirror = tmp_path / "old.json"
         mirror.write_text(json.dumps({"config": {**mapping, "source.rep_period_ns": "1.6"}}))
-        assert config_to_mapping(load_config(str(mirror))) == mapping
-        with pytest.raises(ConfigError, match="source.rep_period_ns"):
-            config_from_mapping({"source.rep_period_ns": "slow"})
+        with pytest.raises(ConfigError, match=re.escape("unknown configuration key [key 'source.rep_period_ns']")):
+            load_config(str(mirror))
 
     @pytest.mark.parametrize(
         "text, message",
@@ -239,6 +237,15 @@ class TestSweepCommand:
     def test_delay_mismatch_names_key_and_exits_2(self, tmp_path):
         cfg = tmp_path / "dli.cfg"
         cfg.write_text("dli.delay_ps = 700\n")
+        code, out, err = run_cli(["sweep", "--config", str(cfg), "--power", "-30", "--rounds", "1000"])
+        assert code == 2
+        assert out == ""
+        assert "dli.delay_ps must equal the bin spacing (800 ps), got 700" in err
+
+    def test_delay_mismatch_checked_without_phase_arm(self, tmp_path):
+        # the 2,4 receiver reads no interferometer, but its config still names one
+        cfg = tmp_path / "dli.cfg"
+        cfg.write_text("run.protocol = 2,4\ndli.delay_ps = 700\n")
         code, out, err = run_cli(["sweep", "--config", str(cfg), "--power", "-30", "--rounds", "1000"])
         assert code == 2
         assert out == ""
@@ -394,7 +401,7 @@ class TestConfigMirror:
             ),
             dli=st.builds(
                 DliModel,
-                delay_ps=st.floats(0.0, exclude_min=True, allow_infinity=False),
+                delay_ps=st.just(800.0),
                 visibility=st.floats(0.0, 1.0),
             ),
             bands=st.builds(
@@ -563,12 +570,6 @@ def test_run_config_is_a_trial_config(protocol, power):
     assert simulate_trial(RunConfig(**settings_)) == simulate_trial(SimulationConfig(**settings_))
 
 
-def test_run_config_prepares_no_bin_imbalance():
-    assert RunConfig().bin_intensity_scale is None
-    with pytest.raises(TypeError):
-        RunConfig(bin_intensity_scale=(1.0, 2.0))
-
-
 def _run_python(*args):
     src = str(Path(qracsim.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -592,6 +593,23 @@ class TestProcessEntryPoint:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "run.rounds" in proc.stderr
+
+    def test_runs_without_test_only_packages(self, tmp_path):
+        # numpy is the only runtime dependency: with scipy and hypothesis
+        # unimportable, every target and a wide-jitter closed form still run
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = sys.modules['hypothesis'] = None\n"
+            "import io, qracsim\n"
+            "from qracsim.cli import TARGETS, main\n"
+            f"out = {str(tmp_path)!r}\n"
+            "print([main(['reproduce', t, '--out', f'{out}/{t}.csv'], stdout=io.StringIO()) for t in TARGETS])\n"
+            "config = qracsim.SimulationConfig(detector=qracsim.DetectorModel(jitter_fwhm_ps=3000.0))\n"
+            "print(round(qracsim.expected_estimates(config)['p_z'], 5))\n"
+        )
+        proc = _run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{[0] * len(TARGETS)}\n0.53347\n"
 
     def test_import_loads_no_numpy_random(self):
         # numpy 1.24 loads numpy.random on `import numpy`; only what the

@@ -17,7 +17,6 @@ from qracsim import (
     SourceModel,
     build_pulse_train,
     calibrate_raman_coefficient,
-    cross_bin_leak_fraction,
     depolarize,
     empirical_advantage,
     expected_estimates,
@@ -34,7 +33,7 @@ from qracsim import (
     z_click_distribution,
     DEFAULT_RAMAN_COEFFICIENT,
 )
-from qracsim.photonics import BIN_SPACING_PS, protocol_messages
+from qracsim.photonics import BIN_SPACING_PS, _jitter_window, protocol_messages
 
 SQRT2 = math.sqrt(2.0)
 A1 = math.sqrt(2 + SQRT2) / 2
@@ -112,18 +111,41 @@ class TestRamanRate:
         assert rate == pytest.approx(1.0e6, rel=0.1)
 
 
-class TestLeakFraction:
-    def test_reference_point(self):
-        # independent oracle: standard normal tail at two sigma
-        oracle = float(scipy.stats.norm.sf(2.0))
-        assert cross_bin_leak_fraction(200.0, 800.0) == pytest.approx(oracle, abs=1e-12)
-
-    def test_zero_jitter(self):
-        assert cross_bin_leak_fraction(0.0, 800.0) == 0.0
+class TestJitterWindow:
+    @pytest.mark.parametrize("n_bins", [2, 4])
+    @pytest.mark.parametrize("sigma", [0.0, 200.0, 3000.0, 1e12])
+    def test_matches_normal_cdf(self, sigma, n_bins):
+        window = _jitter_window(sigma, n_bins)
+        if sigma == 0.0:
+            oracle = np.eye(n_bins)
+        else:
+            # independent oracle: the bin-j window of a photon of bin i
+            offset = np.arange(n_bins)[None, :] - np.arange(n_bins)[:, None]
+            upper, lower = (offset + 0.5) * BIN_SPACING_PS / sigma, (offset - 0.5) * BIN_SPACING_PS / sigma
+            oracle = scipy.stats.norm.cdf(upper) - scipy.stats.norm.cdf(lower)
+        assert np.abs(window - oracle).max() <= 1e-15
+        assert (window.sum(axis=1) <= 1.0).all()
+        assert not window.flags.writeable
 
     def test_default_detector_leak_negligible(self):
-        det = DetectorModel()
-        assert cross_bin_leak_fraction(det.jitter_sigma_ps, 800.0) < 1e-5
+        window = _jitter_window(DetectorModel().jitter_sigma_ps, 4)
+        assert window[~np.eye(4, dtype=bool)].max() < 1e-5
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    protocol=st.sampled_from(["2,2", "2,4"]),
+    jitter=st.floats(0.0, 1e12),
+    power=st.none() | st.floats(-80.0, 10.0),
+    loss=st.floats(0.0, 60.0),
+)
+def test_jitter_never_pushes_p_z_below_guessing(protocol, jitter, power, loss):
+    """However wide the jitter, the arrival time is never worse than a guess
+    over the alphabet: jitter can only spread a bin's mass, not reverse it."""
+    p_z = expected_p_z(
+        protocol, SOURCE, ChannelModel(loss_db=loss, classical_power_dbm=power), DetectorModel(jitter_fwhm_ps=jitter)
+    )
+    assert p_z >= (0.5 if protocol == "2,2" else 0.25) - 1e-9
 
 
 @pytest.mark.parametrize(
@@ -134,14 +156,12 @@ class TestLeakFraction:
         (lambda: raman_rate(math.nan, 1e11), "power_dbm"),
         (lambda: raman_rate(math.inf, 1e11), "power_dbm"),
         (lambda: raman_rate(-25.0, math.nan), "coefficient"),
-        (lambda: cross_bin_leak_fraction(math.nan, 800.0), "sigma_ps"),
-        (lambda: cross_bin_leak_fraction(200.0, math.nan), "spacing_ps"),
         (lambda: empirical_advantage(0.8, math.nan), "bound"),
         (lambda: depolarize(pauli_mub_pair().first.to_povm(), math.nan), "visibility"),
     ],
     ids=[
         "train-amplitude", "train-phase", "raman-power-nan", "raman-power-inf", "raman-coefficient",
-        "leak-sigma", "leak-spacing", "advantage-bound", "depolarize-visibility",
+        "advantage-bound", "depolarize-visibility",
     ],
 )
 def test_public_helpers_reject_nan(call, argument):
@@ -370,23 +390,6 @@ class TestSimulateTrial:
         assert set(res.z_bin_counts) == {"00", "10", "20", "30"}
         assert all(len(v) == 4 for v in res.z_bin_counts.values())
 
-    def test_bin_intensity_scale_shifts_clicks(self):
-        # reproduce a measured bin imbalance: target conditional weights
-        target = np.array([0.75, 0.040, 0.077, 0.131])
-        ideal = np.array([0.75, 1 / 12, 1 / 12, 1 / 12])
-        scale = tuple(target / ideal)
-        cfg = SimulationConfig(
-            protocol="2,4",
-            detector=IDEAL_DETECTOR,
-            rounds=400_000,
-            seed=17,
-            bin_intensity_scale=scale,
-        )
-        res = simulate_trial(cfg)
-        counts = np.array(res.z_bin_counts["00"], dtype=float)
-        observed = counts / counts.sum()
-        assert np.allclose(observed, target / target.sum(), atol=0.01)
-
     def test_classical_power_degrades_success(self):
         noisy = simulate_trial(
             SimulationConfig(
@@ -415,8 +418,7 @@ def distribution_oracle(cfg):
     messages = protocol_messages(cfg.protocol)
     trains = [build_pulse_train(m, cfg.protocol) for m in messages]
     z = [
-        z_click_distribution(t, cfg.source, cfg.channel, cfg.detector, cfg.bin_intensity_scale).conditional()
-        for t in trains
+        z_click_distribution(t, cfg.source, cfg.channel, cfg.detector).conditional() for t in trains
     ]
     state_z = {m.label: c[m.digits[0]] for m, c in zip(messages, z)}
     oracle = {"p_z": np.mean(list(state_z.values())), "state_p_z": state_z}
@@ -435,12 +437,8 @@ def distribution_oracle(cfg):
 
 @st.composite
 def trial_configs(draw):
-    protocol = draw(st.sampled_from(["2,2", "2,4"]))
-    scale = None
-    if protocol == "2,4":
-        scale = draw(st.none() | st.tuples(*[st.floats(0.2, 5.0)] * 4))
     return SimulationConfig(
-        protocol=protocol,
+        protocol=draw(st.sampled_from(["2,2", "2,4"])),
         source=SourceModel(mu=draw(st.floats(0.01, 5.0))),
         channel=ChannelModel(
             loss_db=draw(st.floats(0.0, 30.0)),
@@ -450,7 +448,6 @@ def trial_configs(draw):
         rounds=draw(st.integers(1, 1_000_000)),
         seed=draw(st.integers(0, 2**32 - 1)),
         workers=draw(st.integers(1, 8)),
-        bin_intensity_scale=scale,
     )
 
 
@@ -639,34 +636,6 @@ def test_simulation_config_integers(changes, error, message):
         SimulationConfig(**changes)
 
 
-@pytest.mark.parametrize(
-    "protocol, scale",
-    [
-        ("2,2", (math.nan, 1.0)),
-        ("2,2", (math.inf, 1.0)),
-        ("2,2", (1.0, -math.inf)),
-        ("2,2", (0.0, 1.0)),
-        ("2,2", (1.0,)),
-        ("2,2", (1.0, 1.0, 1.0, 1.0)),
-        ("2,4", (1.0, 1.0)),
-        ("2,4", (1.0, 1.0, 1.0, math.nan)),
-    ],
-)
-def test_bin_intensity_scale_checked_up_front(protocol, scale):
-    n_bins = 2 if protocol == "2,2" else 4
-    with pytest.raises(ValueError, match=rf"bin_intensity_scale must be {n_bins} finite positive entries, got \("):
-        SimulationConfig(protocol=protocol, bin_intensity_scale=scale)
-
-
-@pytest.mark.parametrize("scale", [(-1.0, 1.0), (math.nan, 1.0), (0.0, 0.0), (math.inf, 1.0)])
-def test_per_train_bin_intensity_scale_checked(scale):
-    # the per-train path holds the scale to the same check as SimulationConfig
-    train = build_pulse_train(Message((0, 0), 2), "2,2")
-    cfg = SimulationConfig()
-    with pytest.raises(ValueError, match=r"bin_intensity_scale must be 2 finite positive entries, got \("):
-        z_click_distribution(train, cfg.source, cfg.channel, cfg.detector, scale)
-
-
 # The per-message loop that built the trial table before it was batched,
 # kept as an oracle: one train per message, its jitter weights, then the
 # scalar first-click loop of each arm.
@@ -699,17 +668,9 @@ def looped_trial_distribution(cfg):
     rows, no_click_z, no_click_x = [], [], []
     for message in messages:
         train = build_pulse_train(message, cfg.protocol)
-        intensities = train.amplitudes**2
-        if cfg.bin_intensity_scale is not None:
-            intensities = intensities * np.asarray(cfg.bin_intensity_scale)
-            intensities /= intensities.sum()
-        leak = cross_bin_leak_fraction(cfg.detector.jitter_sigma_ps, BIN_SPACING_PS)
-        weights = intensities.copy()
-        if leak != 0.0:
-            weights = intensities * (1.0 - 2.0 * leak)
-            weights[1:] += intensities[:-1] * leak
-            weights[:-1] += intensities[1:] * leak
-        z, no_click = _looped_arm(weights, 0.5, cfg)
+        window = _jitter_window(cfg.detector.jitter_sigma_ps, train.n_bins)
+        # summed bin by bin as the batched table is: a matrix product may round otherwise
+        z, no_click = _looped_arm((train.amplitudes[:, None] ** 2 * window).sum(axis=0), 0.5, cfg)
         rows.append(arm * z)
         no_click_z.append(no_click)
         if two_basis:
@@ -726,10 +687,8 @@ def looped_trial_distribution(cfg):
 
 @st.composite
 def table_configs(draw):
-    protocol = draw(st.sampled_from(["2,2", "2,4"]))
-    n_bins = 2 if protocol == "2,2" else 4
     return SimulationConfig(
-        protocol=protocol,
+        protocol=draw(st.sampled_from(["2,2", "2,4"])),
         source=SourceModel(mu=draw(st.floats(0.0, 50.0, exclude_min=True))),
         channel=ChannelModel(
             loss_db=draw(st.floats(0.0, 30.0)),
@@ -740,7 +699,6 @@ def table_configs(draw):
             jitter_fwhm_ps=draw(st.floats(0.0, 1000.0)),
         ),
         dli=DliModel(visibility=draw(st.floats(0.0, 1.0))),
-        bin_intensity_scale=draw(st.none() | st.tuples(*[st.floats(0.05, 20.0)] * n_bins)),
     )
 
 
@@ -763,7 +721,7 @@ def test_trial_table_matches_per_message_loop(cfg):
     n_msg, n_bins = len(p), (2 if two_basis else 4)
     for row, message in zip(p, protocol_messages(cfg.protocol)):
         train = build_pulse_train(message, cfg.protocol)
-        z = z_click_distribution(train, cfg.source, cfg.channel, cfg.detector, cfg.bin_intensity_scale)
+        z = z_click_distribution(train, cfg.source, cfg.channel, cfg.detector)
         assert np.array_equal(row[:n_bins], arm * z.conditional() / n_msg)
         if two_basis:
             x = x_click_distribution(train, cfg.dli, cfg.source, cfg.channel, cfg.detector)
@@ -842,9 +800,7 @@ def test_cached_weights_follow_every_weight_field():
         base,
         replace(base, detector=DetectorModel(jitter_fwhm_ps=1000.0)),
         replace(base, dli=DliModel(visibility=0.5)),
-        replace(base, bin_intensity_scale=(1.3, 0.7)),
         replace(base, protocol="2,4"),
-        replace(base, protocol="2,4", bin_intensity_scale=(1.0, 0.4, 0.9, 1.7)),
         replace(base, protocol="2,4", detector=DetectorModel(jitter_fwhm_ps=0.0)),
         base,
     ]
@@ -857,7 +813,5 @@ def test_cached_weights_follow_every_weight_field():
     distinct = {cold_tables[i][0].tobytes() for i in range(len(variants) - 1)}
     assert len(distinct) == len(variants) - 1
 
-    mismatched = replace(base, dli=DliModel(delay_ps=700.0))
-    for _ in range(3):
-        with pytest.raises(ValueError, match=r"dli\.delay_ps must equal the bin spacing"):
-            simulate_trial(mismatched)
+    with pytest.raises(ValueError, match=r"dli\.delay_ps must equal the bin spacing"):
+        DliModel(delay_ps=700.0)
