@@ -33,7 +33,6 @@ from .photonics import (
     expected_estimates,
     expected_p_x,
     expected_p_z,
-    raman_rate,
     simulate_trial,
     x_click_distribution,
     z_click_distribution,

@@ -156,8 +156,6 @@ _SCHEMA = {
     "detector.efficiency": ("detector", "efficiency", "float"),
     "detector.dark_rate_hz": ("detector", "dark_rate_hz", "float"),
     "detector.jitter_fwhm_ps": ("detector", "jitter_fwhm_ps", "float"),
-    "detector.gate_width_ps": ("detector", "gate_width_ps", "float"),
-    "dli.delay_ps": ("dli", "delay_ps", "float"),
     "dli.visibility": ("dli", "visibility", "float"),
     "band.p_z_reference": ("bands", "p_z_reference", "float"),
     "band.p_z_tolerance": ("bands", "p_z_tolerance", "float"),

@@ -92,19 +92,17 @@ class DetectorModel:
 
     ``jitter_fwhm_ps`` is the full-width-half-maximum timing-response figure
     quoted for such detectors; the Gaussian sigma of ``_jitter_window`` is
-    fwhm / 2.3548.  ``gate_width_ps`` is the window over which each cell
-    collects noise; the signal is binned at the ``BIN_SPACING_PS`` spacing
-    whatever the gate.
+    fwhm / 2.3548.  Each arrival-time cell is one ``BIN_SPACING_PS`` wide,
+    for the signal and the noise alike.
     """
 
     efficiency: float = 0.20
     dark_rate_hz: float = 2500.0
     jitter_fwhm_ps: float = 200.0
-    gate_width_ps: float = 800.0
 
     def __post_init__(self):
         _require(0.0 < self.efficiency <= 1.0, "detector.efficiency", "in (0, 1]", self.efficiency)
-        for attr in ("dark_rate_hz", "jitter_fwhm_ps", "gate_width_ps"):
+        for attr in ("dark_rate_hz", "jitter_fwhm_ps"):
             value = getattr(self, attr)
             _require(0.0 <= value < math.inf, f"detector.{attr}", "nonnegative and finite", value)
 
@@ -115,18 +113,14 @@ class DetectorModel:
 
 @dataclass(frozen=True)
 class DliModel:
-    """Delay-line interferometer reading the relative phase of adjacent bins."""
+    """Delay-line interferometer reading the relative phase of adjacent bins:
+    its delay is the ``BIN_SPACING_PS`` of the train, so each of its time
+    slots is one spacing wide."""
 
-    delay_ps: float = 800.0
     visibility: float = 0.90
 
     def __post_init__(self):
         _require(0.0 <= self.visibility <= 1.0, "dli.visibility", "in [0, 1]", self.visibility)
-        _require(0.0 < self.delay_ps < math.inf, "dli.delay_ps", "positive and finite", self.delay_ps)
-        if abs(self.delay_ps - BIN_SPACING_PS) > 1e-9:
-            raise ValueError(
-                f"dli.delay_ps must equal the bin spacing ({BIN_SPACING_PS:g} ps), got {self.delay_ps:g}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,24 +260,6 @@ def build_pulse_train(message: Message, protocol: str) -> PulseTrain:
     return record.trains[record.messages.index(message)]
 
 
-def raman_rate(power_dbm: float | None, coefficient: float) -> float:
-    """Noise click rate induced by a classical channel at the given power.
-
-    Linear in optical power: ``coefficient * 10**((power_dbm - 30) / 10)``
-    clicks per second.  ``None`` or -inf power means the channel is off.
-    """
-    _require(0.0 <= coefficient < math.inf, "coefficient", "nonnegative and finite", coefficient)
-    _require(
-        power_dbm is None or -math.inf <= power_dbm < math.inf,
-        "power_dbm",
-        "finite, or None or -inf for off",
-        power_dbm,
-    )
-    if power_dbm is None or power_dbm == -math.inf:
-        return 0.0
-    return coefficient * 10.0 ** ((power_dbm - 30.0) / 10.0)
-
-
 @lru_cache(maxsize=64)
 def _jitter_window(sigma_ps: float, n_bins: int) -> np.ndarray:
     """Read-only (bin, bin) matrix of Gaussian timing jitter: window[i, j] =
@@ -333,14 +309,20 @@ def _arm_click_probabilities(
 ) -> tuple[np.ndarray, np.ndarray]:
     """First-click distributions of an arm whose cells take the signal by
     weights with running sum ``cumulative`` (last axis) and, each, dark
-    counts plus ``noise_share`` of the channel's scattering noise."""
+    counts plus ``noise_share`` of the channel's scattering noise, collected
+    over one ``BIN_SPACING_PS``."""
     # Factor 1/2 from the passive 50:50 basis-choice splitter.
     mean_detected = source.mu * channel.transmission * detector.efficiency * 0.5
-    rate_hz = detector.dark_rate_hz + noise_share * raman_rate(
-        channel.classical_power_dbm, channel.raman_coefficient
-    )
-    # Poisson window statistics; equals rate * gate to first order.
-    noise = 1.0 - math.exp(-rate_hz * detector.gate_width_ps * 1e-12)
+    # Scattering noise is linear in the classical power; 0 when the laser is off.
+    power, raman_hz = channel.classical_power_dbm, 0.0
+    if power is not None and power > -math.inf and channel.raman_coefficient > 0.0:
+        try:
+            raman_hz = channel.raman_coefficient * 10.0 ** ((power - 30.0) / 10.0)
+        except OverflowError:   # more power than a float holds: noise in every cell
+            raman_hz = math.inf
+    rate_hz = detector.dark_rate_hz + noise_share * raman_hz
+    # Poisson window statistics; equals rate * spacing to first order.
+    noise = 1.0 - math.exp(-rate_hz * BIN_SPACING_PS * 1e-12)
     return _first_click_probabilities(
         1.0 - math.exp(-mean_detected), cumulative, np.full(cumulative.shape[-1], noise)
     )
@@ -679,9 +661,9 @@ def simulate_trial(config: SimulationConfig) -> TrialResult:
     p, no_click_z, no_click_x = _trial_distribution(config)
     cells = p.ravel()
     base, extra = divmod(config.rounds, config.workers)
-    counts = sum(
+    counts = sum(   # a partition past the rounds draws none, so it is skipped
         np.random.Generator(np.random.Philox(_stream_key(config.seed, w))).multinomial(base + (w < extra), cells)
-        for w in range(config.workers)
+        for w in range(min(config.workers, config.rounds))
     )
     totals = record.masks.reshape(-1, cells.size) @ counts
     estimates = {}

@@ -235,21 +235,29 @@ class TestSweepCommand:
         assert "detector.dark_rate_hz or channel.classical_power_dbm" in err and "run.rounds" not in err
 
     def test_delay_mismatch_names_key_and_exits_2(self, tmp_path):
+        # the interferometer delay is the bin spacing, so no key sets it
         cfg = tmp_path / "dli.cfg"
         cfg.write_text("dli.delay_ps = 700\n")
         code, out, err = run_cli(["sweep", "--config", str(cfg), "--power", "-30", "--rounds", "1000"])
         assert code == 2
         assert out == ""
-        assert "dli.delay_ps must equal the bin spacing (800 ps), got 700" in err
+        assert "unknown configuration key [line 1, key 'dli.delay_ps']" in err
 
     def test_delay_mismatch_checked_without_phase_arm(self, tmp_path):
-        # the 2,4 receiver reads no interferometer, but its config still names one
-        cfg = tmp_path / "dli.cfg"
-        cfg.write_text("run.protocol = 2,4\ndli.delay_ps = 700\n")
-        code, out, err = run_cli(["sweep", "--config", str(cfg), "--power", "-30", "--rounds", "1000"])
+        # a 2,4 mirror written while the cell width and the delay were keys
+        mirror = tmp_path / "old.json"
+        for key in ("detector.gate_width_ps", "dli.delay_ps"):
+            mirror.write_text(json.dumps({"config": {**DEFAULT_MAPPING, "run.protocol": "2,4", key: "800.0"}}))
+            code, out, err = run_cli(["sweep", "--config", str(mirror), "--power", "-30", "--rounds", "1000"])
+            assert code == 2
+            assert out == ""
+            assert f"unknown configuration key [key '{key}']" in err
+
+    def test_power_past_float_range_exits_2(self):
+        code, out, err = run_cli(["sweep", "--power", "3200", "--rounds", "1000"])
         assert code == 2
         assert out == ""
-        assert "dli.delay_ps must equal the bin spacing (800 ps), got 700" in err
+        assert "p_x can never be conclusive" in err and "channel.classical_power_dbm" in err
 
     def test_missing_config_file_exits_2(self):
         code, _, err = run_cli(["sweep", "--config", "/nonexistent/q.cfg"])
@@ -356,8 +364,6 @@ DEFAULT_MAPPING = {
     "detector.efficiency": "0.2",
     "detector.dark_rate_hz": "2500.0",
     "detector.jitter_fwhm_ps": "200.0",
-    "detector.gate_width_ps": "800.0",
-    "dli.delay_ps": "800.0",
     "dli.visibility": "0.9",
     "band.p_z_reference": "0.8536",
     "band.p_z_tolerance": "0.005",
@@ -397,13 +403,8 @@ class TestConfigMirror:
                 efficiency=st.floats(0.0, 1.0, exclude_min=True),
                 dark_rate_hz=st.floats(0.0, allow_infinity=False),
                 jitter_fwhm_ps=st.floats(0.0, allow_infinity=False),
-                gate_width_ps=st.floats(0.0, allow_infinity=False),
             ),
-            dli=st.builds(
-                DliModel,
-                delay_ps=st.just(800.0),
-                visibility=st.floats(0.0, 1.0),
-            ),
+            dli=st.builds(DliModel, visibility=st.floats(0.0, 1.0)),
             bands=st.builds(
                 BandConfig,
                 **{f.name: st.floats(allow_nan=False, allow_infinity=False) for f in fields(BandConfig)},
@@ -430,8 +431,6 @@ class TestConfigErrors:
             ("detector.efficiency", "0"),
             ("detector.dark_rate_hz", "nan"),
             ("detector.jitter_fwhm_ps", "-1"),
-            ("detector.gate_width_ps", "inf"),
-            ("dli.delay_ps", "nan"),
             ("dli.visibility", "1.5"),
         ],
     )

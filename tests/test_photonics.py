@@ -27,7 +27,6 @@ from qracsim import (
     pauli_mub_pair,
     product_mub_pair,
     quantum_bound,
-    raman_rate,
     simulate_trial,
     x_click_distribution,
     z_click_distribution,
@@ -98,10 +97,23 @@ class TestBuildPulseTrain:
             assert np.allclose(signed, table[digits].real, atol=1e-9)
 
 
+def raman_rate(power_dbm, coefficient):
+    """The scattering-noise rate the click model applies, read back from the
+    no-click mass of a two-bin train lost in the fiber with no dark counts:
+    each bin takes half the rate over one spacing, so the arm stays silent
+    with probability exp(-rate * BIN_SPACING_PS)."""
+    channel = ChannelModel(loss_db=400.0, raman_coefficient=coefficient, classical_power_dbm=power_dbm)
+    train = build_pulse_train(Message((0, 0), 2), "2,2")
+    no_click = z_click_distribution(train, SOURCE, channel, IDEAL_DETECTOR).no_click_probability
+    return -math.log(no_click) / (BIN_SPACING_PS * 1e-12)
+
+
 class TestRamanRate:
     def test_off_channel(self):
         assert raman_rate(None, 1e11) == 0.0
         assert raman_rate(-math.inf, 1e11) == 0.0
+        # a zero coefficient is off at any power, even one past float range
+        assert raman_rate(3200.0, 0.0) == 0.0
 
     def test_linear_in_power(self):
         assert raman_rate(-22.0, 1e11) == pytest.approx(2 * raman_rate(-25.01, 1e11), rel=1e-3)
@@ -109,6 +121,17 @@ class TestRamanRate:
     def test_calibrated_rate_at_threshold_power(self):
         rate = raman_rate(-25.0, DEFAULT_RAMAN_COEFFICIENT)
         assert rate == pytest.approx(1.0e6, rel=0.1)
+
+    def test_power_past_float_range_is_saturating_noise(self):
+        """A power whose rate overflows a float fires noise in every cell,
+        as 3000 dBm does: the phase arm can never be conclusive, and p_z,
+        whose first bin is conclusive, reads its saturated 0.5."""
+        loud = ChannelModel(classical_power_dbm=3200.0)
+        with pytest.raises(ValueError, match="p_x can never be conclusive"):
+            expected_estimates(SimulationConfig(channel=loud))
+        saturated = ChannelModel(classical_power_dbm=3000.0)
+        assert expected_p_z("2,2", SOURCE, loud, DetectorModel()) == 0.5
+        assert expected_p_z("2,2", SOURCE, saturated, DetectorModel()) == 0.5
 
 
 class TestJitterWindow:
@@ -153,9 +176,10 @@ def test_jitter_never_pushes_p_z_below_guessing(protocol, jitter, power, loss):
     [
         (lambda: PulseTrain(((math.nan, 0.0), (1.0, 0.0))), "bins amplitude"),
         (lambda: PulseTrain(((A1, 0.0), (B1, math.nan))), "bins relative phase"),
-        (lambda: raman_rate(math.nan, 1e11), "power_dbm"),
-        (lambda: raman_rate(math.inf, 1e11), "power_dbm"),
-        (lambda: raman_rate(-25.0, math.nan), "coefficient"),
+        # the Raman power and coefficient, checked where they enter the model
+        (lambda: ChannelModel(classical_power_dbm=math.nan), "channel.classical_power_dbm"),
+        (lambda: ChannelModel(classical_power_dbm=math.inf), "channel.classical_power_dbm"),
+        (lambda: ChannelModel(raman_coefficient=math.nan), "channel.raman_coefficient"),
         (lambda: empirical_advantage(0.8, math.nan), "bound"),
         (lambda: depolarize(pauli_mub_pair().first.to_povm(), math.nan), "visibility"),
     ],
@@ -236,11 +260,6 @@ class TestXClickDistribution:
         with pytest.raises(ValueError, match="two-bin"):
             x_click_distribution(train, DliModel(), SOURCE, QUIET, IDEAL_DETECTOR)
 
-    def test_delay_must_match_spacing(self):
-        train = build_pulse_train(Message((0, 0), 2), "2,2")
-        with pytest.raises(ValueError, match="delay"):
-            x_click_distribution(train, DliModel(delay_ps=400.0), SOURCE, QUIET, IDEAL_DETECTOR)
-
     def test_energy_bookkeeping_exact(self):
         train = build_pulse_train(Message((1, 1), 2), "2,2")
         channel = ChannelModel(classical_power_dbm=-20.0)
@@ -308,11 +327,19 @@ class TestSimulateTrial:
         total += sum(t.total for t in res.x_tallies.values())
         assert total == 9_999
 
-    def test_more_workers_than_rounds(self):
+    def test_more_workers_than_rounds(self, monkeypatch):
         res = simulate_trial(SimulationConfig(rounds=3, seed=1, workers=8))
         total = sum(t.total for t in res.z_tallies.values())
         total += sum(t.total for t in res.x_tallies.values())
         assert total == 3
+        # only the partitions that draw a round build a stream
+        built = []
+        philox = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox", lambda key: built.append(key) or philox(key))
+        many = simulate_trial(SimulationConfig(rounds=10, seed=1, workers=1_000_000))
+        assert len(built) <= 10
+        # each of the first ten streams draws one round, as with ten workers
+        assert many.counts == simulate_trial(SimulationConfig(rounds=10, seed=1, workers=10)).counts
 
     def test_phase_arm_inconclusive_fraction(self):
         # half of the interferometer output lands in the outer slots
@@ -653,10 +680,10 @@ def _looped_first_click(signal_prob, weights, noise):
 
 def _looped_arm(weights, noise_share, cfg):
     mean_detected = cfg.source.mu * cfg.channel.transmission * cfg.detector.efficiency * 0.5
-    rate_hz = cfg.detector.dark_rate_hz + noise_share * raman_rate(
-        cfg.channel.classical_power_dbm, cfg.channel.raman_coefficient
-    )
-    noise = 1.0 - math.exp(-rate_hz * cfg.detector.gate_width_ps * 1e-12)
+    power = cfg.channel.classical_power_dbm
+    raman_hz = 0.0 if power in (None, -math.inf) else cfg.channel.raman_coefficient * 10.0 ** ((power - 30.0) / 10.0)
+    rate_hz = cfg.detector.dark_rate_hz + noise_share * raman_hz
+    noise = 1.0 - math.exp(-rate_hz * BIN_SPACING_PS * 1e-12)
     probs, no_click = _looped_first_click(1.0 - math.exp(-mean_detected), weights, noise)
     return probs / probs.sum(), no_click
 
@@ -812,6 +839,3 @@ def test_cached_weights_follow_every_weight_field():
             assert np.array_equal(warm, built)
     distinct = {cold_tables[i][0].tobytes() for i in range(len(variants) - 1)}
     assert len(distinct) == len(variants) - 1
-
-    with pytest.raises(ValueError, match=r"dli\.delay_ps must equal the bin spacing"):
-        DliModel(delay_ps=700.0)
