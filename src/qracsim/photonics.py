@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -35,7 +36,7 @@ BIN_SPACING_PS = 800.0   # time between adjacent bins of a train
 
 # calibrate_raman_coefficient(), stored as a literal so that importing the
 # package runs no calibration; a test recomputes it.
-DEFAULT_RAMAN_COEFFICIENT = 325880067373.3531
+DEFAULT_RAMAN_COEFFICIENT = 325879974610.5981
 
 
 def _require(valid: bool, key: str, domain: str, value) -> None:
@@ -151,13 +152,27 @@ class PulseTrain:
         return len(self.bins)
 
     @property
-    def amplitudes(self) -> np.ndarray:
-        return np.array([a for a, _ in self.bins])
+    def fields(self) -> np.ndarray:   # signed bin amplitudes a cos(phase)
+        return np.array([a * math.cos(p) for a, p in self.bins])
 
 
-# A round's outcome is a cell of a (message, cell) table.  Each message row
-# holds its train's arrival-time bins, one per symbol of the alphabet, then,
-# when the receiver has a phase arm, the X_CELLS interferometer cells.  Only
+# A receiver arm is a linear-optics map T[path, port, slot, bin] from a
+# train's bins to its detection cells, one (slot, port) pair each.  The
+# arrival-time arm is the identity: one path, one port.  The delay-line
+# interferometer sends each bin down a short path and a long one that is one
+# slot late, and recombines them on two ports, in phase on port 0.
+def _arrival_time_map(n_bins: int) -> np.ndarray:
+    return np.broadcast_to(np.eye(n_bins), (1, 1, n_bins, n_bins))
+
+
+_SHORT, _LONG = np.eye(3, 2), np.eye(3, 2, -1)   # (slot, bin)
+_DLI_MAP = 0.5 * np.array([[_SHORT, _SHORT], [_LONG, -_LONG]])
+_DLI_MAP.flags.writeable = False
+
+
+# A round's outcome is a cell of a (message, cell) table.  A message row
+# holds each arm's cells in turn, time-major (slot, port): the arrival-time
+# bins, then the interferometer's three slots of two ports, if any.  Only
 # cells that can occur are listed, so the multinomial draw's last cell,
 # which takes any rounding remainder, is a real outcome.
 @dataclass(frozen=True, eq=False)
@@ -172,36 +187,40 @@ class _Protocol:
     messages: tuple[Message, ...]
     labels: tuple[str, ...]
     trains: tuple[PulseTrain, ...]
-    amplitudes: np.ndarray   # (message, bin)
-    phases: np.ndarray       # (message, bin)
+    fields: np.ndarray       # (message, bin)
+    transfers: tuple[np.ndarray, ...]   # each arm's T[path, port, slot, bin]
     estimands: tuple[str, ...]
     masks: np.ndarray        # (estimand, correct|conclusive, message, cell)
 
     @property
     def n_bins(self) -> int:
-        return self.amplitudes.shape[1]
+        return self.fields.shape[1]
 
     @property
     def phase_arm(self) -> bool:   # interferometer cells follow the bins
-        return self.masks.shape[-1] > self.n_bins
+        return len(self.transfers) > 1
 
 
 @lru_cache(maxsize=None)
 def _protocol(name: str) -> _Protocol:
     """The messages a protocol run exercises, their pulse trains realizing
-    the exact optimal encoding, and the estimands' masks.
+    the exact optimal encoding, its receiver arms' transfer maps, and the
+    estimands' masks.
 
     A negative encoding component becomes a pi relative phase on that bin.
-    The four-dimensional protocol encodes the zero-relative-phase subset,
-    i.e. second digit fixed to 0 (all other encodings need nonzero relative
-    phases between every pulse); its receiver records arrival times only.
+    Every optimal encoding of both protocols is real, so every message could
+    be sent.  The four-dimensional receiver records arrival times only, which
+    read the first digit alone, so that protocol sends the messages with
+    second digit 0, the ones whose trains carry no relative phase.
     """
     if name == "2,2":
         pair = pauli_mub_pair()
         messages = tuple(Message((x1, x2), 2) for x1 in range(2) for x2 in range(2))
+        transfers = (_arrival_time_map(2), _DLI_MAP)
     elif name == "2,4":
         pair = product_mub_pair(pauli_mub_pair(), 2)
         messages = tuple(Message((q, 0), 4) for q in range(4))
+        transfers = (_arrival_time_map(4),)
     else:
         raise ValueError(f"unknown protocol {name!r}")
     table = encoding_table(measurement_pair_from_mub(pair))
@@ -212,33 +231,35 @@ def _protocol(name: str) -> _Protocol:
         PulseTrain(tuple((abs(float(a.real)), 0.0 if a.real >= 0.0 else math.pi) for a in row))
         for row in encoded
     )
-    bins = np.array([t.bins for t in trains])
-    bins.flags.writeable = False
+    fields = np.array([t.fields for t in trains])
+    fields.flags.writeable = False
 
-    n_bins = bins.shape[1]
-    phase_arm = n_bins == 2   # the interferometer reads two-bin trains only
-    cells = np.arange(n_bins + X_CELLS * phase_arm)
-    first = np.array([m.digits[0] for m in messages])[:, None]
-    z_conclusive = np.broadcast_to(cells < n_bins, (len(messages), len(cells)))
-    masks = {"p_z": (cells == first, z_conclusive)}
-    if phase_arm:
-        second = np.array([m.digits[1] for m in messages])[:, None]
-        x_conclusive = (cells >= n_bins + 2) & (cells < n_bins + 4)
-        masks["p_x"] = (cells == n_bins + 2 + second, np.broadcast_to(x_conclusive, z_conclusive.shape))
+    # The arm, slot and port of each cell, and whether every path of its arm
+    # reaches it: only there can paths interfere, so only there is a phase read.
+    layout = []
+    for k, transfer in enumerate(transfers):
+        reached = (transfer != 0).any(axis=-1).all(axis=0).T   # (slot, port)
+        layout.append(np.stack([np.full(reached.shape, k), *np.indices(reached.shape), reached]).reshape(4, -1))
+    arm, slot, port, conclusive = np.concatenate(layout, axis=1)
+    digits = np.array([m.digits for m in messages])
+    first = digits[:, :1]
+    z_conclusive = np.broadcast_to((arm == 0) & (conclusive == 1), (len(messages), arm.size))
+    masks = {"p_z": (z_conclusive & (slot == first), z_conclusive)}
+    if len(transfers) > 1:
+        x_conclusive = np.broadcast_to((arm == 1) & (conclusive == 1), z_conclusive.shape)
+        masks["p_x"] = (x_conclusive & (port == digits[:, 1:]), x_conclusive)
     else:
         # The first bit names the half of the alphabet; p_m1 and p_m2 score
         # it on the messages from the lower and the upper half.
-        half = n_bins // 2
-        first_bit = z_conclusive & (cells // half == first // half)
+        half = fields.shape[1] // 2
+        first_bit = z_conclusive & (slot // half == first // half)
         lower = first < half
         masks["p_m1"] = (first_bit & lower, z_conclusive & lower)
         masks["p_m2"] = (first_bit & ~lower, z_conclusive & ~lower)
         masks["p_m12"] = masks["p_z"]
     stacked = np.array(list(masks.values()), dtype=np.int64)
     stacked.flags.writeable = False
-    return _Protocol(
-        messages, tuple(m.label for m in messages), trains, bins[..., 0], bins[..., 1], tuple(masks), stacked
-    )
+    return _Protocol(messages, tuple(m.label for m in messages), trains, fields, transfers, tuple(masks), stacked)
 
 
 def protocol_messages(protocol: str) -> tuple[Message, ...]:
@@ -249,8 +270,7 @@ def protocol_messages(protocol: str) -> tuple[Message, ...]:
 def build_pulse_train(message: Message, protocol: str) -> PulseTrain:
     """Pulse train realizing the optimal encoding of one message.
 
-    For the four-dimensional protocol only messages with second digit 0 are
-    implementable.
+    The four-dimensional protocol sends only messages with second digit 0.
     """
     record = _protocol(protocol)
     if message.alphabet != record.n_bins:
@@ -262,9 +282,9 @@ def build_pulse_train(message: Message, protocol: str) -> PulseTrain:
 
 @lru_cache(maxsize=64)
 def _jitter_window(sigma_ps: float, n_bins: int) -> np.ndarray:
-    """Read-only (bin, bin) matrix of Gaussian timing jitter: window[i, j] =
+    """Read-only (slot, slot) matrix of Gaussian timing jitter: window[i, j] =
     Phi((j - i + 1/2) s / sigma) - Phi((j - i - 1/2) s / sigma), the chance
-    that a photon of bin i is timed in bin j, with s = ``BIN_SPACING_PS``.
+    that a photon of slot i is timed in slot j, with s = ``BIN_SPACING_PS``.
     It is the identity at sigma = 0.  Mass timed past the outer edges
     leaves the gate, so a row sums to at most 1."""
     scale = BIN_SPACING_PS / (sigma_ps * math.sqrt(2.0)) if sigma_ps > 0.0 else math.inf
@@ -275,42 +295,54 @@ def _jitter_window(sigma_ps: float, n_bins: int) -> np.ndarray:
     return window
 
 
-def _first_click_probabilities(
-    signal_prob: float, cumulative: np.ndarray, noise_probs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact distribution of the earliest click over time-ordered cells.
+def _arm_intensities(transfer: np.ndarray, fields: np.ndarray, visibility: float, sigma_ps: float) -> np.ndarray:
+    """Read-only signal share of each (slot, port) cell, the last two axes,
+    of an arm with transfer map ``transfer``, for trains given by their
+    signed bin amplitudes (last axis of ``fields``).
 
-    One signal photon lands in cell k with probability signal_prob *
-    weights[..., k], given as the running sum ``cumulative`` of the weights
-    along the last axis (they may sum below 1 when some mass leaves the
-    gate); cell k independently fires on noise with probability
-    noise_probs[k].  The earliest firing cell wins.  Returns per-cell
-    probabilities and the no-click probability of every row of weights;
-    together they sum to 1 exactly.
+    The paths interfere with visibility V: I = incoherent + V (coherent -
+    incoherent), coherent being |sum_p T_p a|^2 and incoherent sum_p
+    |T_p a|^2, so a one-path arm is its intensity exactly.  Then
+    ``_jitter_window`` spreads each port's slots."""
+    paths = np.einsum("aksb,...b->...ask", transfer, fields)   # (..., path, slot, port)
+    incoherent = (paths * paths).sum(axis=-3)
+    coherent = paths.sum(axis=-3) ** 2
+    intensity = incoherent + visibility * (coherent - incoherent)
+    window = _jitter_window(sigma_ps, transfer.shape[2])
+    intensities = (intensity[..., :, None, :] * window[:, :, None]).sum(axis=-3)
+    intensities.flags.writeable = False
+    return intensities
+
+
+def _first_click_probabilities(mean: float, intensities: np.ndarray, noise: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact distribution of the earliest click over an arm's (slot, port)
+    cells, the last two axes of ``intensities``.
+
+    Coherent light puts an independent Poisson number of photons in each
+    cell: cell k stays silent with probability exp(-noise - mean I_k),
+    ``noise`` being a cell's mean noise count.  Slots are read in time
+    order; the ports of one slot click at once, and a double click is split
+    evenly, so port p takes f_p (1 - f_other / 2), with f = -expm1(log of
+    the silence), which keeps the digits of a small mean.  Returns the
+    time-major cell probabilities and the no-click probability of every row;
+    together they sum to 1 up to rounding.
     """
-    # P(no signal photon in cells 0..k), and the same before cell k.
-    through = 1.0 - signal_prob * cumulative
-    before = np.empty_like(through)
-    before[..., 0] = 1.0
-    before[..., 1:] = through[..., :-1]
-    # P(no noise click before cell k), as a running product.
-    keep = 1.0 - noise_probs
-    prefix = np.concatenate(([1.0], np.cumprod(keep)))
-    probs = prefix[:-1] * (before - keep * through)
-    return probs, prefix[-1] * through[..., -1]
+    log_silent = -noise - mean * intensities
+    fire = -np.expm1(log_silent)
+    split = fire * (1.0 - (fire.sum(axis=-1, keepdims=True) - fire) / 2.0)
+    silent_through = np.cumsum(log_silent.sum(axis=-1), axis=-1)   # log P(no click up to slot s)
+    reached = np.exp(np.concatenate((np.zeros_like(silent_through[..., :1]), silent_through[..., :-1]), axis=-1))
+    probs = reached[..., None] * split
+    return probs.reshape(*probs.shape[:-2], -1), np.exp(silent_through[..., -1])
 
 
 def _arm_click_probabilities(
-    cumulative: np.ndarray,
-    noise_share: float,
-    source: SourceModel,
-    channel: ChannelModel,
-    detector: DetectorModel,
+    intensities: np.ndarray, source: SourceModel, channel: ChannelModel, detector: DetectorModel
 ) -> tuple[np.ndarray, np.ndarray]:
-    """First-click distributions of an arm whose cells take the signal by
-    weights with running sum ``cumulative`` (last axis) and, each, dark
-    counts plus ``noise_share`` of the channel's scattering noise, collected
-    over one ``BIN_SPACING_PS``."""
+    """First-click distributions of an arm whose (slot, port) cells take the
+    signal by ``intensities`` and, each, dark counts plus its port's share
+    of the arm's half of the channel's scattering noise, collected over one
+    ``BIN_SPACING_PS``."""
     # Factor 1/2 from the passive 50:50 basis-choice splitter.
     mean_detected = source.mu * channel.transmission * detector.efficiency * 0.5
     # Scattering noise is linear in the classical power; 0 when the laser is off.
@@ -318,14 +350,11 @@ def _arm_click_probabilities(
     if power is not None and power > -math.inf and channel.raman_coefficient > 0.0:
         try:
             raman_hz = channel.raman_coefficient * 10.0 ** ((power - 30.0) / 10.0)
-        except OverflowError:   # more power than a float holds: noise in every cell
-            raman_hz = math.inf
-    rate_hz = detector.dark_rate_hz + noise_share * raman_hz
-    # Poisson window statistics; equals rate * spacing to first order.
-    noise = 1.0 - math.exp(-rate_hz * BIN_SPACING_PS * 1e-12)
-    return _first_click_probabilities(
-        1.0 - math.exp(-mean_detected), cumulative, np.full(cumulative.shape[-1], noise)
-    )
+        except OverflowError:   # the power alone passes float range: take the product in logs
+            log_hz = math.log(channel.raman_coefficient) + (power - 30.0) / 10.0 * math.log(10.0)
+            raman_hz = math.exp(log_hz) if log_hz < math.log(sys.float_info.max) else math.inf
+    rate_hz = detector.dark_rate_hz + 0.5 / intensities.shape[-1] * raman_hz
+    return _first_click_probabilities(mean_detected, intensities, rate_hz * BIN_SPACING_PS * 1e-12)
 
 
 def _conditional(probabilities: np.ndarray, arm: str) -> np.ndarray:
@@ -337,15 +366,6 @@ def _conditional(probabilities: np.ndarray, arm: str) -> np.ndarray:
             "lower channel.loss_db or raise detector.dark_rate_hz"
         )
     return probabilities / total
-
-
-def _z_cumulative(amplitudes: np.ndarray, sigma_ps: float) -> np.ndarray:
-    """Running sums of the arrival-time arm's signal weights for trains
-    given by their bin amplitudes (last axis): the bin intensities times
-    ``_jitter_window``, summed bin by bin so that one train and a batch of
-    them give the same bits."""
-    window = _jitter_window(sigma_ps, amplitudes.shape[-1])
-    return np.cumsum((amplitudes[..., None] ** 2 * window).sum(axis=-2), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -367,43 +387,12 @@ def z_click_distribution(
 ) -> ZClickDistribution:
     """Exact per-bin click distribution in the arrival-time arm.
 
-    Signal clicks land in a bin proportionally to its intensity, spread over
-    every bin by Gaussian timing jitter (``_jitter_window``); every bin
-    additionally sees dark counts plus half the channel's scattering noise
-    (the other half goes to the phase arm).
+    Each bin's photons are spread over every bin by Gaussian timing jitter
+    (``_jitter_window``); every bin additionally sees dark counts plus half
+    the channel's scattering noise (the other half goes to the phase arm).
     """
-    cumulative = _z_cumulative(train.amplitudes, detector.jitter_sigma_ps)
-    return ZClickDistribution(*_arm_click_probabilities(cumulative, 0.5, source, channel, detector))
-
-
-# Cell layout of the interferometer output, in time order: the early and
-# late slots carry no phase information, the middle slot interferes, so
-# cells 2 and 3 (middle slot, ports 0 and 1) are the conclusive ones.
-X_CELLS = 6
-
-
-def _x_cumulative(amplitudes: np.ndarray, phases: np.ndarray, dli: DliModel) -> np.ndarray:
-    """Running sums of the phase arm's signal weights for two-bin trains
-    given by their bin amplitudes and relative phases (last axis).
-
-    The phase arm applies no timing jitter.  At the default 200 ps FWHM a
-    ``_jitter_window`` over its three slots would move p_x by -3.9e-7, far
-    below the sampling error of a default run, yet change the fig4
-    artifacts.  At wider jitter this p_x reads high (by 0.066 at 1000 ps)."""
-    a, b = amplitudes[..., 0], amplitudes[..., 1]
-    fringe = 2.0 * a * b * dli.visibility * np.cos(phases[..., 1] - phases[..., 0])
-    weights = np.stack(
-        [
-            a * a / 4.0,            # early slot, port 0
-            a * a / 4.0,            # early slot, port 1
-            (1.0 + fringe) / 4.0,   # middle slot, port 0 (constructive for dphi = 0)
-            (1.0 - fringe) / 4.0,   # middle slot, port 1
-            b * b / 4.0,            # late slot, port 0
-            b * b / 4.0,            # late slot, port 1
-        ],
-        axis=-1,
-    )
-    return np.cumsum(weights, axis=-1)
+    intensities = _arm_intensities(_arrival_time_map(train.n_bins), train.fields, 1.0, detector.jitter_sigma_ps)
+    return ZClickDistribution(*_arm_click_probabilities(intensities, source, channel, detector))
 
 
 @dataclass(frozen=True)
@@ -426,16 +415,16 @@ def x_click_distribution(
 ) -> XClickDistribution:
     """Exact outcome distribution in the phase arm for a two-bin train.
 
-    In the interfering middle slot the constructive port fires with
-    probability (1 + 2 a b V cos dphi) / 2 of the conclusive mass; the outer
-    slots are inconclusive.  Noise enters every slot of both ports with the
-    dark rate plus a quarter of the channel's scattering noise.
+    In the interfering middle slot the constructive port takes (1 + 2 a b V
+    cos dphi) / 2 of the conclusive mass as mu goes to 0; the outer slots are
+    inconclusive.  Every slot is timed with jitter, and noise enters every
+    slot of both ports with the dark rate plus a quarter of the channel's
+    scattering noise.
     """
     if train.n_bins != 2:
         raise ValueError("the phase measurement reads two-bin trains only")
-    amplitudes, phases = np.array(train.bins).T
-    cumulative = _x_cumulative(amplitudes, phases, dli)
-    return XClickDistribution(*_arm_click_probabilities(cumulative, 0.25, source, channel, detector))
+    intensities = _arm_intensities(_DLI_MAP, train.fields, dli.visibility, detector.jitter_sigma_ps)
+    return XClickDistribution(*_arm_click_probabilities(intensities, source, channel, detector))
 
 
 @dataclass(frozen=True)
@@ -579,23 +568,12 @@ class TrialResult:
 
 
 @lru_cache(maxsize=64)
-def _trial_z_cumulative(protocol: str, sigma_ps: float) -> np.ndarray:
-    """Read-only running sums of the arrival-time weights of every message
-    of the protocol: the part of a trial's z arm that neither the source
-    nor the channel enters, so a sweep over classical power builds it once."""
-    cumulative = _z_cumulative(_protocol(protocol).amplitudes, sigma_ps)
-    cumulative.flags.writeable = False
-    return cumulative
-
-
-@lru_cache(maxsize=64)
-def _trial_x_cumulative(dli: DliModel) -> np.ndarray:
-    """Read-only running sums of the phase-arm weights of every 2,2 message,
-    which depend on the interferometer alone."""
-    record = _protocol("2,2")
-    cumulative = _x_cumulative(record.amplitudes, record.phases, dli)
-    cumulative.flags.writeable = False
-    return cumulative
+def _trial_intensities(protocol: str, visibility: float, sigma_ps: float) -> tuple[np.ndarray, ...]:
+    """Cell intensities of every message of the protocol, one array per
+    receiver arm: the part of a trial that neither the source nor the
+    channel enters, so a sweep over classical power builds it once."""
+    record = _protocol(protocol)
+    return tuple(_arm_intensities(t, record.fields, visibility, sigma_ps) for t in record.transfers)
 
 
 def _trial_distribution(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -604,20 +582,17 @@ def _trial_distribution(config: SimulationConfig) -> tuple[np.ndarray, np.ndarra
     ``p[message, cell] = (1/n_msg) * P(arm) * conditional[cell]``: a uniform
     message, the passive 50:50 arm choice (P(arm) = 1 for the z-only 2,4
     receiver), then the arm's conditional-on-click distribution.  Every
-    message row is built at once, one pass per arm, from the cached running
-    weights of that arm.  Also returns the per-message no-click
+    message row is built at once, one pass per arm, from the cached cell
+    intensities of that arm.  Also returns the per-message no-click
     probabilities of each arm (none for the absent x arm of 2,4).
     """
-    models = (config.source, config.channel, config.detector)
-    z_cumulative = _trial_z_cumulative(config.protocol, config.detector.jitter_sigma_ps)
-    z, no_click_z = _arm_click_probabilities(z_cumulative, 0.5, *models)
-    arms = [_conditional(z, "arrival-time")]
-    no_click_x = np.empty(0)
-    if _protocol(config.protocol).phase_arm:
-        x, no_click_x = _arm_click_probabilities(_trial_x_cumulative(config.dli), 0.25, *models)
-        arms.append(_conditional(x, "phase"))
+    intensities = _trial_intensities(config.protocol, config.dli.visibility, config.detector.jitter_sigma_ps)
+    arms, no_clicks = [], [np.empty(0)] * 2
+    for k, (name, arm) in enumerate(zip(("arrival-time", "phase"), intensities)):
+        probs, no_clicks[k] = _arm_click_probabilities(arm, config.source, config.channel, config.detector)
+        arms.append(_conditional(probs, name))
     p = (1.0 / len(arms)) * np.concatenate(arms, axis=-1)
-    return p / len(z), no_click_z, no_click_x
+    return p / len(p), *no_clicks
 
 
 class _StreamKey:

@@ -234,6 +234,14 @@ class TestSweepCommand:
         assert out == ""
         assert "detector.dark_rate_hz or channel.classical_power_dbm" in err and "run.rounds" not in err
 
+    def test_nearly_saturated_phase_arm_blames_rounds(self):
+        # at 30 dBm the interfering slot is reached with probability about
+        # 1e-57: p_x has a closed form, but no practical trial is conclusive
+        code, out, err = run_cli(["sweep", "--power", "30", "--rounds", "1000"])
+        assert code == 2
+        assert out == ""
+        assert "p_x had no conclusive rounds out of 1000" in err and "run.rounds" in err
+
     def test_delay_mismatch_names_key_and_exits_2(self, tmp_path):
         # the interferometer delay is the bin spacing, so no key sets it
         cfg = tmp_path / "dli.cfg"
@@ -359,7 +367,7 @@ DEFAULT_MAPPING = {
     "run.format": "csv",
     "source.mu": "0.2",
     "channel.loss_db": "10.0",
-    "channel.raman_coefficient": "325880067373.3531",
+    "channel.raman_coefficient": "325879974610.5981",
     "channel.classical_power_dbm": "none",
     "detector.efficiency": "0.2",
     "detector.dark_rate_hz": "2500.0",

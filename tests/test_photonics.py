@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,6 +42,9 @@ B1 = math.sqrt(2 - SQRT2) / 2
 QUIET = ChannelModel()  # classical laser off
 IDEAL_DETECTOR = DetectorModel(dark_rate_hz=0.0, jitter_fwhm_ps=0.0)
 SOURCE = SourceModel()
+# A faint source: the first click then reads single photons, and the closed
+# forms reach their one-photon limits.
+FAINT = SourceModel(mu=1e-6)
 
 
 class TestPulseTrain:
@@ -133,6 +137,17 @@ class TestRamanRate:
         assert expected_p_z("2,2", SOURCE, loud, DetectorModel()) == 0.5
         assert expected_p_z("2,2", SOURCE, saturated, DetectorModel()) == 0.5
 
+    def test_tiny_coefficient_brings_huge_power_back_into_range(self):
+        """10 ** 317 overflows a float, but 1e-310 times it is about 1e7 Hz:
+        a rate, not noise in every cell."""
+        exact = float(Fraction(1e-310) * 10**317)
+        assert raman_rate(3200.0, 1e-310) == pytest.approx(exact, rel=1e-9)
+        channel = ChannelModel(loss_db=400.0, raman_coefficient=1e-310, classical_power_dbm=3200.0)
+        train = build_pulse_train(Message((0, 0), 2), "2,2")
+        no_click = z_click_distribution(train, SOURCE, channel, IDEAL_DETECTOR).no_click_probability
+        assert no_click == pytest.approx(math.exp(-exact * BIN_SPACING_PS * 1e-12), rel=1e-9)
+        assert 0.99 < no_click < 0.995
+
 
 class TestJitterWindow:
     @pytest.mark.parametrize("n_bins", [2, 4])
@@ -163,12 +178,17 @@ class TestJitterWindow:
     loss=st.floats(0.0, 60.0),
 )
 def test_jitter_never_pushes_p_z_below_guessing(protocol, jitter, power, loss):
-    """However wide the jitter, the arrival time is never worse than a guess
-    over the alphabet: jitter can only spread a bin's mass, not reverse it."""
-    p_z = expected_p_z(
-        protocol, SOURCE, ChannelModel(loss_db=loss, classical_power_dbm=power), DetectorModel(jitter_fwhm_ps=jitter)
+    """However wide the jitter, neither arm is ever worse than a guess over
+    its alphabet: jitter can only spread a slot's mass, not reverse it."""
+    cfg = SimulationConfig(
+        protocol=protocol,
+        channel=ChannelModel(loss_db=loss, classical_power_dbm=power),
+        detector=DetectorModel(jitter_fwhm_ps=jitter),
     )
-    assert p_z >= (0.5 if protocol == "2,2" else 0.25) - 1e-9
+    expected = expected_estimates(cfg)
+    assert expected["p_z"] >= (0.5 if protocol == "2,2" else 0.25) - 1e-9
+    if protocol == "2,2":
+        assert expected["p_x"] >= 0.5 - 1e-9
 
 
 @pytest.mark.parametrize(
@@ -197,8 +217,11 @@ def test_public_helpers_reject_nan(call, argument):
 
 class TestZClickDistribution:
     def test_noiseless_conditional_matches_encoding(self):
+        # the earlier bin wins a two-bin round, which lifts one message's
+        # conditional by about A B m / 2 for a detected mean m; mu = 1e-10
+        # makes that 6e-14 (at mu = 1e-6 it is 6e-10)
         train = build_pulse_train(Message((0, 0), 2), "2,2")
-        dist = z_click_distribution(train, SOURCE, QUIET, IDEAL_DETECTOR)
+        dist = z_click_distribution(train, SourceModel(mu=1e-10), QUIET, IDEAL_DETECTOR)
         assert dist.conditional()[0] == pytest.approx(0.8535533905932737, abs=1e-12)
 
     def test_dark_counts_only_are_uniformish(self):
@@ -228,21 +251,21 @@ class TestZClickDistribution:
         expected = np.array(
             [w[0] * (1 - 2 * leak) + w[1] * leak, w[1] * (1 - 2 * leak) + w[0] * leak]
         )
-        dist = z_click_distribution(train, SOURCE, QUIET, det)
+        dist = z_click_distribution(train, FAINT, QUIET, det)
         assert np.allclose(dist.conditional(), expected / expected.sum(), atol=1e-12)
 
 
 class TestXClickDistribution:
     def test_perfect_visibility(self):
         train = build_pulse_train(Message((0, 0), 2), "2,2")
-        dist = x_click_distribution(train, DliModel(visibility=1.0), SOURCE, QUIET, IDEAL_DETECTOR)
+        dist = x_click_distribution(train, DliModel(visibility=1.0), FAINT, QUIET, IDEAL_DETECTOR)
         cond = dist.conditional()
         conclusive = cond[2] + cond[3]
         assert cond[2] / conclusive == pytest.approx(0.8535533905932737, abs=1e-12)
 
     def test_default_visibility(self):
         train = build_pulse_train(Message((0, 0), 2), "2,2")
-        dist = x_click_distribution(train, DliModel(), SOURCE, QUIET, IDEAL_DETECTOR)
+        dist = x_click_distribution(train, DliModel(), FAINT, QUIET, IDEAL_DETECTOR)
         cond = dist.conditional()
         expected = 0.5 + 0.45 / SQRT2  # (1 + 2 a b V) / 2 with 2 a b = 1/sqrt(2)
         assert cond[2] / (cond[2] + cond[3]) == pytest.approx(expected, abs=1e-12)
@@ -268,47 +291,125 @@ class TestXClickDistribution:
         assert total == pytest.approx(1.0, abs=1e-14)
 
 
-class TestFirstClickModel:
-    """Independent oracle for the per-round click distributions.
+def sample_first_clicks(rng, rounds, mean, field, interferometer, sigma_ps, noise):
+    """Cell of the first click of each of ``rounds`` rounds of one train in
+    one arm, or -1 for no click, photon by photon.
 
-    Simulates the raw event model directly (one signal photon placed by
-    weight, independent noise per cell, earliest click wins) and compares
-    the frequencies with the closed form used by the sampler, at noise
-    levels high enough that coincidences are common.
+    Each bin sends a Poisson number of photons, mean ``mean`` times its
+    intensity.  In the interferometer, at visibility 0, each photon takes
+    the short path or the one-slot-late long path and either port at random.
+    Its arrival time is off by a Gaussian error, and it clicks in the slot
+    whose spacing-wide window holds that time, if any.  Each cell also
+    fires on a Poisson count of noise.  The earliest slot wins; when both of
+    its ports fired, a fair coin picks one.
     """
+    n_bins = len(field)
+    slots, ports = n_bins + interferometer, 1 + interferometer
+    photons = rng.poisson(mean * np.square(field), size=(rounds, n_bins)).ravel()
+    which_round = np.repeat(np.arange(rounds).repeat(n_bins), photons)
+    slot = np.repeat(np.tile(np.arange(n_bins), rounds), photons).astype(float)
+    if interferometer:
+        slot += rng.integers(0, 2, slot.size)
+    port = rng.integers(0, ports, slot.size)
+    slot = np.floor(slot + rng.normal(0.0, sigma_ps / BIN_SPACING_PS, slot.size) + 0.5)
+    inside = (slot >= 0) & (slot < slots)
+    fired = rng.poisson(noise, size=(rounds, slots, ports)) > 0
+    fired[which_round[inside], slot[inside].astype(int), port[inside]] = True
+    any_port = fired.any(axis=2)
+    first = any_port.argmax(axis=1)
+    in_first = fired[np.arange(rounds), first]
+    coin = rng.integers(0, ports, rounds)
+    chosen = np.where(in_first.all(axis=1), coin, in_first.argmax(axis=1))
+    return np.where(any_port.any(axis=1), first * ports + chosen, -1)
+
+
+class TestFirstClickModel:
+    """Independent oracles for the per-round click distributions: the raw
+    event model, cell by cell against ``_first_click_probabilities`` and
+    photon by photon (``sample_first_clicks``) against the (message, cell)
+    table the sampler draws from."""
 
     @pytest.mark.parametrize(
-        "signal_p,weights,noise",
+        "mean,weights,noise",
         [
-            (0.3, [0.5, 0.3, 0.15], [0.1, 0.2, 0.05]),
-            (0.9, [0.2, 0.2, 0.2, 0.2], [0.3, 0.3, 0.3, 0.3]),
-            (0.002, [0.8535, 0.1465], [4e-4, 4e-4]),
+            # one port, three slots
+            (0.3, [[0.5], [0.3], [0.15]], [[0.1], [0.2], [0.05]]),
+            # two ports: same-slot double clicks are common
+            (0.9, [[0.2, 0.2], [0.2, 0.2]], [[0.3, 0.3], [0.3, 0.3]]),
+            (0.002, [[0.8535], [0.1465]], [[4e-4], [4e-4]]),
         ],
     )
-    def test_against_event_level_simulation(self, signal_p, weights, noise):
+    def test_against_event_level_simulation(self, mean, weights, noise):
+        """Cell by cell: each (slot, port) cell fires on a Poisson count of
+        mean ``mean * weight + noise``; the earliest slot wins and a fair
+        coin splits a same-slot double click."""
         from qracsim.photonics import _first_click_probabilities
 
         weights = np.asarray(weights, dtype=float)
         noise = np.asarray(noise, dtype=float)
-        cells = weights.size
-        closed, closed_no_click = _first_click_probabilities(signal_p, np.cumsum(weights), noise)
+        slots, ports = weights.shape
+        closed, closed_no_click = _first_click_probabilities(mean, weights, noise)
 
         rng = np.random.default_rng(2718)
         n = 400_000
-        thresholds = signal_p * np.cumsum(weights)
-        signal_cell = np.searchsorted(thresholds, rng.random(n), side="right")
-        fired = rng.random((n, cells)) < noise
-        has_noise = fired.any(axis=1)
-        first_noise = np.where(has_noise, fired.argmax(axis=1), cells)
-        earliest = np.minimum(signal_cell, first_noise)
+        fired = rng.poisson(mean * weights + noise, size=(n, slots, ports)) > 0
+        any_port = fired.any(axis=2)
+        first = any_port.argmax(axis=1)
+        in_first = fired[np.arange(n), first]
+        coin = rng.integers(0, ports, n)
+        chosen = np.where(in_first.all(axis=1), coin, in_first.argmax(axis=1))
+        cells = (first * ports + chosen)[any_port.any(axis=1)]
 
-        counts = np.bincount(earliest[earliest < cells], minlength=cells)
+        counts = np.bincount(cells, minlength=slots * ports)
         observed_no_click = n - counts.sum()
-        for k in range(cells):
+        for k in range(slots * ports):
             sigma = math.sqrt(max(closed[k] * (1 - closed[k]), 1e-12) / n)
             assert counts[k] / n == pytest.approx(closed[k], abs=5 * sigma + 1e-9)
         sigma = math.sqrt(max(closed_no_click * (1 - closed_no_click), 1e-12) / n)
         assert observed_no_click / n == pytest.approx(closed_no_click, abs=5 * sigma + 1e-9)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        protocol=st.sampled_from(["2,2", "2,4"]),
+        mu=st.floats(1e-3, 50.0),
+        jitter=st.floats(0.0, 10_000.0),
+        dark=st.floats(0.0, 1e9),
+        power=st.none() | st.floats(-40.0, 0.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_trial_table_against_photon_sampler(self, protocol, mu, jitter, dark, power, seed):
+        """Each message's cell and no-click frequencies in each arm, from
+        photons placed one by one, sit within 5 sigma of the exact (message,
+        cell) table at loss 0, efficiency 1 and visibility 0."""
+        from qracsim.photonics import _trial_distribution
+
+        cfg = SimulationConfig(
+            protocol=protocol,
+            source=SourceModel(mu=mu),
+            channel=ChannelModel(loss_db=0.0, classical_power_dbm=power),
+            detector=DetectorModel(efficiency=1.0, dark_rate_hz=dark, jitter_fwhm_ps=jitter),
+            dli=DliModel(visibility=0.0),
+        )
+        p, no_click_z, no_click_x = _trial_distribution(cfg)
+        raman_hz = 0.0 if power is None else cfg.channel.raman_coefficient * 10.0 ** ((power - 30.0) / 10.0)
+        arms = (False, True) if protocol == "2,2" else (False,)
+        rng = np.random.default_rng(seed)
+        rounds = 8_000
+        for row, message in enumerate(protocol_messages(protocol)):
+            field = [a * math.cos(phase) for a, phase in build_pulse_train(message, protocol).bins]
+            start = 0
+            for interferometer, no_click in zip(arms, (no_click_z, no_click_x)):
+                noise = (dark + 0.5 / (1 + interferometer) * raman_hz) * BIN_SPACING_PS * 1e-12
+                sigma = cfg.detector.jitter_sigma_ps
+                cells = sample_first_clicks(rng, rounds, mu / 2.0, field, interferometer, sigma, noise)
+                clicked = cells[cells >= 0]
+                assert_binomial(rounds - clicked.size, rounds, no_click[row], f"no click of {message.label}")
+                conditional = p[row, start : start + (len(field) + interferometer) * (1 + interferometer)]
+                conditional = conditional / conditional.sum()
+                counts = np.bincount(clicked, minlength=conditional.size)
+                for cell, (count, q) in enumerate(zip(counts, conditional)):
+                    assert_binomial(int(count), clicked.size, min(float(q), 1.0), f"cell {cell} of {message.label}")
+                start += conditional.size
 
 
 class TestSimulateTrial:
@@ -396,10 +497,16 @@ class TestSimulateTrial:
 
     @pytest.mark.parametrize("protocol", ["2,2", "2,4"])
     def test_ideal_closed_forms_meet_exact_engine(self, protocol):
-        """Without noise, jitter or fringe loss the closed forms are the exact
-        engine's optimal success probabilities, not only within sampling error."""
+        """Without noise, jitter or fringe loss the closed forms tend to the
+        exact engine's optimal success probabilities as mu goes to 0, not
+        only within sampling error.  p_m1 and p_m2 approach theirs linearly
+        in mu (7e-10 off at mu = 1e-6), so the source is fainter still."""
         cfg = SimulationConfig(
-            protocol=protocol, channel=QUIET, detector=IDEAL_DETECTOR, dli=DliModel(visibility=1.0)
+            protocol=protocol,
+            source=SourceModel(mu=1e-10),
+            channel=QUIET,
+            detector=IDEAL_DETECTOR,
+            dli=DliModel(visibility=1.0),
         )
         closed = expected_estimates(cfg)
         if protocol == "2,2":
@@ -586,11 +693,41 @@ class TestClosedFormCurves:
 
     def test_p_z_stays_defined_where_phase_arm_saturates(self):
         # noise fires in the first bin and the first phase-arm slot of every
-        # round: p_z is a coin flip, p_x has no conclusive mass
-        channel = ChannelModel(classical_power_dbm=30.0)
+        # round: p_z is a coin flip, p_x has no conclusive mass (the chance
+        # of a silent first slot, exp(-1304), is 0 in floating point)
+        channel = ChannelModel(classical_power_dbm=40.0)
         assert expected_p_z("2,2", SOURCE, channel, DetectorModel()) == 0.5
         with pytest.raises(ValueError, match=r"^p_x can never be conclusive"):
             expected_p_x(SOURCE, channel, DetectorModel(), DliModel())
+
+    def test_phase_arm_nearly_saturated_at_thirty_dbm(self):
+        """At 30 dBm the first phase-arm slot stays silent with probability
+        about 1e-57: p_x has a closed form, a coin flip, but no trial of any
+        practical length sees a conclusive round."""
+        cfg = SimulationConfig(channel=ChannelModel(classical_power_dbm=30.0))
+        expected = expected_estimates(cfg)
+        assert expected["p_z"] == 0.5
+        assert expected["p_x"] == pytest.approx(0.5, abs=1e-12)
+        from qracsim.photonics import _protocol, _trial_distribution
+
+        conclusive = (_trial_distribution(cfg)[0] * _protocol("2,2").masks[1, 1]).sum()
+        assert 0.0 < conclusive < 1e-50
+        res = simulate_trial(replace(cfg, rounds=1_000))
+        assert sum(t.conclusive for t in res.x_tallies.values()) == 0
+        assert math.isnan(res.p_x)
+
+    def test_multi_photon_closed_form(self):
+        """With every photon detected and no noise or jitter, the earlier bin
+        wins a round whenever it holds a photon: at mean m = mu / 2 per arm,
+        p_z = (1 - e^{-mA}) (1 + e^{-mB}) / (2 (1 - e^{-m}))."""
+        mu, a, b = 5.0, A1**2, B1**2
+        m = mu / 2.0
+        closed = (1 - math.exp(-m * a)) * (1 + math.exp(-m * b)) / (2 * (1 - math.exp(-m)))
+        p_z = expected_p_z("2,2", SourceModel(mu=mu), ChannelModel(loss_db=0.0), DetectorModel(
+            efficiency=1.0, dark_rate_hz=0.0, jitter_fwhm_ps=0.0
+        ))
+        assert p_z == pytest.approx(closed, abs=1e-12)
+        assert p_z == pytest.approx(0.81323, abs=1e-5)
 
     def test_calibrator_is_reproducible(self):
         assert calibrate_raman_coefficient() == DEFAULT_RAMAN_COEFFICIENT
@@ -629,8 +766,8 @@ class TestModelValidation:
             ("2,4", ChannelModel(loss_db=4000), DetectorModel(dark_rate_hz=0), simulate_trial, UNCLICKABLE),
             # noise fires in the first phase-arm slot of every round, so the
             # interfering slot is never reached: p_x has no conclusive mass
-            ("2,2", ChannelModel(classical_power_dbm=30.0), DetectorModel(), simulate_trial, SATURATED),
-            ("2,2", ChannelModel(), DetectorModel(dark_rate_hz=1e11), expected_estimates, SATURATED),
+            ("2,2", ChannelModel(classical_power_dbm=40.0), DetectorModel(), simulate_trial, SATURATED),
+            ("2,2", ChannelModel(), DetectorModel(dark_rate_hz=1e12), expected_estimates, SATURATED),
         ],
         ids=["2,2", "2,4", "saturated-simulate_trial", "saturated-expected_estimates"],
     )
@@ -663,53 +800,60 @@ def test_simulation_config_integers(changes, error, message):
         SimulationConfig(**changes)
 
 
-# The per-message loop that built the trial table before it was batched,
-# kept as an oracle: one train per message, its jitter weights, then the
-# scalar first-click loop of each arm.
-def _looped_first_click(signal_prob, weights, noise):
-    cumulative = np.concatenate(([0.0], np.cumsum(weights)))
-    probs = np.empty(weights.size)
-    prefix = 1.0
-    for k in range(weights.size):
-        before = 1.0 - signal_prob * cumulative[k]
-        through = 1.0 - signal_prob * cumulative[k + 1]
-        probs[k] = prefix * (before - (1.0 - noise) * through)
-        prefix *= 1.0 - noise
-    return probs, prefix * (1.0 - signal_prob * cumulative[-1])
+# The per-message loop that builds the trial table, kept as an oracle: each
+# message's cell intensities written out from its arm's optics, then the
+# first-click rule slot by slot.  It takes exp and expm1 from numpy, whose
+# scalar calls round as its array calls do; math's may round otherwise.
+def _looped_intensities(field, interferometer, cfg):
+    if interferometer:   # a short path and a long one a slot late, on two ports
+        short, late = [0.5 * a for a in field] + [0.0], [0.0] + [0.5 * a for a in field]
+        raw = []
+        for s, l in zip(short, late):
+            row = []
+            for ps, pl in ((s, l), (s, -l)):
+                incoherent = ps * ps + pl * pl
+                row.append(incoherent + cfg.dli.visibility * ((ps + pl) * (ps + pl) - incoherent))
+            raw.append(row)
+    else:
+        raw = [[a * a] for a in field]
+    window = _jitter_window(cfg.detector.jitter_sigma_ps, len(raw))
+    slots, ports = range(len(raw)), range(len(raw[0]))
+    return [[sum(raw[i][k] * window[i, j] for i in slots) for k in ports] for j in slots]
 
 
-def _looped_arm(weights, noise_share, cfg):
+def _looped_first_click(mean, intensities, noise):
+    probs, silent = [], 0.0   # log P(no click before the slot)
+    for slot in intensities:
+        logs = [-noise - mean * i for i in slot]
+        fires = [-np.expm1(v) for v in logs]
+        both = sum(fires)
+        probs += [np.exp(silent) * (f * (1.0 - (both - f) / 2.0)) for f in fires]
+        silent += sum(logs)
+    return np.array(probs), np.exp(silent)
+
+
+def _looped_arm(intensities, cfg):
     mean_detected = cfg.source.mu * cfg.channel.transmission * cfg.detector.efficiency * 0.5
     power = cfg.channel.classical_power_dbm
     raman_hz = 0.0 if power in (None, -math.inf) else cfg.channel.raman_coefficient * 10.0 ** ((power - 30.0) / 10.0)
-    rate_hz = cfg.detector.dark_rate_hz + noise_share * raman_hz
-    noise = 1.0 - math.exp(-rate_hz * BIN_SPACING_PS * 1e-12)
-    probs, no_click = _looped_first_click(1.0 - math.exp(-mean_detected), weights, noise)
+    rate_hz = cfg.detector.dark_rate_hz + 0.5 / len(intensities[0]) * raman_hz
+    probs, no_click = _looped_first_click(mean_detected, intensities, rate_hz * BIN_SPACING_PS * 1e-12)
     return probs / probs.sum(), no_click
 
 
 def looped_trial_distribution(cfg):
     messages = protocol_messages(cfg.protocol)
-    two_basis = cfg.protocol == "2,2"
-    arm = 0.5 if two_basis else 1.0
-    rows, no_click_z, no_click_x = [], [], []
+    arms = (False, True) if cfg.protocol == "2,2" else (False,)
+    rows, no_clicks = [], ([], [])
     for message in messages:
-        train = build_pulse_train(message, cfg.protocol)
-        window = _jitter_window(cfg.detector.jitter_sigma_ps, train.n_bins)
-        # summed bin by bin as the batched table is: a matrix product may round otherwise
-        z, no_click = _looped_arm((train.amplitudes[:, None] ** 2 * window).sum(axis=0), 0.5, cfg)
-        rows.append(arm * z)
-        no_click_z.append(no_click)
-        if two_basis:
-            (a, phase_a), (b, phase_b) = train.bins
-            fringe = 2.0 * a * b * cfg.dli.visibility * math.cos(phase_b - phase_a)
-            weights = np.array(
-                [a * a / 4.0, a * a / 4.0, (1.0 + fringe) / 4.0, (1.0 - fringe) / 4.0, b * b / 4.0, b * b / 4.0]
-            )
-            x, no_click = _looped_arm(weights, 0.25, cfg)
-            rows[-1] = np.concatenate((rows[-1], arm * x))
-            no_click_x.append(no_click)
-    return np.array(rows) / len(messages), no_click_z, no_click_x
+        field = [a * math.cos(p) for a, p in build_pulse_train(message, cfg.protocol).bins]
+        row = []
+        for interferometer, no_click_of_arm in zip(arms, no_clicks):
+            probs, no_click = _looped_arm(_looped_intensities(field, interferometer, cfg), cfg)
+            row.append((1.0 / len(arms)) * probs)
+            no_click_of_arm.append(no_click)
+        rows.append(np.concatenate(row))
+    return np.array(rows) / len(messages), np.array(no_clicks[0]), np.array(no_clicks[1])
 
 
 @st.composite
@@ -753,6 +897,47 @@ def test_trial_table_matches_per_message_loop(cfg):
         if two_basis:
             x = x_click_distribution(train, cfg.dli, cfg.source, cfg.channel, cfg.detector)
             assert np.array_equal(row[n_bins:], arm * x.conditional() / n_msg)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cfg=table_configs())
+def test_cell_and_no_click_mass_sum_to_one(cfg):
+    from qracsim.photonics import _arm_click_probabilities, _trial_intensities
+
+    for intensities in _trial_intensities(cfg.protocol, cfg.dli.visibility, cfg.detector.jitter_sigma_ps):
+        probs, no_click = _arm_click_probabilities(intensities, cfg.source, cfg.channel, cfg.detector)
+        assert np.abs(probs.sum(axis=-1) + no_click - 1.0).max() <= 1e-14
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cfg=table_configs(), rate=st.floats(1.0, 1e9), more=st.floats(0.0, 1e9))
+def test_success_never_rises_with_noise(cfg, rate, more):
+    """More dark counts in every cell never raise p_z or p_x (some dark
+    counts keep a receiver that no signal reaches clickable)."""
+    def estimates(dark_rate_hz):
+        return expected_estimates(replace(cfg, detector=replace(cfg.detector, dark_rate_hz=dark_rate_hz)))
+
+    quiet, noisy = estimates(rate), estimates(rate + more)
+    for name in ("p_z", "p_x") if cfg.protocol == "2,2" else ("p_z",):
+        assert noisy[name] <= quiet[name] + 1e-12, name
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cfg=table_configs())
+def test_pi_phase_is_a_port_swap(cfg):
+    """A pi phase on the second bin swaps the interferometer's ports cell for
+    cell, so a state and its partner have the same p_x; with the same-slot
+    split the states that swap the bins agree too (up to the rounding of
+    each row's normalisation)."""
+    cfg = replace(cfg, protocol="2,2")
+    models = (cfg.dli, cfg.source, cfg.channel, cfg.detector)
+    for x1 in range(2):
+        zero, pi = (build_pulse_train(Message((x1, x2), 2), "2,2") for x2 in range(2))
+        cells = x_click_distribution(zero, *models).cell_probabilities.reshape(3, 2)
+        assert np.array_equal(cells[:, ::-1], x_click_distribution(pi, *models).cell_probabilities.reshape(3, 2))
+    state_p_x = expected_estimates(cfg)["state_p_x"]
+    for label in ("01", "10", "11"):
+        assert state_p_x[label] == pytest.approx(state_p_x["00"], rel=1e-14)
 
 
 @pytest.mark.parametrize("protocol", ["2,2", "2,4"])
@@ -815,11 +1000,10 @@ def test_counts_follow_stream_contract(workers):
 def test_cached_weights_follow_every_weight_field():
     """A trial's table after other configs have filled the weight caches is
     bit for bit the table built cold, for configs one weight field apart."""
-    from qracsim.photonics import _trial_distribution, _trial_x_cumulative, _trial_z_cumulative
+    from qracsim.photonics import _trial_distribution, _trial_intensities
 
     def cold(cfg):
-        _trial_z_cumulative.cache_clear()
-        _trial_x_cumulative.cache_clear()
+        _trial_intensities.cache_clear()
         return _trial_distribution(cfg)
 
     base = SimulationConfig(channel=ChannelModel(classical_power_dbm=-25.0))
