@@ -314,37 +314,35 @@ def _arm_intensities(transfer: np.ndarray, fields: np.ndarray, visibility: float
     return intensities
 
 
-def _first_click_probabilities(mean: float, intensities: np.ndarray, noise: float) -> tuple[np.ndarray, np.ndarray]:
+def _first_click_probabilities(mean: float, intensities: np.ndarray, noise) -> tuple[np.ndarray, np.ndarray]:
     """Exact distribution of the earliest click over an arm's (slot, port)
     cells, the last two axes of ``intensities``.
 
     Coherent light puts an independent Poisson number of photons in each
     cell: cell k stays silent with probability exp(-noise - mean I_k),
-    ``noise`` being a cell's mean noise count.  Slots are read in time
-    order; the ports of one slot click at once, and a double click is split
-    evenly, so port p takes f_p (1 - f_other / 2), with f = -expm1(log of
-    the silence), which keeps the digits of a small mean.  Returns the
-    time-major cell probabilities and the no-click probability of every row;
-    together they sum to 1 up to rounding.
+    ``noise`` being a cell's mean noise count; a padding cell, with neither,
+    adds 0 to every sum.  Slots are read in time order; the ports of one
+    slot click at once, and a double click is split evenly, so port p takes
+    f_p (1 - f_other / 2), with f = -expm1(log of the silence), which keeps
+    the digits of a small mean.  Returns the time-major cell probabilities
+    and the no-click probability of every row (a scalar for one row).
     """
     log_silent = -noise - mean * intensities
     fire = -np.expm1(log_silent)
-    split = fire * (1.0 - (fire.sum(axis=-1, keepdims=True) - fire) / 2.0)
-    silent_through = np.cumsum(log_silent.sum(axis=-1), axis=-1)   # log P(no click up to slot s)
-    reached = np.exp(np.concatenate((np.zeros_like(silent_through[..., :1]), silent_through[..., :-1]), axis=-1))
-    probs = reached[..., None] * split
-    return probs.reshape(*probs.shape[:-2], -1), np.exp(silent_through[..., -1])
+    split = fire * (1.0 - (np.add.reduce(fire, axis=-1, keepdims=True) - fire) / 2.0)
+    log_reached = np.zeros((*log_silent.shape[:-2], log_silent.shape[-2] + 1))
+    np.add.accumulate(np.add.reduce(log_silent, axis=-1), axis=-1, out=log_reached[..., 1:])
+    reached = np.exp(log_reached)   # P(no click before slot s), then P(no click at all)
+    return (reached[..., :-1, None] * split).reshape(*reached.shape[:-1], -1), reached[..., -1][()]
 
 
-def _arm_click_probabilities(
-    intensities: np.ndarray, source: SourceModel, channel: ChannelModel, detector: DetectorModel
-) -> tuple[np.ndarray, np.ndarray]:
-    """First-click distributions of an arm whose (slot, port) cells take the
-    signal by ``intensities`` and, each, dark counts plus its port's share
-    of the arm's half of the channel's scattering noise, collected over one
-    ``BIN_SPACING_PS``."""
+def _click_rates(source: SourceModel, channel: ChannelModel, detector: DetectorModel, transfers) -> tuple:
+    """Mean detected signal of a train in one arm, and the mean noise count
+    of a cell of each arm with one of ``transfers``: dark counts plus its
+    port's share of the arm's half of the channel's scattering noise,
+    collected over one ``BIN_SPACING_PS``."""
     # Factor 1/2 from the passive 50:50 basis-choice splitter.
-    mean_detected = source.mu * channel.transmission * detector.efficiency * 0.5
+    mean = source.mu * channel.transmission * detector.efficiency * 0.5
     # Scattering noise is linear in the classical power; 0 when the laser is off.
     power, raman_hz = channel.classical_power_dbm, 0.0
     if power is not None and power > -math.inf and channel.raman_coefficient > 0.0:
@@ -353,17 +351,17 @@ def _arm_click_probabilities(
         except OverflowError:   # the power alone passes float range: take the product in logs
             log_hz = math.log(channel.raman_coefficient) + (power - 30.0) / 10.0 * math.log(10.0)
             raman_hz = math.exp(log_hz) if log_hz < math.log(sys.float_info.max) else math.inf
-    rate_hz = detector.dark_rate_hz + 0.5 / intensities.shape[-1] * raman_hz
-    return _first_click_probabilities(mean_detected, intensities, rate_hz * BIN_SPACING_PS * 1e-12)
+    return mean, [(detector.dark_rate_hz + 0.5 / t.shape[1] * raman_hz) * BIN_SPACING_PS * 1e-12 for t in transfers]
 
 
-def _conditional(probabilities: np.ndarray, arm: str) -> np.ndarray:
-    """Outcome distribution given that the arm clicked at all, per row."""
-    total = probabilities.sum(axis=-1, keepdims=True)
+def _conditional(probabilities: np.ndarray, *arms: str) -> np.ndarray:
+    """Outcome distribution given that the arm clicked at all, per row;
+    ``probabilities`` holds the rows of each of the named ``arms`` in turn."""
+    total = np.add.reduce(probabilities, axis=-1, keepdims=True)
     if (total <= 0.0).any():
         raise ValueError(
-            f"the {arm} arm can never click (total click probability 0): "
-            "lower channel.loss_db or raise detector.dark_rate_hz"
+            f"the {arms[(total <= 0.0).reshape(len(arms), -1).any(axis=1).argmax()]} arm can never click "
+            "(total click probability 0): lower channel.loss_db or raise detector.dark_rate_hz"
         )
     return probabilities / total
 
@@ -391,8 +389,10 @@ def z_click_distribution(
     (``_jitter_window``); every bin additionally sees dark counts plus half
     the channel's scattering noise (the other half goes to the phase arm).
     """
-    intensities = _arm_intensities(_arrival_time_map(train.n_bins), train.fields, 1.0, detector.jitter_sigma_ps)
-    return ZClickDistribution(*_arm_click_probabilities(intensities, source, channel, detector))
+    transfer = _arrival_time_map(train.n_bins)
+    mean, (noise,) = _click_rates(source, channel, detector, [transfer])
+    intensities = _arm_intensities(transfer, train.fields, 1.0, detector.jitter_sigma_ps)
+    return ZClickDistribution(*_first_click_probabilities(mean, intensities, noise))
 
 
 @dataclass(frozen=True)
@@ -424,7 +424,8 @@ def x_click_distribution(
     if train.n_bins != 2:
         raise ValueError("the phase measurement reads two-bin trains only")
     intensities = _arm_intensities(_DLI_MAP, train.fields, dli.visibility, detector.jitter_sigma_ps)
-    return XClickDistribution(*_arm_click_probabilities(intensities, source, channel, detector))
+    mean, (noise,) = _click_rates(source, channel, detector, [_DLI_MAP])
+    return XClickDistribution(*_first_click_probabilities(mean, intensities, noise))
 
 
 @dataclass(frozen=True)
@@ -469,13 +470,13 @@ class BasisTally:
         return self.conclusive + self.inconclusive
 
 
-def _require_conclusive_mass(name: str, conclusive: float) -> None:
-    """Reject an estimand whose conclusive cells have probability 0: noise
-    fires before them in every round, so no count of rounds estimates it."""
-    if conclusive == 0.0:
+def _require_conclusive_mass(name: str, conclusive: float, reachable: bool) -> None:
+    """Reject an estimand whose conclusive cells are not ``reachable``: noise
+    fires before them in (nearly) every round, so no count of rounds will do."""
+    if not reachable:
         raise ValueError(
-            f"{name} can never be conclusive (conclusive probability 0): noise clicks first in every "
-            "round; lower detector.dark_rate_hz or channel.classical_power_dbm"
+            f"{name} can never be conclusive (conclusive probability {conclusive:.3g} per round): noise clicks "
+            "first in (nearly) every round; lower detector.dark_rate_hz or channel.classical_power_dbm"
         )
 
 
@@ -569,11 +570,21 @@ class TrialResult:
 
 @lru_cache(maxsize=64)
 def _trial_intensities(protocol: str, visibility: float, sigma_ps: float) -> tuple[np.ndarray, ...]:
-    """Cell intensities of every message of the protocol, one array per
-    receiver arm: the part of a trial that neither the source nor the
-    channel enters, so a sweep over classical power builds it once."""
+    """What of a trial neither the source nor the channel enters, so a power
+    sweep builds it once, read-only: every arm's and message's intensities,
+    zero-padded to one (arm, message, slot, port) stack; each padded cell's
+    arm from 1, 0 on padding; the real cells' flat index as (message, cell)."""
     record = _protocol(protocol)
-    return tuple(_arm_intensities(t, record.fields, visibility, sigma_ps) for t in record.transfers)
+    arms = [_arm_intensities(t, record.fields, visibility, sigma_ps) for t in record.transfers]
+    stack = np.zeros((len(arms), *np.max([a.shape for a in arms], axis=0)))
+    owner = np.zeros((len(arms), 1, *stack.shape[2:]), dtype=np.intp)
+    for k, arm in enumerate(arms):
+        stack[k, :, : arm.shape[1], : arm.shape[2]], owner[k, :, : arm.shape[1], : arm.shape[2]] = arm, k + 1
+    flat = np.arange(stack.size).reshape(stack.shape).swapaxes(0, 1)
+    real = flat[np.broadcast_to(owner, stack.shape).swapaxes(0, 1) > 0].reshape(len(record.messages), -1)
+    for array in (stack, owner, real):
+        array.flags.writeable = False
+    return stack, owner, real
 
 
 def _trial_distribution(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -581,18 +592,17 @@ def _trial_distribution(config: SimulationConfig) -> tuple[np.ndarray, np.ndarra
 
     ``p[message, cell] = (1/n_msg) * P(arm) * conditional[cell]``: a uniform
     message, the passive 50:50 arm choice (P(arm) = 1 for the z-only 2,4
-    receiver), then the arm's conditional-on-click distribution.  Every
-    message row is built at once, one pass per arm, from the cached cell
-    intensities of that arm.  Also returns the per-message no-click
-    probabilities of each arm (none for the absent x arm of 2,4).
+    receiver), then the arm's conditional-on-click distribution: one pass
+    over ``_trial_intensities``, each arm's noise placed by index so padding
+    stays 0.  Also returns the per-message no-click probabilities of each
+    arm (none for the absent x arm of 2,4).
     """
-    intensities = _trial_intensities(config.protocol, config.dli.visibility, config.detector.jitter_sigma_ps)
-    arms, no_clicks = [], [np.empty(0)] * 2
-    for k, (name, arm) in enumerate(zip(("arrival-time", "phase"), intensities)):
-        probs, no_clicks[k] = _arm_click_probabilities(arm, config.source, config.channel, config.detector)
-        arms.append(_conditional(probs, name))
-    p = (1.0 / len(arms)) * np.concatenate(arms, axis=-1)
-    return p / len(p), *no_clicks
+    record = _protocol(config.protocol)
+    stack, owner, real = _trial_intensities(config.protocol, config.dli.visibility, config.detector.jitter_sigma_ps)
+    mean, noise = _click_rates(config.source, config.channel, config.detector, record.transfers)
+    probs, no_click = _first_click_probabilities(mean, stack, np.array([0.0, *noise])[owner])
+    p = (1.0 / len(noise)) * _conditional(probs, *("arrival-time", "phase")[: len(noise)]).take(real)
+    return p / len(p), *no_click, *[np.empty(0)] * (2 - len(noise))
 
 
 class _StreamKey:
@@ -600,10 +610,13 @@ class _StreamKey:
     sequence that returns it: ``Philox(key=...)`` would also build a
     ``SeedSequence()`` from OS entropy that it never uses.  It is registered
     as an ``ISeedSequence`` on first use, not subclassed, so that importing
-    the package leaves numpy.random unloaded."""
+    the package leaves numpy.random unloaded.  ``state`` is a new Philox's on
+    this key (counter 0, empty buffer): setting it re-keys one to the stream."""
 
     def __init__(self, key: np.ndarray):
-        self.key = key
+        self.key, zeros = key, np.zeros(4, np.uint64)
+        self.state = dict(bit_generator="Philox", state=dict(counter=zeros, key=key), buffer=zeros, buffer_pos=4,
+                          has_uint32=0, uinteger=0)
 
     def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
         return self.key
@@ -626,25 +639,27 @@ def simulate_trial(config: SimulationConfig) -> TrialResult:
     (message, cell) table of outcome probabilities.  The rounds are split
     into ``workers`` stream partitions, run one after another: each draws
     its share of the counts from its own Philox stream keyed by
-    (seed, worker), so a rerun with the same seed and worker count is
-    bit-identical.  Every estimate is the correct-cell count over the
-    conclusive-cell count of its masks, all taken in one product of the
-    flattened masks with the counts; ``expected_estimates`` applies the
-    same masks to the cell probabilities.
+    (seed, worker), one Philox re-keyed, so a rerun with the same seed and
+    worker count is bit-identical.  Every estimate is the correct-cell count
+    over the conclusive-cell count of its masks, all taken in one product of
+    the flattened masks with the counts, as ``expected_estimates`` does with
+    the cell probabilities; it raises if 2**63 - 1 rounds expect none.
     """
     record = _protocol(config.protocol)
     p, no_click_z, no_click_x = _trial_distribution(config)
     cells = p.ravel()
     base, extra = divmod(config.rounds, config.workers)
-    counts = sum(   # a partition past the rounds draws none, so it is skipped
-        np.random.Generator(np.random.Philox(_stream_key(config.seed, w))).multinomial(base + (w < extra), cells)
-        for w in range(min(config.workers, config.rounds))
-    )
+    generator = np.random.Generator(np.random.Philox(_stream_key(config.seed, 0)))
+    counts = generator.multinomial(base + (0 < extra), cells)
+    for w in range(1, min(config.workers, config.rounds)):   # a partition past the rounds draws none
+        generator.bit_generator.state = _stream_key(config.seed, w).state
+        counts += generator.multinomial(base + (w < extra), cells)
     totals = record.masks.reshape(-1, cells.size) @ counts
     estimates = {}
     for name, (correct, conclusive) in zip(record.estimands, totals.reshape(-1, 2).tolist()):
         if conclusive == 0:
-            _require_conclusive_mass(name, (p * record.masks[record.estimands.index(name), 1]).sum())
+            mass = (p * record.masks[record.estimands.index(name), 1]).sum()
+            _require_conclusive_mass(name, mass, mass * _MAX_ROUNDS >= 1.0)
         estimates[name], estimates[name + "_err"] = _estimate(correct, conclusive)
     return TrialResult(
         protocol=config.protocol,
@@ -662,7 +677,7 @@ def simulate_trial(config: SimulationConfig) -> TrialResult:
 def _closed_form(name: str, correct: np.ndarray, conclusive: np.ndarray) -> float:
     """Pooled closed form of one estimand from its per-message correct and
     conclusive probabilities; raises if it can never be conclusive."""
-    _require_conclusive_mass(name, conclusive.sum())
+    _require_conclusive_mass(name, conclusive.sum(), conclusive.any())
     return float(_estimate(correct.sum(), conclusive.sum())[0])
 
 

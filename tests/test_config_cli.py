@@ -234,13 +234,15 @@ class TestSweepCommand:
         assert out == ""
         assert "detector.dark_rate_hz or channel.classical_power_dbm" in err and "run.rounds" not in err
 
-    def test_nearly_saturated_phase_arm_blames_rounds(self):
+    def test_nearly_saturated_phase_arm_blames_noise(self):
         # at 30 dBm the interfering slot is reached with probability about
-        # 1e-57: p_x has a closed form, but no practical trial is conclusive
+        # 1e-57: p_x has a closed form, but no trial of at most 2**63 - 1
+        # rounds expects a conclusive round, so more rounds cannot help
         code, out, err = run_cli(["sweep", "--power", "30", "--rounds", "1000"])
         assert code == 2
         assert out == ""
-        assert "p_x had no conclusive rounds out of 1000" in err and "run.rounds" in err
+        assert "p_x can never be conclusive (conclusive probability 1.22e-57 per round)" in err
+        assert "detector.dark_rate_hz or channel.classical_power_dbm" in err and "run.rounds" not in err
 
     def test_delay_mismatch_names_key_and_exits_2(self, tmp_path):
         # the interferometer delay is the bin spacing, so no key sets it

@@ -442,6 +442,19 @@ class TestSimulateTrial:
         # each of the first ten streams draws one round, as with ten workers
         assert many.counts == simulate_trial(SimulationConfig(rounds=10, seed=1, workers=10)).counts
 
+    def test_one_philox_per_trial(self, monkeypatch):
+        """Every partition's stream comes from one Philox, re-keyed, and the
+        counts are still the sum of the partitions' own streams (the
+        stream contract, as ``per_arm_trial`` draws it)."""
+        cfg = SimulationConfig(channel=ChannelModel(classical_power_dbm=-25.0), rounds=100_003, seed=7, workers=8)
+        built = []
+        philox = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox", lambda key: built.append(key) or philox(key))
+        counts = simulate_trial(cfg).counts
+        assert len(built) == 1
+        monkeypatch.undo()
+        assert counts == per_arm_trial(cfg).counts
+
     def test_phase_arm_inconclusive_fraction(self):
         # half of the interferometer output lands in the outer slots
         res = simulate_trial(SimulationConfig(rounds=200_000, seed=6))
@@ -703,7 +716,8 @@ class TestClosedFormCurves:
     def test_phase_arm_nearly_saturated_at_thirty_dbm(self):
         """At 30 dBm the first phase-arm slot stays silent with probability
         about 1e-57: p_x has a closed form, a coin flip, but no trial of any
-        practical length sees a conclusive round."""
+        allowed length (at most 2**63 - 1 rounds) expects a conclusive
+        round, so the trial blames the noise, as at exactly 0."""
         cfg = SimulationConfig(channel=ChannelModel(classical_power_dbm=30.0))
         expected = expected_estimates(cfg)
         assert expected["p_z"] == 0.5
@@ -712,9 +726,9 @@ class TestClosedFormCurves:
 
         conclusive = (_trial_distribution(cfg)[0] * _protocol("2,2").masks[1, 1]).sum()
         assert 0.0 < conclusive < 1e-50
-        res = simulate_trial(replace(cfg, rounds=1_000))
-        assert sum(t.conclusive for t in res.x_tallies.values()) == 0
-        assert math.isnan(res.p_x)
+        for rounds in (1, 1_000):
+            with pytest.raises(ValueError, match=r"^p_x can never be conclusive \(conclusive probability 1\.22e-57 "):
+                simulate_trial(replace(cfg, rounds=rounds))
 
     def test_multi_photon_closed_form(self):
         """With every photon detected and no noise or jitter, the earlier bin
@@ -902,11 +916,17 @@ def test_trial_table_matches_per_message_loop(cfg):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(cfg=table_configs())
 def test_cell_and_no_click_mass_sum_to_one(cfg):
-    from qracsim.photonics import _arm_click_probabilities, _trial_intensities
+    """Over the padded (arm, message, slot, port) stack, each arm's real
+    cells and its no-click mass sum to 1, and every padding cell is 0."""
+    from qracsim.photonics import _click_rates, _first_click_probabilities, _protocol, _trial_intensities
 
-    for intensities in _trial_intensities(cfg.protocol, cfg.dli.visibility, cfg.detector.jitter_sigma_ps):
-        probs, no_click = _arm_click_probabilities(intensities, cfg.source, cfg.channel, cfg.detector)
-        assert np.abs(probs.sum(axis=-1) + no_click - 1.0).max() <= 1e-14
+    intensities, owner, real = _trial_intensities(cfg.protocol, cfg.dli.visibility, cfg.detector.jitter_sigma_ps)
+    mean, noise = _click_rates(cfg.source, cfg.channel, cfg.detector, _protocol(cfg.protocol).transfers)
+    probs, no_click = _first_click_probabilities(mean, intensities, np.array([0.0, *noise])[owner])
+    padding = np.broadcast_to(owner == 0, intensities.shape).reshape(probs.shape)
+    assert np.count_nonzero(~padding) == real.size
+    assert (probs[padding] == 0.0).all() and (intensities.reshape(probs.shape)[padding] == 0.0).all()
+    assert np.abs(probs.sum(axis=-1) + no_click - 1.0).max() <= 1e-14
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -995,6 +1015,87 @@ def test_counts_follow_stream_contract(workers):
                 for w in range(workers)
             )
             assert simulate_trial(cfg).counts == tuple(map(tuple, expected.reshape(p.shape).tolist()))
+
+
+def _per_arm_first_click(mean, intensities, noise):
+    log_silent = -noise - mean * intensities
+    fire = -np.expm1(log_silent)
+    split = fire * (1.0 - (fire.sum(axis=-1, keepdims=True) - fire) / 2.0)
+    silent_through = np.cumsum(log_silent.sum(axis=-1), axis=-1)
+    reached = np.exp(np.concatenate((np.zeros_like(silent_through[..., :1]), silent_through[..., :-1]), axis=-1))
+    probs = reached[..., None] * split
+    return probs.reshape(*probs.shape[:-2], -1), np.exp(silent_through[..., -1])
+
+
+def per_arm_trial(cfg):
+    """simulate_trial built arm by arm, as an oracle: each arm's table of
+    every message in its own pass, then a Philox built per partition."""
+    from qracsim.photonics import TrialResult, _arm_intensities, _protocol
+
+    record = _protocol(cfg.protocol)
+    mean = cfg.source.mu * cfg.channel.transmission * cfg.detector.efficiency * 0.5
+    power = cfg.channel.classical_power_dbm
+    raman_hz = 0.0 if power is None else cfg.channel.raman_coefficient * 10.0 ** ((power - 30.0) / 10.0)
+    arms, no_clicks = [], []
+    for transfer in record.transfers:
+        intensities = _arm_intensities(transfer, record.fields, cfg.dli.visibility, cfg.detector.jitter_sigma_ps)
+        rate_hz = cfg.detector.dark_rate_hz + 0.5 / intensities.shape[-1] * raman_hz
+        probs, no_click = _per_arm_first_click(mean, intensities, rate_hz * BIN_SPACING_PS * 1e-12)
+        arms.append(probs / probs.sum(axis=-1, keepdims=True))
+        no_clicks.append(float(no_click.sum()) / no_click.size)
+    p = (1.0 / len(arms)) * np.concatenate(arms, axis=-1)
+    p = p / len(p)
+    base, extra = divmod(cfg.rounds, cfg.workers)
+    counts = sum(
+        np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(w,))))
+        .multinomial(base + (w < extra), p.ravel())
+        for w in range(min(cfg.workers, cfg.rounds))
+    )
+    estimates = {}
+    totals = (record.masks.reshape(-1, p.size) @ counts).reshape(-1, 2).tolist()
+    for name, (correct, conclusive) in zip(record.estimands, totals):
+        q = correct / conclusive
+        estimates[name], estimates[name + "_err"] = q, math.sqrt(max(q * (1.0 - q), 0.0) / conclusive)
+    return TrialResult(
+        protocol=cfg.protocol,
+        rounds=cfg.rounds,
+        seed=cfg.seed,
+        workers=cfg.workers,
+        state_labels=record.labels,
+        counts=tuple(map(tuple, counts.reshape(p.shape).tolist())),
+        no_click_probability_z=no_clicks[0],
+        no_click_probability_x=no_clicks[1] if len(no_clicks) > 1 else None,
+        **estimates,
+    )
+
+
+@pytest.mark.parametrize("power", [None, -25.0])
+@pytest.mark.parametrize("workers", [1, 3, 8])
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1])
+@pytest.mark.parametrize("protocol", ["2,2", "2,4"])
+def test_trial_matches_per_arm_oracle(protocol, seed, workers, power):
+    """Every TrialResult field, by repr, is what the arm-by-arm path gives."""
+    cfg = SimulationConfig(
+        protocol=protocol, channel=ChannelModel(classical_power_dbm=power), rounds=100_003, seed=seed, workers=workers
+    )
+    assert repr(simulate_trial(cfg)) == repr(per_arm_trial(cfg))
+
+
+def test_one_train_no_click_probability_is_a_float():
+    train = build_pulse_train(Message((0, 1), 2), "2,2")
+    z = z_click_distribution(train, SOURCE, QUIET, DetectorModel())
+    x = x_click_distribution(train, DliModel(), SOURCE, QUIET, DetectorModel())
+    for dist in (z, x):
+        assert isinstance(dist.no_click_probability, np.float64)
+
+
+def test_conditional_names_the_arm_that_cannot_click():
+    from qracsim.photonics import _conditional
+
+    probs = np.array([[[0.2, 0.1], [0.3, 0.0]], [[0.1, 0.1], [0.0, 0.0]]])   # (arm, message, cell)
+    with pytest.raises(ValueError, match="^the phase arm can never click"):
+        _conditional(probs, "arrival-time", "phase")
+    assert np.array_equal(_conditional(probs[:1], "arrival-time"), [[[2 / 3, 1 / 3], [1.0, 0.0]]])
 
 
 def test_cached_weights_follow_every_weight_field():
