@@ -1,8 +1,7 @@
 """Command-line front end: exact bounds, reference reproductions, noise sweeps.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 a Monte Carlo
-reproduction missed its configured acceptance band (files are still
-written).
+reproduction missed its acceptance band (files are still written).
 """
 
 from __future__ import annotations
@@ -52,6 +51,12 @@ REFERENCE_TABLE4 = {
 # Ideal model targets the simulator is expected to hit (detector asymmetries
 # that skew the measured M1/M2 split are deliberately unmodeled).
 IDEAL_TABLE4 = {"M1": 5.0 / 6.0, "M2": 5.0 / 6.0, "M12": 0.75}
+
+# Acceptance bands of the Monte Carlo targets: table2's pooled p_z and p_x,
+# table4's distance from IDEAL_TABLE4, and fig4's classical-bound crossing.
+_TABLE2_P_Z, _TABLE2_P_X = (0.8536, 0.005), (0.79, 0.86)   # (reference, tolerance), (low, high)
+_TABLE4_TOLERANCE = 0.005
+_FIG4_CROSSING_DBM = (-25.0, 1.0)   # (expected, tolerance)
 
 DEFAULT_FIG_SWEEP = tuple(float(p) for p in range(-40, -14, 1))
 
@@ -131,7 +136,7 @@ def _emit(config: RunConfig, csv_text: str, json_text: str | None, stdout) -> No
     """Write the CSV to `out`, and the JSON mirror, if there is one, beside
     it; without `out`, print the mirror under the json format, else the CSV."""
     if not config.out:
-        stdout.write(json_text if json_text is not None and config.fmt == "json" else csv_text)
+        stdout.write(json_text if json_text is not None and config.format == "json" else csv_text)
         return
     path = Path(config.out)
     written = []
@@ -174,9 +179,8 @@ def _table2(config: RunConfig) -> Outputs:
         _require_conclusive({f"p_z of state {label}": p_z, f"p_x of state {label}": p_x}, trial.rounds)
         ref_z, ref_x = REFERENCE_TABLE2[label]
         rows.append([label, *map(_fmt, (p_z, ref_z, p_z - ref_z, p_x, ref_x, p_x - ref_x))])
-    bands = config.bands
-    ok = abs(trial.p_z - bands.p_z_reference) <= bands.p_z_tolerance
-    ok = ok and bands.p_x_low <= trial.p_x <= bands.p_x_high
+    (z_reference, z_tolerance), (x_low, x_high) = _TABLE2_P_Z, _TABLE2_P_X
+    ok = abs(trial.p_z - z_reference) <= z_tolerance and x_low <= trial.p_x <= x_high
     failures = [] if ok else [f"p_z={_fmt(trial.p_z)} p_x={_fmt(trial.p_x)}"]
     return _csv("state,p_z,p_z_ref,p_z_dev,p_x,p_x_ref,p_x_dev", rows), None, failures
 
@@ -192,8 +196,7 @@ def _table4(config: RunConfig) -> Outputs:
         ref_p, ref_adv = REFERENCE_TABLE4[name]
         adv = row[f"advantage_{column}"]
         rows.append([name, *map(_fmt, (p, ref_p, p - ref_p, adv, ref_adv))])
-    tol = config.bands.quart_tolerance
-    ok = all(abs(estimates[k] - IDEAL_TABLE4[k]) <= tol for k in estimates)
+    ok = all(abs(estimates[k] - IDEAL_TABLE4[k]) <= _TABLE4_TOLERANCE for k in estimates)
     devs = {k: _fmt(estimates[k] - IDEAL_TABLE4[k]) for k in estimates}
     failures = [] if ok else [f"deviations from ideal {devs}"]
     return _csv("measurement,p,p_ref,p_dev,advantage,advantage_ref", rows), None, failures
@@ -216,13 +219,14 @@ def _figure(protocol: str, config: RunConfig) -> Outputs:
     failures = []
     # the crossing band is the qubit code's: where p_z falls to the classical bound
     if protocol == "2,2":
-        bands = cfg.bands
-        crossing = _crossing_power(rows, classical_bound(2))
-        if crossing is None or abs(crossing - bands.crossing_dbm) > bands.crossing_tolerance_dbm:
-            failures.append(
-                f"classical-bound crossing at {_fmt(crossing)} dBm, expected "
-                f"{_fmt(bands.crossing_dbm)} +/- {_fmt(bands.crossing_tolerance_dbm)}"
-            )
+        threshold, (expected, tolerance) = classical_bound(2), _FIG4_CROSSING_DBM
+        crossing = _crossing_power(rows, threshold)
+        band = f"expected {_fmt(expected)} +/- {_fmt(tolerance)}"
+        if crossing is None:
+            first, last = (_fmt(row["power_dbm"]) for row in (rows[0], rows[-1]))
+            failures.append(f"p_z never falls to {_fmt(threshold)} between {first} and {last} dBm, {band}")
+        elif abs(crossing - expected) > tolerance:
+            failures.append(f"classical-bound crossing at {_fmt(crossing)} dBm, {band}")
     return _sweep_csv(rows), _sweep_json(cfg, rows), failures
 
 
@@ -255,25 +259,14 @@ def cmd_sweep(args, stdout, stderr) -> int:
     return 0
 
 
-# command-line flag -> the RunConfig field it overrides
-_FLAG_FIELDS = {
-    "protocol": "protocol",
-    "rounds": "rounds",
-    "seed": "seed",
-    "power": "sweep",
-    "out": "out",
-    "format": "fmt",
-}
+# the RunConfig fields a command-line flag overrides, each its flag's dest
+_FLAG_FIELDS = ("protocol", "rounds", "seed", "sweep", "out", "format")
 
 
 def _load_run_config(args) -> RunConfig:
     config = load_config(args.config) if args.config else RunConfig()
     # an absent or empty flag keeps the configured value
-    changes = {
-        field: getattr(args, flag)
-        for flag, field in _FLAG_FIELDS.items()
-        if getattr(args, flag) not in (None, "")
-    }
+    changes = {field: getattr(args, field) for field in _FLAG_FIELDS if getattr(args, field) not in (None, "")}
     return replace(config, **changes) if changes else config
 
 
@@ -291,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--protocol", choices=PROTOCOLS)
     common.add_argument("--rounds", type=int)
     common.add_argument("--seed", type=int)
-    common.add_argument("--power", type=float, action="append", metavar="DBM",
+    common.add_argument("--power", dest="sweep", type=float, action="append", metavar="DBM",
                         help="classical power sweep point, repeatable")
     common.add_argument("--config", help="flat key-value config file or JSON results mirror")
     common.add_argument("--out", help="output CSV path (JSON mirror written beside it)")

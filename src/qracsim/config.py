@@ -4,6 +4,9 @@ The grammar is one ``section.key = value`` assignment per line, ``#``
 comments, blank lines ignored.  A JSON results file produced by the CLI can
 be re-ingested directly: its ``config`` object holds the same flat mapping,
 so reruns reproduce the original output byte for byte.
+
+Each key is a dataclass field: ``section.name`` of the device model that the
+``RunConfig`` field ``section`` holds, or ``run.name`` of ``RunConfig`` itself.
 """
 
 from __future__ import annotations
@@ -11,9 +14,10 @@ from __future__ import annotations
 import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields, is_dataclass
+from typing import get_type_hints
 
-from .photonics import ChannelModel, DetectorModel, DliModel, SimulationConfig, SourceModel
+from .photonics import SimulationConfig
 
 
 class ConfigError(ValueError):
@@ -31,40 +35,20 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class BandConfig:
-    """Acceptance bands checked by the reproduction commands."""
-
-    p_z_reference: float = 0.8536
-    p_z_tolerance: float = 0.005
-    p_x_low: float = 0.79
-    p_x_high: float = 0.86
-    quart_tolerance: float = 0.005
-    crossing_dbm: float = -25.0
-    crossing_tolerance_dbm: float = 1.0
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"band.{f.name} must be finite, got {value}")
-
-
-@dataclass(frozen=True)
 class RunConfig(SimulationConfig):
     """Complete description of a CLI run: the settings of its trials, which
-    ``SimulationConfig`` declares and checks, plus the power sweep, the
-    output path and format, and the acceptance bands."""
+    ``SimulationConfig`` declares and checks, plus the power sweep and the
+    output path and format."""
 
     rounds: int = 200_000
     sweep: tuple = ()
     out: str | None = None
-    fmt: str = "csv"
-    bands: BandConfig = field(default_factory=BandConfig)
+    format: str = "csv"
 
     def __post_init__(self):
         super().__post_init__()
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"run.format must be csv or json, got {self.fmt!r}")
+        if self.format not in ("csv", "json"):
+            raise ConfigError(f"run.format must be csv or json, got {self.format!r}")
         for power in self.sweep:
             if not math.isfinite(power):
                 raise ConfigError(f"run.sweep must be finite powers, got {power}")
@@ -102,14 +86,33 @@ def _parse_sweep(text: str, key: str, line: int | None = None) -> tuple:
     return tuple(_parse_float(part.strip(), key, line) for part in text.split(","))
 
 
-# parser kind -> (parse text, format value); parsing a formatted value gives
-# the value back, so a JSON mirror re-ingests exactly.
+# field annotation -> (parse text, format value); parsing a formatted value
+# gives the value back, so a JSON mirror re-ingests exactly.
 _KINDS = {
-    "str": (lambda text, key, line: text.strip(), str),
-    "int": (_parse_int, str),
-    "float": (_parse_float, _format_float),
-    "optional_float": (_parse_optional_float, lambda x: "none" if x is None else _format_float(x)),
-    "sweep": (_parse_sweep, lambda powers: ",".join(_format_float(p) for p in powers)),
+    str: (lambda text, key, line: text.strip(), str),
+    str | None: (lambda text, key, line: text.strip() or None, lambda x: x or ""),
+    int: (_parse_int, str),
+    float: (_parse_float, _format_float),
+    float | None: (_parse_optional_float, lambda x: "none" if x is None else _format_float(x)),
+    tuple: (_parse_sweep, lambda powers: ",".join(_format_float(p) for p in powers)),
+}
+
+
+def _fields(cls) -> dict:
+    """A dataclass's field names, in order, each with its resolved annotation."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+# section -> the device model class its RunConfig field holds
+_MODELS = {name: hint for name, hint in _fields(RunConfig).items() if is_dataclass(hint)}
+# key -> (section, attribute, (parse, format)): each model's fields under its
+# section, and every other RunConfig field under run
+_SCHEMA = {
+    f"{section}.{name}": (section, name, _KINDS[hint])
+    for section, cls in (("run", RunConfig), *_MODELS.items())
+    for name, hint in _fields(cls).items()
+    if cls is not RunConfig or name not in _MODELS
 }
 
 
@@ -140,33 +143,6 @@ def _scan_config_text(text: str) -> tuple[dict[str, str], dict[str, int]]:
     return mapping, seen
 
 
-# key -> (target, attribute, parser kind)
-_SCHEMA = {
-    "run.protocol": ("run", "protocol", "str"),
-    "run.rounds": ("run", "rounds", "int"),
-    "run.seed": ("run", "seed", "int"),
-    "run.workers": ("run", "workers", "int"),
-    "run.sweep": ("run", "sweep", "sweep"),
-    "run.out": ("run", "out", "str"),
-    "run.format": ("run", "fmt", "str"),
-    "source.mu": ("source", "mu", "float"),
-    "channel.loss_db": ("channel", "loss_db", "float"),
-    "channel.raman_coefficient": ("channel", "raman_coefficient", "float"),
-    "channel.classical_power_dbm": ("channel", "classical_power_dbm", "optional_float"),
-    "detector.efficiency": ("detector", "efficiency", "float"),
-    "detector.dark_rate_hz": ("detector", "dark_rate_hz", "float"),
-    "detector.jitter_fwhm_ps": ("detector", "jitter_fwhm_ps", "float"),
-    "dli.visibility": ("dli", "visibility", "float"),
-    "band.p_z_reference": ("bands", "p_z_reference", "float"),
-    "band.p_z_tolerance": ("bands", "p_z_tolerance", "float"),
-    "band.p_x_low": ("bands", "p_x_low", "float"),
-    "band.p_x_high": ("bands", "p_x_high", "float"),
-    "band.quart_tolerance": ("bands", "quart_tolerance", "float"),
-    "band.crossing_dbm": ("bands", "crossing_dbm", "float"),
-    "band.crossing_tolerance_dbm": ("bands", "crossing_tolerance_dbm", "float"),
-}
-
-
 def config_from_mapping(mapping: dict[str, str], lines: dict[str, int] | None = None) -> RunConfig:
     """Build a RunConfig from a flat mapping, rejecting unknown keys."""
     lines = lines or {}
@@ -174,17 +150,11 @@ def config_from_mapping(mapping: dict[str, str], lines: dict[str, int] | None = 
     for key, raw in mapping.items():
         if key not in _SCHEMA:
             raise ConfigError("unknown configuration key", line=lines.get(key), key=key)
-        target, attr, kind = _SCHEMA[key]
-        kwargs[target][attr] = _KINDS[kind][0](str(raw), key, lines.get(key))
+        section, attr, (parse, _) = _SCHEMA[key]
+        kwargs[section][attr] = parse(str(raw), key, lines.get(key))
+    run = kwargs.pop("run", {})
     try:
-        return RunConfig(
-            source=SourceModel(**kwargs["source"]),
-            channel=ChannelModel(**kwargs["channel"]),
-            detector=DetectorModel(**kwargs["detector"]),
-            dli=DliModel(**kwargs["dli"]),
-            bands=BandConfig(**kwargs["bands"]),
-            **kwargs["run"],
-        )
+        return RunConfig(**{section: _MODELS[section](**values) for section, values in kwargs.items()}, **run)
     except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -198,11 +168,11 @@ def config_to_mapping(config: RunConfig) -> dict[str, str]:
     byte-identical wherever they are written.
     """
     mapping = {}
-    for key, (target, attr, kind) in _SCHEMA.items():
+    for key, (section, attr, (_, format_value)) in _SCHEMA.items():
         if key == "run.out":
             continue
-        holder = config if target == "run" else getattr(config, target)
-        mapping[key] = _KINDS[kind][1](getattr(holder, attr))
+        holder = config if section == "run" else getattr(config, section)
+        mapping[key] = format_value(getattr(holder, attr))
     return mapping
 
 

@@ -623,10 +623,12 @@ class _StreamKey:
 
 
 @lru_cache(maxsize=256)
-def _stream_key(seed: int, worker: int) -> _StreamKey:
-    """The key that ``Philox(SeedSequence(entropy=seed, spawn_key=(worker,)))`` takes."""
+def _stream_keys(seed: int, partitions: int) -> tuple[_StreamKey, ...]:
+    """The key that ``Philox(SeedSequence(entropy=seed, spawn_key=(w,)))``
+    takes, for each partition w; one cache entry serves a whole trial."""
     np.random.bit_generator.ISeedSequence.register(_StreamKey)
-    return _StreamKey(np.random.SeedSequence(entropy=seed, spawn_key=(worker,)).generate_state(2, np.uint64))
+    return tuple(_StreamKey(np.random.SeedSequence(entropy=seed, spawn_key=(w,)).generate_state(2, np.uint64))
+                 for w in range(partitions))
 
 
 def simulate_trial(config: SimulationConfig) -> TrialResult:
@@ -649,10 +651,12 @@ def simulate_trial(config: SimulationConfig) -> TrialResult:
     p, no_click_z, no_click_x = _trial_distribution(config)
     cells = p.ravel()
     base, extra = divmod(config.rounds, config.workers)
-    generator = np.random.Generator(np.random.Philox(_stream_key(config.seed, 0)))
+    # a partition past the rounds draws none, so it needs no key
+    first, *rest = _stream_keys(config.seed, min(config.workers, config.rounds))
+    generator = np.random.Generator(np.random.Philox(first))
     counts = generator.multinomial(base + (0 < extra), cells)
-    for w in range(1, min(config.workers, config.rounds)):   # a partition past the rounds draws none
-        generator.bit_generator.state = _stream_key(config.seed, w).state
+    for w, key in enumerate(rest, start=1):
+        generator.bit_generator.state = key.state
         counts += generator.multinomial(base + (w < extra), cells)
     totals = record.masks.reshape(-1, cells.size) @ counts
     estimates = {}
@@ -678,7 +682,7 @@ def _closed_form(name: str, correct: np.ndarray, conclusive: np.ndarray) -> floa
     """Pooled closed form of one estimand from its per-message correct and
     conclusive probabilities; raises if it can never be conclusive."""
     _require_conclusive_mass(name, conclusive.sum(), conclusive.any())
-    return float(_estimate(correct.sum(), conclusive.sum())[0])
+    return float(correct.sum() / conclusive.sum())   # p alone: its sigma may overflow
 
 
 def expected_estimates(config: SimulationConfig) -> dict:
@@ -699,7 +703,7 @@ def expected_estimates(config: SimulationConfig) -> dict:
         result[name] = _closed_form(name, correct, conclusive)
         if name in ("p_z", "p_x"):
             result["state_" + name] = {
-                label: float(_estimate(c, k)[0]) for label, c, k in zip(record.labels, correct, conclusive)
+                label: float(c / k) if k else math.nan for label, c, k in zip(record.labels, correct, conclusive)
             }
     return result
 

@@ -5,7 +5,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -15,7 +14,6 @@ from hypothesis import strategies as st
 import qracsim
 from qracsim.cli import SWEEP_HEADER, TARGETS, _crossing_power, _sweep_json, main
 from qracsim.config import (
-    BandConfig,
     ConfigError,
     RunConfig,
     config_from_mapping,
@@ -296,16 +294,17 @@ class TestReproduceMonteCarlo:
         assert [l.split(",")[0] for l in lines[1:]] == ["M1", "M2", "M12"]
 
     def test_impossible_band_exits_3(self, tmp_path):
-        cfg = tmp_path / "strict.cfg"
-        cfg.write_text("band.p_z_tolerance = 0.000001\n")
+        # the bands are fixed, so only the devices can move an estimate out of one
+        cfg = tmp_path / "poor.cfg"
+        cfg.write_text("dli.visibility = 0.5\n")
         code, _, err = run_cli(
             ["reproduce", "table2", "--rounds", "50000", "--seed", "3", "--config", str(cfg),
              "--out", str(tmp_path / "t.csv")]
         )
         assert code == 3
-        assert "acceptance band failed" in err
+        assert "acceptance band failed: p_z=" in err
         assert (tmp_path / "t.csv").exists()  # files written even on band failure
-        cfg.write_text("band.quart_tolerance = 0.000001\n")
+        cfg.write_text("detector.jitter_fwhm_ps = 2000\n")
         code, _, err = run_cli(
             ["reproduce", "table4", "--rounds", "50000", "--seed", "3", "--config", str(cfg),
              "--out", str(tmp_path / "t4.csv")]
@@ -329,18 +328,28 @@ class TestReproduceMonteCarlo:
         assert len(lines) == 5
 
     def test_fig4_crossing_band_failure_exits_3(self, tmp_path):
+        # ten times the calibrated noise moves the crossing to about -35 dBm
         cfg = tmp_path / "shifted.cfg"
-        cfg.write_text("band.crossing_dbm = -35\nband.crossing_tolerance_dbm = 0.5\n")
+        cfg.write_text("channel.raman_coefficient = 3e12\n")
         code, _, err = run_cli(
             [
                 "reproduce", "fig4", "--config", str(cfg),
-                "--power", "-27", "--power", "-25", "--power", "-23",
+                "--power", "-37", "--power", "-33", "--power", "-29",
                 "--rounds", "80000", "--seed", "9", "--out", str(tmp_path / "f.csv"),
             ]
         )
         assert code == 3
-        assert "crossing" in err
+        assert re.fullmatch(
+            r"acceptance band failed: classical-bound crossing at -3[45]\.\d+ dBm, expected -25 \+/- 1\n", err
+        )
         assert (tmp_path / "f.csv").exists()
+
+    def test_fig4_without_crossing_names_the_swept_powers(self, tmp_path):
+        out_path = tmp_path / "f.csv"
+        code, _, err = run_cli(["reproduce", "fig4", "--power", "-40", "--power", "-39", "--out", str(out_path)])
+        assert code == 3
+        assert err == "acceptance band failed: p_z never falls to 0.75 between -40 and -39 dBm, expected -25 +/- 1\n"
+        assert out_path.exists()
 
     def test_fig5_phi_column_domain(self, tmp_path):
         out_path = tmp_path / "f5.csv"
@@ -375,6 +384,9 @@ DEFAULT_MAPPING = {
     "detector.dark_rate_hz": "2500.0",
     "detector.jitter_fwhm_ps": "200.0",
     "dli.visibility": "0.9",
+}
+# the acceptance bands, which were configuration keys until they became fixed
+RETIRED_BAND_KEYS = {
     "band.p_z_reference": "0.8536",
     "band.p_z_tolerance": "0.005",
     "band.p_x_low": "0.79",
@@ -398,7 +410,7 @@ class TestConfigMirror:
             seed=st.integers(0, 2**128),
             workers=st.integers(1, 64),
             sweep=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4),
-            fmt=st.sampled_from(("csv", "json")),
+            format=st.sampled_from(("csv", "json")),
             source=st.builds(SourceModel, mu=st.floats(0.0, exclude_min=True, allow_infinity=False)),
             channel=st.builds(
                 ChannelModel,
@@ -415,10 +427,6 @@ class TestConfigMirror:
                 jitter_fwhm_ps=st.floats(0.0, allow_infinity=False),
             ),
             dli=st.builds(DliModel, visibility=st.floats(0.0, 1.0)),
-            bands=st.builds(
-                BandConfig,
-                **{f.name: st.floats(allow_nan=False, allow_infinity=False) for f in fields(BandConfig)},
-            ),
         )
     )
     def test_mapping_round_trips_every_field(self, config):
@@ -426,6 +434,20 @@ class TestConfigMirror:
         again = config_from_mapping(mapping)
         assert again == config
         assert config_to_mapping(again) == mapping  # also tells -0.0 from 0.0
+
+    def test_new_model_field_is_a_key(self):
+        # the schema is read off the dataclasses when qracsim.config is imported
+        code = (
+            "import dataclasses, qracsim.photonics as ph\n"
+            "ph.ChannelModel = dataclasses.make_dataclass(\n"
+            "    'ChannelModel', [('length_km', float, 50.0)], bases=(ph.ChannelModel,), frozen=True)\n"
+            "from qracsim.config import config_from_mapping, config_to_mapping\n"
+            "mapping = config_to_mapping(config_from_mapping({'channel.length_km': '80'}))\n"
+            "print(mapping['channel.length_km'], config_to_mapping(config_from_mapping(mapping)) == mapping)\n"
+        )
+        proc = _run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "80.0 True\n"
 
 
 class TestConfigErrors:
@@ -500,26 +522,23 @@ class TestConfigErrors:
         with pytest.raises(ConfigError, match="expected a number, got ''.*source.mu"):
             load_config(str(mirror))
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize(
-        "key",
-        [
-            "band.p_z_reference",
-            "band.p_z_tolerance",
-            "band.p_x_low",
-            "band.p_x_high",
-            "band.quart_tolerance",
-            "band.crossing_dbm",
-            "band.crossing_tolerance_dbm",
-        ],
-    )
-    def test_band_must_be_finite(self, tmp_path, key, value):
+    @pytest.mark.parametrize("key", RETIRED_BAND_KEYS)
+    def test_retired_band_key_is_unknown(self, tmp_path, key):
         cfg = tmp_path / "band.cfg"
-        cfg.write_text(f"{key} = {value}\n")
+        cfg.write_text(f"{key} = {RETIRED_BAND_KEYS[key]}\n")
         code, out, err = run_cli(["reproduce", "fig4", "--config", str(cfg), "--power", "-30"])
         assert code == 2
         assert out == ""
-        assert f"{key} must be finite, got {float(value)}" in err
+        assert err == f"config error: unknown configuration key [line 1, key '{key}']\n"
+
+    def test_mirror_with_band_keys_is_refused(self, tmp_path):
+        # a mirror written while the bands were keys echoes all seven, sorted
+        mirror = tmp_path / "old.json"
+        mirror.write_text(json.dumps({"config": {**DEFAULT_MAPPING, **RETIRED_BAND_KEYS}}, sort_keys=True))
+        code, out, err = run_cli(["sweep", "--config", str(mirror), "--power", "-30"])
+        assert code == 2
+        assert out == ""
+        assert err == "config error: unknown configuration key [key 'band.crossing_dbm']\n"
 
 
 class TestInconclusiveEstimates:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -455,6 +456,16 @@ class TestSimulateTrial:
         monkeypatch.undo()
         assert counts == per_arm_trial(cfg).counts
 
+    def test_stream_keys_cached_per_trial(self, monkeypatch):
+        # a trial's keys are one cache entry, however many partitions it has
+        cfg = SimulationConfig(rounds=3_000, seed=8_191, workers=300)
+        first = simulate_trial(cfg)
+        built = []
+        sequence = np.random.SeedSequence
+        monkeypatch.setattr(np.random, "SeedSequence", lambda **kwargs: built.append(kwargs) or sequence(**kwargs))
+        assert simulate_trial(cfg) == first
+        assert built == []
+
     def test_phase_arm_inconclusive_fraction(self):
         # half of the interferometer output lands in the outer slots
         res = simulate_trial(SimulationConfig(rounds=200_000, seed=6))
@@ -729,6 +740,18 @@ class TestClosedFormCurves:
         for rounds in (1, 1_000):
             with pytest.raises(ValueError, match=r"^p_x can never be conclusive \(conclusive probability 1\.22e-57 "):
                 simulate_trial(replace(cfg, rounds=rounds))
+
+    def test_bright_closed_forms_compute_no_sigma(self):
+        """At mu 3400 with no loss the conclusive mass is subnormal, so a
+        standard error of the closed forms would overflow; they give p alone,
+        and no warning is raised."""
+        cfg = SimulationConfig(
+            source=SourceModel(mu=3400.0), channel=ChannelModel(loss_db=0.0), detector=DetectorModel(efficiency=1.0)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expected = expected_estimates(cfg)
+        assert expected["p_z"] == expected["p_x"] == 0.5
 
     def test_multi_photon_closed_form(self):
         """With every photon detected and no noise or jitter, the earlier bin

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from qracsim.config import RunConfig, config_from_mapping, config_to_mapping, parse_config_text
+
 ROOT = Path(__file__).resolve().parents[1]
 BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"), re.M | re.S)
 
@@ -27,3 +29,11 @@ def test_readme_example_runs(code):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_config_block_names_every_key():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Configuration files\n.*?^```\n(.*?)^```", readme, re.M | re.S).group(1)
+    mapping = parse_config_text(block)
+    assert set(mapping) == set(config_to_mapping(RunConfig()))   # every key but run.out
+    config_from_mapping(mapping)
